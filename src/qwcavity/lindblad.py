@@ -2,9 +2,11 @@
 
 The joint Hilbert space is a truncated Fock ladder for the cavity tensored
 with (nu_max+1)-level Kerr ladders for each well, cavity index slowest.
-The master-equation right-hand side acts directly on the D x D matrix (no
-superoperator), integrated with the same adaptive RK pair and tolerances
-as the mean-field solver so expectation series are directly comparable.
+The master equation is a sparse CSR superoperator acting on the row-major
+vec(rho) (spre/spost construction, as in QuTiP), integrated with the same
+adaptive RK pair and tolerances as the mean-field solver so expectation
+series are directly comparable. Observables are recorded over whole
+integrator chunks at once.
 """
 
 from __future__ import annotations
@@ -123,29 +125,46 @@ def build_hamiltonian(cfg: SystemConfig, h: HilbertConfig, frame: Frame = Frame.
     return OperatorMatrix(ham.tocsr(), h, f"H_{frame.value}")
 
 
-def drive_operator(h: HilbertConfig) -> OperatorMatrix:
+def _spre(op: sp.csr_matrix) -> sp.csr_matrix:
+    """vec(op @ rho) = _spre(op) @ vec(rho) for row-major vec."""
+    return sp.kron(op, sp.identity(op.shape[0], dtype=complex), format="csr")
+
+
+def _spost(op: sp.csr_matrix) -> sp.csr_matrix:
+    """vec(rho @ op) = _spost(op) @ vec(rho) for row-major vec."""
+    return sp.kron(sp.identity(op.shape[0], dtype=complex), op.T, format="csr")
+
+
+def _liouvillian(cfg: SystemConfig, h: HilbertConfig, frame: Frame):
+    """Master-equation generator dvec(rho)/dt = rhs(t, vec(rho)).
+
+    L(t) = L0 + c(t) La + c*(t) La', where c(t) is the coefficient of `a` in
+    the drive Hamiltonian, La = -i[a, .] and La' = -i[a^dag, .]. L0 holds
+    -i[H0, .], the anticommutator -1/2 {L^dag L, .} and the jumps
+    rate * L rho L^dag = rate * kron(L, L*) vec(rho).
+    """
     ops = build_operators(h)
     a = ops.a.matrix
-    return OperatorMatrix((a + a.conj().T).tocsr(), h, "a+adag")
+    ad = a.conj().T.tocsr()
+    jumps = [(cfg.cavity.kappa, a)] + [(d.gamma, b.matrix) for d, b in zip(cfg.dipoles, ops.b)]
+    a0 = -1j * build_hamiltonian(cfg, h, frame).matrix - sum(
+        0.5 * rate * (op.conj().T @ op) for rate, op in jumps
+    )
+    l0 = _spre(a0) + _spost(a0.conj().T)
+    for rate, op in jumps:
+        l0 = l0 + rate * sp.kron(op, op.conj(), format="csr")
+    la = -1j * (_spre(a) - _spost(a))
+    lad = -1j * (_spre(ad) - _spost(ad))
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        c = _drive_phase(cfg, frame, t)
+        return l0 @ y + c * (la @ y) + np.conj(c) * (lad @ y)
+
+    return rhs
 
 
-@functools.lru_cache(maxsize=8)
-def _context(cfg: SystemConfig, h: HilbertConfig, frame: Frame):
-    ops = build_operators(h)
-    a = ops.a.dense()
-    h0 = build_hamiltonian(cfg, h, frame).dense()
-    jump = [(cfg.cavity.kappa, a)] + [
-        (d.gamma, b.dense()) for d, b in zip(cfg.dipoles, ops.b)
-    ]
-    half_ll = sum(0.5 * rate * (op.conj().T @ op) for rate, op in jump)
-    a0 = -1j * h0 - half_ll
-    return {
-        "a_op": a,
-        "ad_op": a.conj().T,
-        "a0": a0,
-        "jump": [(rate, op, op.conj().T) for rate, op in jump],
-        "dim": h.dim,
-    }
+# lindblad_rhs is called repeatedly on one system; evolve builds its own.
+_cached_liouvillian = functools.lru_cache(maxsize=1)(_liouvillian)
 
 
 def _drive_phase(cfg: SystemConfig, frame: Frame, t: float) -> complex:
@@ -158,15 +177,6 @@ def _drive_phase(cfg: SystemConfig, frame: Frame, t: float) -> complex:
     return amp * np.exp(1j * cfg.pulse.carrier * t)
 
 
-def _rhs_matrix(rho: np.ndarray, t: float, cfg: SystemConfig, ctx, frame: Frame) -> np.ndarray:
-    c = _drive_phase(cfg, frame, t)
-    a_eff = ctx["a0"] - 1j * (c * ctx["a_op"] + np.conj(c) * ctx["ad_op"])
-    out = a_eff @ rho + rho @ a_eff.conj().T
-    for rate, op, op_dag in ctx["jump"]:
-        out += rate * (op @ rho @ op_dag)
-    return out
-
-
 def lindblad_rhs(
     rho: np.ndarray, t: float, cfg: SystemConfig, h: HilbertConfig, frame: Frame = Frame.LAB
 ) -> np.ndarray:
@@ -177,7 +187,7 @@ def lindblad_rhs(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (h.dim, h.dim):
         raise ValidationError(f"rho has shape {rho.shape}, expected {(h.dim, h.dim)}")
-    return _rhs_matrix(rho, t, cfg, _context(cfg, h, frame), frame)
+    return _cached_liouvillian(cfg, h, frame)(t, rho.reshape(-1)).reshape(h.dim, h.dim)
 
 
 def vacuum_state(h: HilbertConfig) -> np.ndarray:
@@ -305,6 +315,113 @@ class LindbladResult:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+_HERM_BLOCK = 64   # samples per Hermiticity block: bounds the (D(D+1)/2, block) temporaries
+
+
+class _ChunkRecorder:
+    """Expectation series and state hygiene over whole integrator chunks.
+
+    A chunk holds samples as columns of row-major vec(rho). Tr(A rho) is then
+    a dot product with vec(A^T) restricted to A's nonzeros, and the diagonal
+    sits at rows arange(D) * (D + 1).
+    """
+
+    def __init__(self, h: HilbertConfig, grid: np.ndarray, n_checkpoints: int,
+                 top_level_tol: float, positivity_tol: float):
+        d, nt = h.dim, len(grid)
+        self.h, self.grid = h, grid
+        self.top_level_tol, self.positivity_tol = top_level_tol, positivity_tol
+        ops = build_operators(h)
+        self._probes = [_trace_probe(op.matrix, d) for op in (ops.a, *ops.b)]
+        self._diag = np.arange(d) * (d + 1)
+        rows, cols = np.triu_indices(d)
+        self._upper, self._lower = rows * d + cols, cols * d + rows
+        photon = _photon_levels(h)
+        self._number = photon.astype(float)
+        self._top = photon == h.n_photon_max
+        levels = _well_levels(h)
+        # row (n, nu) sums the diagonal over basis states with well n at level nu
+        self._level_sum = (
+            levels[:, None, :] == np.arange(h.nu_max + 1)[None, :, None]
+        ).reshape(-1, d).astype(float)
+        self._check_idx = np.unique(np.linspace(0, nt - 1, n_checkpoints).astype(int))
+
+        self.exp_a = np.empty(nt, dtype=complex)
+        self.exp_n = np.empty(nt)
+        self.exp_b = np.empty((h.n_wells, nt), dtype=complex)
+        self.populations = np.empty((h.n_wells, h.nu_max + 1, nt))
+        self.checkpoints: list[DensityMatrix] = []
+        self.max_trace_dev = 0.0
+        self.max_herm_dev = 0.0
+        self.max_top = 0.0
+        self.min_eig = np.inf
+
+    def record(self, start: int, ys: np.ndarray) -> None:
+        """Record samples start, start + 1, ... held in the columns of ys.
+
+        Raises exactly what a sample-by-sample pass would raise first: a
+        checkpoint's SolverError before a later sample's TruncationError.
+        """
+        h, d, m = self.h, self.h.dim, ys.shape[1]
+        sl = slice(start, start + m)
+        diag = ys[self._diag].real
+        for series, (idx, vals) in zip((self.exp_a, *self.exp_b), self._probes):
+            series[sl] = vals @ ys[idx]
+        self.exp_n[sl] = self._number @ diag
+        self.populations[:, :, sl] = (self._level_sum @ diag).reshape(h.n_wells, h.nu_max + 1, m)
+
+        top = diag[self._top].sum(axis=0)
+        trace_dev = np.abs(diag.sum(axis=0) - 1.0)
+        herm_dev = self._herm_dev(ys)
+        over = np.flatnonzero(top > self.top_level_tol)
+        first_over = int(over[0]) if len(over) else m
+
+        lo, hi = np.searchsorted(self._check_idx, [start, start + first_over])
+        for i in self._check_idx[lo:hi]:
+            j = int(i) - start
+            dm = DensityMatrix(matrix=ys[:, j].reshape(d, d).copy(), time=float(self.grid[i]))
+            eig = dm.deviations()["min_eigenvalue"]
+            self.min_eig = min(self.min_eig, eig)
+            if eig < -self.positivity_tol:
+                trace_so_far = max(self.max_trace_dev, float(trace_dev[: j + 1].max()))
+                herm_so_far = max(self.max_herm_dev, float(herm_dev[: j + 1].max()))
+                raise SolverError(
+                    f"positivity violated at t={self.grid[i]:.3f}: min eigenvalue {eig:.2e} "
+                    f"(trace dev {trace_so_far:.2e}, herm dev {herm_so_far:.2e})"
+                )
+            self.checkpoints.append(dm)
+        if first_over < m:
+            raise TruncationError(
+                f"population {top[first_over]:.2e} in the top photon level at "
+                f"t={self.grid[start + first_over]:.3f} "
+                f"(n_photon_max={h.n_photon_max} too low for this drive)"
+            )
+        self.max_top = max(self.max_top, float(top.max()))
+        self.max_trace_dev = max(self.max_trace_dev, float(trace_dev.max()))
+        self.max_herm_dev = max(self.max_herm_dev, float(herm_dev.max()))
+
+    def diagnostics(self) -> dict:
+        return {
+            "max_trace_dev": self.max_trace_dev,
+            "max_herm_dev": self.max_herm_dev,
+            "min_eigenvalue": float(self.min_eig),
+            "max_top_population": self.max_top,
+        }
+
+    def _herm_dev(self, ys: np.ndarray) -> np.ndarray:
+        """Per-sample max |rho - rho^dag|, over the upper triangle and diagonal."""
+        blocks = (slice(k, k + _HERM_BLOCK) for k in range(0, ys.shape[1], _HERM_BLOCK))
+        return np.concatenate([
+            np.abs(ys[self._upper, cols] - ys[self._lower, cols].conj()).max(axis=0) for cols in blocks
+        ])
+
+
+def _trace_probe(op: sp.csr_matrix, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, weights) with Tr(op @ rho) = weights @ vec(rho)[rows]."""
+    coo = op.tocoo()
+    return coo.col * d + coo.row, coo.data
+
+
 def evolve(
     rho0: np.ndarray,
     t_span: tuple[float, float],
@@ -330,64 +447,18 @@ def evolve(
     if rho0.shape != (h.dim, h.dim):
         raise ValidationError(f"rho0 has shape {rho0.shape}, expected {(h.dim, h.dim)}")
     DensityMatrix(matrix=rho0, time=t_span[0]).validate()
-    ctx = _context(cfg, h, frame)
+    rhs = _liouvillian(cfg, h, frame)
     grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
     nt = len(grid)
-    d = h.dim
+    rec = _ChunkRecorder(h, grid, n_checkpoints, top_level_tol, positivity_tol)
 
-    levels = _well_levels(h)
-    photon = _photon_levels(h)
-    top_photon = photon == h.n_photon_max
-    a_t = ctx["a_op"].T.copy()
-    b_t = [op.T.copy() for _, op, _ in ctx["jump"][1:]]
-
-    exp_a = np.empty(nt, dtype=complex)
-    exp_n = np.empty(nt)
-    exp_b = np.empty((h.n_wells, nt), dtype=complex)
-    pops = np.empty((h.n_wells, h.nu_max + 1, nt))
-    max_trace_dev = 0.0
-    max_herm_dev = 0.0
-    max_top = 0.0
-
-    check_idx = sorted(set(np.linspace(0, nt - 1, n_checkpoints).astype(int)))
-    checkpoints = []
-    min_eig = np.inf
-
-    def record(i: int, rho: np.ndarray):
-        nonlocal max_trace_dev, max_herm_dev, max_top, min_eig
-        diag = rho.diagonal().real
-        exp_a[i] = np.sum(a_t * rho)
-        exp_n[i] = float(diag @ photon)
-        for n in range(h.n_wells):
-            exp_b[n, i] = np.sum(b_t[n] * rho)
-            for nu in range(h.nu_max + 1):
-                pops[n, nu, i] = diag[levels[n] == nu].sum()
-        top = diag[top_photon].sum()
-        max_top = max(max_top, top)
-        if top > top_level_tol:
-            raise TruncationError(
-                f"population {top:.2e} in the top photon level at t={grid[i]:.3f} "
-                f"(n_photon_max={h.n_photon_max} too low for this drive)"
-            )
-        max_trace_dev = max(max_trace_dev, abs(diag.sum() - 1.0))
-        max_herm_dev = max(max_herm_dev, float(np.abs(rho - rho.conj().T).max()))
-        if i in check_idx:
-            dm = DensityMatrix(matrix=rho.copy(), time=float(grid[i]))
-            eig = dm.deviations()["min_eigenvalue"]
-            min_eig = min(min_eig, eig)
-            if eig < -positivity_tol:
-                raise SolverError(
-                    f"positivity violated at t={grid[i]:.3f}: min eigenvalue {eig:.2e} "
-                    f"(trace dev {max_trace_dev:.2e}, herm dev {max_herm_dev:.2e})"
-                )
-            checkpoints.append(dm)
-
-    record(0, rho0)
     y = rho0.reshape(-1)
+    rec.record(0, y[:, None])
+    nfev = n_chunks = 0
     for start in range(0, nt - 1, chunk):
         stop = min(start + chunk, nt - 1)
         sol = solve_ivp(
-            lambda t, yy: _rhs_matrix(yy.reshape(d, d), t, cfg, ctx, frame).reshape(-1),
+            rhs,
             t_span=(grid[start], grid[stop]),
             y0=y,
             t_eval=grid[start + 1 : stop + 1],
@@ -397,26 +468,23 @@ def evolve(
         )
         if not sol.success:
             raise SolverError(f"Lindblad integration failed: {sol.message}")
-        for j in range(sol.y.shape[1]):
-            record(start + 1 + j, sol.y[:, j].reshape(d, d))
-        y = sol.y[:, -1]
+        nfev += sol.nfev
+        n_chunks += 1
+        rec.record(start + 1, sol.y)
+        y = sol.y[:, -1].copy()
+        del sol   # a view into sol.y would keep the whole chunk alive through the next solve
 
     return LindbladResult(
         t=grid,
-        exp_a=exp_a,
-        exp_n=exp_n,
-        exp_b=exp_b,
-        populations=pops,
+        exp_a=rec.exp_a,
+        exp_n=rec.exp_n,
+        exp_b=rec.exp_b,
+        populations=rec.populations,
         frame=frame,
         config=cfg,
         hilbert=h,
-        checkpoints=tuple(checkpoints),
-        diagnostics={
-            "max_trace_dev": max_trace_dev,
-            "max_herm_dev": max_herm_dev,
-            "min_eigenvalue": float(min_eig),
-            "max_top_population": max_top,
-        },
+        checkpoints=tuple(rec.checkpoints),
+        diagnostics={**rec.diagnostics(), "nfev": nfev, "n_chunks": n_chunks, "dim": h.dim},
     )
 
 

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwcavity import (
     ConfigError,
@@ -19,9 +22,12 @@ from qwcavity import (
     write_checkpoints,
 )
 from qwcavity import Frame, baseline_config, fid_time_span, integrate, nonlinear_phase_shift
+from qwcavity.errors import SolverError
+from qwcavity.lindblad import _ChunkRecorder
 from qwcavity.spectral import SpectralPolicy
 
 from conftest import standard_config
+from lindblad_reference import SampleRecorder, dense_rhs, reference_evolve
 
 H_SMALL = HilbertConfig(n_photon_max=1, nu_max=1, n_wells=1)
 H_PAIR = HilbertConfig(n_photon_max=8, nu_max=2, n_wells=2)
@@ -29,6 +35,13 @@ H_PAIR = HilbertConfig(n_photon_max=8, nu_max=2, n_wells=2)
 
 def single_well_config(**kwargs):
     return standard_config(n_wells=1, **kwargs)
+
+
+def random_density_matrix(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestOperators:
@@ -139,6 +152,39 @@ class TestRhs:
         with pytest.raises(ValidationError):
             lindblad_rhs(np.zeros((3, 3), dtype=complex), 0.0, standard_config(), H_PAIR)
 
+    @pytest.mark.parametrize("n_photon_max", [4, 8])   # dim 45 and 81
+    @pytest.mark.parametrize("frame", [Frame.ROTATING, Frame.LAB])
+    @pytest.mark.parametrize("offset", [0.0, 0.37])    # on the pulse peak and 2.4 T after it
+    def test_matches_dense_oracle(self, n_photon_max, frame, offset):
+        h = HilbertConfig(n_photon_max=n_photon_max, nu_max=2, n_wells=2)
+        cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35, omega2=41.0, gamma2=0.9)
+        rho = random_density_matrix(h.dim, seed=n_photon_max)
+        t = cfg.pulse.center + offset
+        want = dense_rhs(rho, t, cfg, h, frame)
+        got = lindblad_rhs(rho, t, cfg, h, frame)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        u_over_gamma=st.floats(0.0, 3.0),
+        f0_over_kappa=st.floats(0.0, 0.6),
+        gamma2=st.floats(0.1, 10.0),
+        omega2=st.floats(35.0, 45.0),
+        t=st.floats(0.0, 2.0),
+        frame=st.sampled_from(Frame),
+        seed=st.integers(0, 2**31),
+    )
+    def test_trace_free_and_hermiticity_preserving_property(
+        self, u_over_gamma, f0_over_kappa, gamma2, omega2, t, frame, seed
+    ):
+        h = HilbertConfig(n_photon_max=3, nu_max=2, n_wells=2)
+        cfg = standard_config(u_over_gamma=u_over_gamma, f0_over_kappa=f0_over_kappa,
+                              gamma2=gamma2, omega2=omega2)
+        out = lindblad_rhs(random_density_matrix(h.dim, seed), t, cfg, h, frame)
+        scale = max(1.0, np.abs(out).max())
+        assert abs(np.trace(out)) < 1e-12 * scale
+        assert np.abs(out - out.conj().T).max() < 1e-12 * scale
+
 
 class TestEvolve:
     def test_vacuum_stays_vacuum(self):
@@ -215,6 +261,96 @@ class TestEvolve:
             base = evolve(vacuum_state(h), span, base_cfg, h, dt=0.004)
             shifts.append(nonlinear_phase_shift(run, base, policy))
         assert abs(shifts[1] - shifts[0]) / abs(shifts[1]) < 0.01
+
+
+RECORD_TOL = 1e-14   # absolute: the recorder sums in a different order than the loop
+
+
+def assert_same_record(got, diagnostics: dict, want: SampleRecorder):
+    """Chunk-recorded series and diagnostics against the per-sample reference."""
+    for name in ("exp_a", "exp_n", "exp_b", "populations"):
+        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= RECORD_TOL
+    for key, value in want.diagnostics().items():
+        assert abs(diagnostics[key] - value) <= RECORD_TOL
+    assert [cp.time for cp in got.checkpoints] == [cp.time for cp in want.checkpoints]
+    for cp, ref in zip(got.checkpoints, want.checkpoints):
+        assert np.array_equal(cp.matrix, ref.matrix)
+
+
+def error_head(exc: Exception) -> str:
+    """Error type, sample time and offending value; drops the trailing running maxima."""
+    return f"{type(exc).__name__}: {str(exc).split(' (')[0]}"
+
+
+class TestChunkRecorder:
+    @pytest.mark.parametrize(
+        "h, frame, span",
+        [(H_PAIR, Frame.ROTATING, (0.0, 3.0)),
+         (HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2), Frame.LAB, (0.0, 1.5))],
+    )
+    def test_evolve_matches_sample_reference(self, h, frame, span):
+        cfg = standard_config(u_over_gamma=0.5, f0_over_kappa=0.3)
+        res = evolve(vacuum_state(h), span, cfg, h, dt=0.004, frame=frame)
+        ref = reference_evolve(vacuum_state(h), span, cfg, h, dt=0.004, frame=frame)
+        assert_same_record(res, res.diagnostics, ref)
+        assert res.diagnostics["nfev"] == ref.nfev
+        assert res.diagnostics["n_chunks"] == ref.n_chunks == math.ceil((len(res.t) - 1) / 256)
+        assert res.diagnostics["dim"] == h.dim
+
+    def test_truncation_reports_same_first_sample(self):
+        h = HilbertConfig(n_photon_max=1, nu_max=2, n_wells=2)
+        cfg = standard_config(f0_over_kappa=0.5)
+        errors = []
+        for run in (evolve, reference_evolve):
+            with pytest.raises(TruncationError) as info:
+                run(vacuum_state(h), (0.0, 2.0), cfg, h, dt=0.004)
+            errors.append(str(info.value))
+        times = [re.search(r"t=([-0-9.]+)", e).group(1) for e in errors]
+        assert times[0] == times[1]
+
+    @pytest.mark.parametrize(
+        "negative_at, overflow_at",
+        [(None, None), (19, 25), (19, 19), (29, 19), (None, 3)],
+    )
+    def test_synthetic_chunks_match_sample_reference(self, negative_at, overflow_at):
+        # checkpoints of a 40-sample grid at n_checkpoints = 5: 0, 9, 19, 29, 39
+        h = HilbertConfig(n_photon_max=2, nu_max=1, n_wells=2)
+        d, grid = h.dim, 0.01 * np.arange(40)
+        rng = np.random.default_rng(7)
+        states = []
+        for i in range(len(grid)):
+            rho = random_density_matrix(d, seed=i)
+            rho += 1e-9 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            if i == negative_at:
+                rho = np.diag([1.02, -0.02] + [0.0] * (d - 2)).astype(complex)
+            if i == overflow_at:
+                rho = np.zeros((d, d), dtype=complex)
+                rho[-1, -1] = 1.0   # last basis state: top photon level
+            states.append(rho.reshape(-1))
+        ys = np.stack(states, axis=1)
+        kwargs = dict(n_checkpoints=5, top_level_tol=0.99, positivity_tol=1e-6)
+        chunked = _ChunkRecorder(h, grid, **kwargs)
+        ref = SampleRecorder(h, grid, **kwargs)
+
+        def run_chunked():
+            chunked.record(0, ys[:, :1])
+            for start in range(1, len(grid), 16):
+                chunked.record(start, ys[:, start : start + 16])
+
+        outcomes = []
+        for run in (run_chunked, lambda: ref.record_chunk(0, ys)):
+            try:
+                run()
+                outcomes.append(None)
+            except (SolverError, TruncationError) as exc:
+                outcomes.append(error_head(exc))
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] is None:
+            assert_same_record(chunked, chunked.diagnostics(), ref)
+            assert ref.max_herm_dev > 1e-10   # the perturbation is seen
+        else:
+            expected = "SolverError" if negative_at is not None and negative_at < overflow_at else "TruncationError"
+            assert outcomes[0].startswith(expected)
 
 
 class TestDensityMatrixType:
