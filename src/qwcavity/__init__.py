@@ -3,7 +3,12 @@ driven, lossy THz cavity: mean-field chirping dynamics, full Lindblad
 propagation, and FID phase-spectrum analysis.
 """
 
+import logging
+
 __version__ = "0.1.0"
+
+# the library logs to "qwcavity" without printing; `qwcavity -v` attaches a stderr handler
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .errors import (
     ConfigError,
@@ -50,13 +55,11 @@ from .lindblad import (
     DensityMatrix,
     HilbertConfig,
     LindbladResult,
-    OperatorMatrix,
     build_hamiltonian,
     build_operators,
     evolve,
     lindblad_rhs,
     read_checkpoints,
-    second_level_population,
     vacuum_state,
     write_checkpoints,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
@@ -52,6 +53,8 @@ from .spectral import (
 
 N_PHOTON_MAX_DEFAULT = 8
 NU_MAX_DEFAULT = 2
+
+log = logging.getLogger("qwcavity")
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,7 @@ def _solve(cfg: SystemConfig, solver: str, policy: SpectralPolicy, n_photon_max:
     while True:
         try:
             return evolve(vacuum_state(h), span, cfg, h, dt=dt)
-        except TruncationError:
+        except TruncationError as exc:
             # raise the Fock cutoff until the drive fits under it
             try:
                 h = HilbertConfig(
@@ -141,6 +144,7 @@ def _solve(cfg: SystemConfig, solver: str, policy: SpectralPolicy, n_photon_max:
                     f"drive needs n_photon_max > {h.n_photon_max} but the dimension cap "
                     f"{h.dim_cap} forbids it"
                 ) from None
+            log.warning("%s; restarting from t=%s with n_photon_max=%d", exc, span[0], h.n_photon_max)
 
 
 def _policy_payload(policy: SpectralPolicy) -> dict:
@@ -625,6 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Driven THz cavity + quantum-well FID phase nonlinearity simulator",
     )
     parser.add_argument("--version", action="version", version=f"qwcavity {__version__}")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log warnings, such as a raised Fock cutoff, to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, config_required=True):
@@ -674,8 +680,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = logging.StreamHandler()   # stderr
+    handler.setFormatter(logging.Formatter("%(name)s: %(levelname)s: %(message)s"))
+    if args.verbose:
+        log.addHandler(handler)
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -687,6 +696,8 @@ def main(argv=None) -> int:
     except (GridError, ValidationError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 4
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ with (nu_max+1)-level Kerr ladders for each well, cavity index slowest.
 The master equation is a sparse CSR superoperator acting on the row-major
 vec(rho) (spre/spost construction, as in QuTiP), integrated with the same
 adaptive RK pair and tolerances as the mean-field solver so expectation
-series are directly comparable. Observables are recorded over whole
-integrator chunks at once.
+series are directly comparable. Observables are read off each RK step's
+interpolant coefficients, without materialising the states in between.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
 
 from .errors import ConfigError, SolverError, TruncationError, ValidationError
 from .meanfield import default_dt, uniform_grid
@@ -51,25 +51,6 @@ class HilbertConfig:
         return (self.n_photon_max + 1) * (self.nu_max + 1) ** self.n_wells
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Sparse operator on the joint space, cavity index slowest."""
-
-    matrix: sp.csr_matrix
-    hilbert: HilbertConfig
-    label: str
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.hilbert.dim, self.hilbert.dim):
-            raise ValidationError(
-                f"operator {self.label!r} has shape {self.matrix.shape}, "
-                f"expected {(self.hilbert.dim, self.hilbert.dim)}"
-            )
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
 def _destroy(dim: int) -> sp.csr_matrix:
     return sp.diags(np.sqrt(np.arange(1, dim)), 1, format="csr", dtype=complex)
 
@@ -81,14 +62,8 @@ def _embed(factors) -> sp.csr_matrix:
     return out
 
 
-@dataclass(frozen=True)
-class Operators:
-    a: OperatorMatrix
-    b: tuple
-
-
-def build_operators(h: HilbertConfig) -> Operators:
-    """Annihilation operators embedded with identities on the other factors."""
+def build_operators(h: HilbertConfig) -> tuple[sp.csr_matrix, tuple]:
+    """CSR annihilators (a, (b_1, ..., b_N)) embedded with identities on the other factors."""
     d_ph = h.n_photon_max + 1
     d_w = h.nu_max + 1
     eye_ph = sp.identity(d_ph, format="csr", dtype=complex)
@@ -98,12 +73,12 @@ def build_operators(h: HilbertConfig) -> Operators:
     for n in range(h.n_wells):
         factors = [eye_ph] + [eye_w] * h.n_wells
         factors[1 + n] = _destroy(d_w)
-        wells.append(OperatorMatrix(_embed(factors), h, f"b{n + 1}"))
-    return Operators(a=OperatorMatrix(a, h, "a"), b=tuple(wells))
+        wells.append(_embed(factors))
+    return a, tuple(wells)
 
 
-def build_hamiltonian(cfg: SystemConfig, h: HilbertConfig, frame: Frame = Frame.LAB) -> OperatorMatrix:
-    """Static Hamiltonian: cavity + Kerr ladders + co-rotating coupling.
+def build_hamiltonian(cfg: SystemConfig, h: HilbertConfig, frame: Frame = Frame.LAB) -> sp.csr_matrix:
+    """Static CSR Hamiltonian: cavity + Kerr ladders + co-rotating coupling.
 
     In the rotating frame the drive carrier is subtracted from every mode
     frequency; the Kerr and coupling terms are invariant.
@@ -113,16 +88,14 @@ def build_hamiltonian(cfg: SystemConfig, h: HilbertConfig, frame: Frame = Frame.
             f"HilbertConfig has {h.n_wells} wells but the system config has {cfg.n_wells}"
         )
     shift = cfg.pulse.carrier if frame is Frame.ROTATING else 0.0
-    ops = build_operators(h)
-    a = ops.a.matrix
+    a, wells = build_operators(h)
     ham = (cfg.cavity.omega_c - shift) * (a.conj().T @ a)
-    for d, b_op in zip(cfg.dipoles, ops.b):
-        b = b_op.matrix
+    for d, b in zip(cfg.dipoles, wells):
         bd = b.conj().T
         ham = ham + (d.omega - shift) * (bd @ b)
         ham = ham - d.anharmonicity * (bd @ bd @ b @ b)
         ham = ham + d.coupling * (a @ bd + a.conj().T @ b)
-    return OperatorMatrix(ham.tocsr(), h, f"H_{frame.value}")
+    return ham.tocsr()
 
 
 def _spre(op: sp.csr_matrix) -> sp.csr_matrix:
@@ -138,27 +111,35 @@ def _spost(op: sp.csr_matrix) -> sp.csr_matrix:
 def _liouvillian(cfg: SystemConfig, h: HilbertConfig, frame: Frame):
     """Master-equation generator dvec(rho)/dt = rhs(t, vec(rho)).
 
-    L(t) = L0 + c(t) La + c*(t) La', where c(t) is the coefficient of `a` in
-    the drive Hamiltonian, La = -i[a, .] and La' = -i[a^dag, .]. L0 holds
-    -i[H0, .], the anticommutator -1/2 {L^dag L, .} and the jumps
-    rate * L rho L^dag = rate * kron(L, L*) vec(rho).
+    L(t) = L0 + c(t) La + c*(t) La' for the drive Hamiltonian c a + c* a^dag,
+    La = -i[a, .] and La' = -i[a^dag, .]. L0 holds -i[H0, .], the
+    anticommutator -1/2 {L^dag L, .} and the jumps rate * kron(L, L*) vec(rho).
+    A real c (the rotating frame) needs one drive matvec, with Lx = La + La', and
+    c = 0 (an underflowed Gaussian) none. A complex c keeps La and La', since
+    writing Im c as Im c [a - a^dag, .] would double the drive's nonzeros.
     """
-    ops = build_operators(h)
-    a = ops.a.matrix
-    ad = a.conj().T.tocsr()
-    jumps = [(cfg.cavity.kappa, a)] + [(d.gamma, b.matrix) for d, b in zip(cfg.dipoles, ops.b)]
-    a0 = -1j * build_hamiltonian(cfg, h, frame).matrix - sum(
+    a, wells = build_operators(h)
+    jumps = [(cfg.cavity.kappa, a)] + [(d.gamma, b) for d, b in zip(cfg.dipoles, wells)]
+    a0 = -1j * build_hamiltonian(cfg, h, frame) - sum(
         0.5 * rate * (op.conj().T @ op) for rate, op in jumps
     )
     l0 = _spre(a0) + _spost(a0.conj().T)
     for rate, op in jumps:
         l0 = l0 + rate * sp.kron(op, op.conj(), format="csr")
-    la = -1j * (_spre(a) - _spost(a))
-    lad = -1j * (_spre(ad) - _spost(ad))
+    ad = a.conj().T.tocsr()
+    la, lad = -1j * (_spre(a) - _spost(a)), -1j * (_spre(ad) - _spost(ad))
+    lx = la + lad
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         c = _drive_phase(cfg, frame, t)
-        return l0 @ y + c * (la @ y) + np.conj(c) * (lad @ y)
+        out = l0 @ y
+        terms = ((c.real, lx),) if c.imag == 0.0 else ((c, la), (np.conj(c), lad))
+        for coeff, gen in terms:
+            if coeff != 0.0:
+                term = gen @ y
+                term *= coeff
+                out += term
+        return out
 
     return rhs
 
@@ -220,21 +201,6 @@ class DensityMatrix:
         if dev["min_eigenvalue"] < -eig_tol:
             raise ValidationError(f"negative eigenvalue {dev['min_eigenvalue']:.2e} beyond {eig_tol}")
         return dev
-
-
-def _well_levels(h: HilbertConfig) -> np.ndarray:
-    """levels[n, i] = occupation of well n in basis state i."""
-    idx = np.arange(h.dim)
-    d_w = h.nu_max + 1
-    within = idx % d_w ** h.n_wells
-    levels = np.empty((h.n_wells, h.dim), dtype=int)
-    for n in range(h.n_wells):
-        levels[n] = (within // d_w ** (h.n_wells - 1 - n)) % d_w
-    return levels
-
-
-def _photon_levels(h: HilbertConfig) -> np.ndarray:
-    return np.arange(h.dim) // (h.nu_max + 1) ** h.n_wells
 
 
 @dataclass(frozen=True)
@@ -315,15 +281,14 @@ class LindbladResult:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-_HERM_BLOCK = 64   # samples per Hermiticity block: bounds the (D(D+1)/2, block) temporaries
-
-
 class _ChunkRecorder:
-    """Expectation series and state hygiene over whole integrator chunks.
+    """Expectation series and state hygiene, read off RK step interpolants.
 
-    A chunk holds samples as columns of row-major vec(rho). Tr(A rho) is then
-    a dot product with vec(A^T) restricted to A's nonzeros, and the diagonal
-    sits at rows arange(D) * (D + 1).
+    A record call covers the samples vec(rho) = powers @ coeffs (see
+    `_interpolant`), and each quantity needs only some columns of coeffs:
+    Tr(A rho) is a dot product with vec(A^T) over A's nonzeros, the diagonal
+    sits at columns arange(D) * (D + 1), and rho - rho^dag pairs the upper and
+    lower triangle columns. Full states are built only at checkpoints.
     """
 
     def __init__(self, h: HilbertConfig, grid: np.ndarray, n_checkpoints: int,
@@ -331,15 +296,17 @@ class _ChunkRecorder:
         d, nt = h.dim, len(grid)
         self.h, self.grid = h, grid
         self.top_level_tol, self.positivity_tol = top_level_tol, positivity_tol
-        ops = build_operators(h)
-        self._probes = [_trace_probe(op.matrix, d) for op in (ops.a, *ops.b)]
+        a, wells = build_operators(h)
+        # (columns, weights) with Tr(op @ rho) = weights @ vec(rho)[columns]
+        self._probes = [(c.col * d + c.row, c.data) for c in (op.tocoo() for op in (a, *wells))]
         self._diag = np.arange(d) * (d + 1)
         rows, cols = np.triu_indices(d)
         self._upper, self._lower = rows * d + cols, cols * d + rows
-        photon = _photon_levels(h)
+        d_w, idx = h.nu_max + 1, np.arange(d)
+        photon = idx // d_w ** h.n_wells
         self._number = photon.astype(float)
         self._top = photon == h.n_photon_max
-        levels = _well_levels(h)
+        levels = idx // d_w ** np.arange(h.n_wells - 1, -1, -1)[:, None] % d_w   # [well n, state i]
         # row (n, nu) sums the diagonal over basis states with well n at level nu
         self._level_sum = (
             levels[:, None, :] == np.arange(h.nu_max + 1)[None, :, None]
@@ -356,30 +323,32 @@ class _ChunkRecorder:
         self.max_top = 0.0
         self.min_eig = np.inf
 
-    def record(self, start: int, ys: np.ndarray) -> None:
-        """Record samples start, start + 1, ... held in the columns of ys.
+    def record(self, start: int, coeffs: np.ndarray, powers: np.ndarray, state) -> None:
+        """Record samples start, start + 1, ...: row j of powers @ coeffs.
 
+        powers is real (m, k), coeffs complex (k, D^2). state(j) returns the
+        full vec(rho) of sample start + j and is called only at checkpoints.
         Raises exactly what a sample-by-sample pass would raise first: a
         checkpoint's SolverError before a later sample's TruncationError.
         """
-        h, d, m = self.h, self.h.dim, ys.shape[1]
+        h, d, m = self.h, self.h.dim, powers.shape[0]
         sl = slice(start, start + m)
-        diag = ys[self._diag].real
+        diag = (powers @ np.take(coeffs, self._diag, axis=1)).real
         for series, (idx, vals) in zip((self.exp_a, *self.exp_b), self._probes):
-            series[sl] = vals @ ys[idx]
-        self.exp_n[sl] = self._number @ diag
-        self.populations[:, :, sl] = (self._level_sum @ diag).reshape(h.n_wells, h.nu_max + 1, m)
+            series[sl] = powers @ (coeffs[:, idx] @ vals)
+        self.exp_n[sl] = diag @ self._number
+        self.populations[:, :, sl] = (self._level_sum @ diag.T).reshape(h.n_wells, h.nu_max + 1, m)
 
-        top = diag[self._top].sum(axis=0)
-        trace_dev = np.abs(diag.sum(axis=0) - 1.0)
-        herm_dev = self._herm_dev(ys)
+        top = diag[:, self._top].sum(axis=1)
+        trace_dev = np.abs(diag.sum(axis=1) - 1.0)
+        herm_dev = self._herm_dev(coeffs, powers)
         over = np.flatnonzero(top > self.top_level_tol)
         first_over = int(over[0]) if len(over) else m
 
         lo, hi = np.searchsorted(self._check_idx, [start, start + first_over])
         for i in self._check_idx[lo:hi]:
             j = int(i) - start
-            dm = DensityMatrix(matrix=ys[:, j].reshape(d, d).copy(), time=float(self.grid[i]))
+            dm = DensityMatrix(matrix=state(j).reshape(d, d).copy(), time=float(self.grid[i]))
             eig = dm.deviations()["min_eigenvalue"]
             self.min_eig = min(self.min_eig, eig)
             if eig < -self.positivity_tol:
@@ -408,18 +377,28 @@ class _ChunkRecorder:
             "max_top_population": self.max_top,
         }
 
-    def _herm_dev(self, ys: np.ndarray) -> np.ndarray:
-        """Per-sample max |rho - rho^dag|, over the upper triangle and diagonal."""
-        blocks = (slice(k, k + _HERM_BLOCK) for k in range(0, ys.shape[1], _HERM_BLOCK))
-        return np.concatenate([
-            np.abs(ys[self._upper, cols] - ys[self._lower, cols].conj()).max(axis=0) for cols in blocks
-        ])
+    def _herm_dev(self, coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
+        """Per-sample max |rho - rho^dag| over the upper triangle and diagonal.
+
+        powers is real, so the coefficients of rho - rho^dag are
+        coeffs[:, upper] - conj(coeffs[:, lower]).
+        """
+        anti = np.take(coeffs, self._upper, axis=1)
+        anti -= np.take(coeffs, self._lower, axis=1).conj()
+        return np.abs(powers @ anti).max(axis=1)
 
 
-def _trace_probe(op: sp.csr_matrix, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, weights) with Tr(op @ rho) = weights @ vec(rho)[rows]."""
-    coo = op.tocoo()
-    return coo.col * d + coo.row, coo.data
+def _interpolant(dense, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coeffs, powers) with powers @ coeffs = dense(t).T on one RK step.
+
+    scipy's RkDenseOutput is y_old + h Q [x, x^2, ...] with x = (t - t_old) / h,
+    so coeffs has rows y_old and h Q^T (each row a contiguous vec, cheap to
+    gather from) and powers has a row [1, x, x^2, ...] per sample.
+    """
+    coeffs = np.empty((dense.Q.shape[1] + 1, len(dense.y_old)), dtype=complex)
+    coeffs[0] = dense.y_old
+    np.multiply(dense.Q.T, dense.h, out=coeffs[1:])
+    return coeffs, np.vander((t - dense.t_old) / dense.h, len(coeffs), increasing=True)
 
 
 def evolve(
@@ -439,6 +418,10 @@ def evolve(
 ) -> LindbladResult:
     """Propagate rho0 and record expectation series on a uniform grid.
 
+    The grid is integrated in chunks of `chunk` samples, each a fresh RK45
+    run from the previous chunk's end state, and every sample is read off
+    the interpolant of the step that covers it.
+
     Raises TruncationError when the top photon level acquires > 1e-4
     population (the Fock cutoff is then too low for this drive) and
     SolverError when positivity degrades beyond `positivity_tol`.
@@ -453,26 +436,32 @@ def evolve(
     rec = _ChunkRecorder(h, grid, n_checkpoints, top_level_tol, positivity_tol)
 
     y = rho0.reshape(-1)
-    rec.record(0, y[:, None])
-    nfev = n_chunks = 0
+    rec.record(0, y[None, :], np.ones((1, 1)), lambda j: y)
+    nfev = n_steps = n_chunks = 0
     for start in range(0, nt - 1, chunk):
         stop = min(start + chunk, nt - 1)
-        sol = solve_ivp(
-            rhs,
-            t_span=(grid[start], grid[stop]),
-            y0=y,
-            t_eval=grid[start + 1 : stop + 1],
-            method="RK45",
-            rtol=rtol,
-            atol=atol,
-        )
-        if not sol.success:
-            raise SolverError(f"Lindblad integration failed: {sol.message}")
-        nfev += sol.nfev
+        t_eval = grid[start + 1 : stop + 1]
+        # what solve_ivp(t_eval=...) runs, without stacking the chunk's states
+        solver = RK45(rhs, float(grid[start]), y, float(grid[stop]), rtol=rtol, atol=atol)
+        done = 0   # samples of t_eval recorded so far
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise SolverError(f"Lindblad integration failed: {message}")
+            n_steps += 1
+            covered = int(np.searchsorted(t_eval, solver.t, side="right"))
+            if covered > done:
+                dense, t_step = solver.dense_output(), t_eval[done:covered]
+                # full states evaluate the whole step as solve_ivp does, bit for bit
+                coeffs, powers = _interpolant(dense, t_step)
+                rec.record(start + 1 + done, coeffs, powers, lambda j: dense(t_step)[:, j])
+                done = covered
+        nfev += solver.nfev
         n_chunks += 1
-        rec.record(start + 1, sol.y)
-        y = sol.y[:, -1].copy()
-        del sol   # a view into sol.y would keep the whole chunk alive through the next solve
+        # scipy's solver references itself through these closures; without the
+        # cycle its arrays are freed here instead of at some later gc pass
+        solver.fun = solver.fun_vectorized = None
+        y = dense(t_step)[:, -1]   # the last step ends on the chunk end
 
     return LindbladResult(
         t=grid,
@@ -484,12 +473,9 @@ def evolve(
         config=cfg,
         hilbert=h,
         checkpoints=tuple(rec.checkpoints),
-        diagnostics={**rec.diagnostics(), "nfev": nfev, "n_chunks": n_chunks, "dim": h.dim},
+        diagnostics={**rec.diagnostics(), "nfev": nfev, "n_steps": n_steps, "n_chunks": n_chunks,
+                     "dim": h.dim},
     )
-
-
-def second_level_population(result: LindbladResult) -> np.ndarray:
-    return result.second_level_population()
 
 
 def write_checkpoints(result: LindbladResult, path_base) -> None:

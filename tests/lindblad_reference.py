@@ -32,11 +32,11 @@ def drive_coefficient(cfg, frame: Frame, t: float) -> complex:
 
 
 def dense_rhs(rho: np.ndarray, t: float, cfg, h, frame: Frame) -> np.ndarray:
-    ops = build_operators(h)
-    a = ops.a.dense()
-    jumps = [(cfg.cavity.kappa, a)] + [(d.gamma, b.dense()) for d, b in zip(cfg.dipoles, ops.b)]
+    a, wells = build_operators(h)
+    a = a.toarray()
+    jumps = [(cfg.cavity.kappa, a)] + [(d.gamma, b.toarray()) for d, b in zip(cfg.dipoles, wells)]
     c = drive_coefficient(cfg, frame, t)
-    h_t = build_hamiltonian(cfg, h, frame).dense() + c * a + np.conj(c) * a.conj().T
+    h_t = build_hamiltonian(cfg, h, frame).toarray() + c * a + np.conj(c) * a.conj().T
     a_eff = -1j * h_t - sum(0.5 * rate * (op.conj().T @ op) for rate, op in jumps)
     out = a_eff @ rho + rho @ a_eff.conj().T
     for rate, op in jumps:
@@ -51,9 +51,9 @@ class SampleRecorder:
         nt = len(grid)
         self.h, self.grid = h, grid
         self.top_level_tol, self.positivity_tol = top_level_tol, positivity_tol
-        ops = build_operators(h)
-        self.a_t = ops.a.dense().T.copy()
-        self.b_t = [b.dense().T.copy() for b in ops.b]
+        a, wells = build_operators(h)
+        self.a_t = a.toarray().T.copy()
+        self.b_t = [b.toarray().T.copy() for b in wells]
         d_w = h.nu_max + 1
         idx = np.arange(h.dim)
         self.photon = idx // d_w**h.n_wells
@@ -116,7 +116,7 @@ def reference_evolve(rho0, t_span, cfg, h, *, rtol=1e-9, atol=1e-12, dt=None,
     d = h.dim
     grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
     rec = SampleRecorder(h, grid, **recorder_kwargs)
-    rec.nfev = rec.n_chunks = 0
+    rec.nfev = rec.n_steps = rec.n_chunks = 0
     rec.record(0, rho0)
     y = rho0.reshape(-1)
     for start in range(0, len(grid) - 1, chunk):
@@ -129,9 +129,11 @@ def reference_evolve(rho0, t_span, cfg, h, *, rtol=1e-9, atol=1e-12, dt=None,
             method="RK45",
             rtol=rtol,
             atol=atol,
+            dense_output=True,   # keeps one interpolant per accepted step; changes no step
         )
         assert sol.success, sol.message
         rec.nfev += sol.nfev
+        rec.n_steps += len(sol.sol.interpolants)
         rec.n_chunks += 1
         rec.record_chunk(start + 1, sol.y)
         y = sol.y[:, -1]

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -63,6 +64,23 @@ class TestSimulate:
         assert (out / "checkpoints.bin").exists()
         header = json.loads((out / "checkpoints.json").read_text())
         assert header["dtype"] == "complex128"
+
+
+class TestLogging:
+    def test_fock_escalation_logged_and_shown_with_verbose(self, tmp_path, fast_config_path,
+                                                           capsys, caplog):
+        args = ["simulate", "--config", str(fast_config_path), "--solver", "lindblad",
+                "--n-photon-max", "1", "--nu-max", "1"]
+        with caplog.at_level(logging.WARNING, logger="qwcavity"):
+            assert main(args + ["--out", str(tmp_path / "quiet")]) == 0
+        escalations = [r for r in caplog.records if r.name == "qwcavity"]
+        assert escalations and all(r.levelno == logging.WARNING for r in escalations)
+        assert "n_photon_max=3" in escalations[0].getMessage()
+        assert "restarting" not in capsys.readouterr().err   # no handler without -v
+        assert main(["-v"] + args + ["--out", str(tmp_path / "loud")]) == 0
+        assert capsys.readouterr().err.count("qwcavity: WARNING: ") == len(escalations)
+        assert not logging.getLogger("qwcavity").handlers[1:]   # -v's handler is removed again
+        assert read_data_files(tmp_path / "quiet") == read_data_files(tmp_path / "loud")
 
 
 class TestRunSpec:

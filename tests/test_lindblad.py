@@ -1,10 +1,12 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import RK45
 
 from qwcavity import (
     ConfigError,
@@ -23,11 +25,11 @@ from qwcavity import (
 )
 from qwcavity import Frame, baseline_config, fid_time_span, integrate, nonlinear_phase_shift
 from qwcavity.errors import SolverError
-from qwcavity.lindblad import _ChunkRecorder
+from qwcavity.lindblad import _ChunkRecorder, _interpolant, _liouvillian
 from qwcavity.spectral import SpectralPolicy
 
 from conftest import standard_config
-from lindblad_reference import SampleRecorder, dense_rhs, reference_evolve
+from lindblad_reference import SampleRecorder, dense_rhs, drive_coefficient, reference_evolve
 
 H_SMALL = HilbertConfig(n_photon_max=1, nu_max=1, n_wells=1)
 H_PAIR = HilbertConfig(n_photon_max=8, nu_max=2, n_wells=2)
@@ -49,8 +51,7 @@ class TestOperators:
         assert H_SMALL.dim == 4
 
     def test_photon_annihilator_structure(self):
-        ops = build_operators(H_SMALL)
-        a = ops.a.dense()
+        a = build_operators(H_SMALL)[0].toarray()
         # two-level photon factor: a couples each |1>_ph block to |0>_ph
         # with unit amplitude and nothing else
         nz = np.argwhere(np.abs(a) > 0)
@@ -61,14 +62,14 @@ class TestOperators:
 
     def test_distinct_factors_commute(self):
         h = HilbertConfig(n_photon_max=2, nu_max=2, n_wells=2)
-        ops = build_operators(h)
-        a = ops.a.dense()
-        b1 = ops.b[0].dense()
+        a, wells = build_operators(h)
+        a = a.toarray()
+        b1 = wells[0].toarray()
         assert np.abs(a @ b1 - b1 @ a).max() == 0.0
 
     def test_well_ladder_elements(self):
         h = HilbertConfig(n_photon_max=1, nu_max=2, n_wells=1)
-        b = build_operators(h).b[0].dense()
+        b = build_operators(h)[1][0].toarray()
         values = sorted(np.round(b[np.abs(b) > 0].real, 12))
         assert values == [1.0, 1.0, pytest.approx(math.sqrt(2)), pytest.approx(math.sqrt(2))]
 
@@ -81,7 +82,7 @@ class TestHamiltonian:
     def test_uncoupled_diagonal_matches_kerr_ladder(self):
         h = HilbertConfig(n_photon_max=1, nu_max=2, n_wells=1)
         cfg = set_config_value(single_well_config(u_over_gamma=1.0), "dipoles[0].g", 0.0)
-        ham = build_hamiltonian(cfg, h).dense()
+        ham = build_hamiltonian(cfg, h).toarray()
         assert np.abs(ham - np.diag(np.diag(ham))).max() < 1e-14
         # basis: cavity slowest -> |n_ph=0, nu=2> is index 2
         assert ham[2, 2].real == pytest.approx(78.8)
@@ -91,7 +92,7 @@ class TestHamiltonian:
 
     def test_hermitian(self):
         cfg = standard_config()
-        ham = build_hamiltonian(cfg, H_PAIR).dense()
+        ham = build_hamiltonian(cfg, H_PAIR).toarray()
         assert np.abs(ham - ham.conj().T).max() < 1e-12
 
     def test_single_excitation_splitting(self):
@@ -99,7 +100,7 @@ class TestHamiltonian:
         h = HilbertConfig(n_photon_max=2, nu_max=2, n_wells=1)
         cfg = single_well_config(u_over_gamma=0.0)
         g = cfg.dipoles[0].coupling
-        evals = np.linalg.eigvalsh(build_hamiltonian(cfg, h).dense())
+        evals = np.linalg.eigvalsh(build_hamiltonian(cfg, h).toarray())
         doublet = evals[(evals > 35.0) & (evals < 45.0)]
         assert len(doublet) == 2
         assert doublet[1] - doublet[0] == pytest.approx(2 * g, rel=1e-10)
@@ -107,8 +108,8 @@ class TestHamiltonian:
     def test_rotating_frame_shifts_diagonal(self):
         h = HilbertConfig(n_photon_max=1, nu_max=2, n_wells=1)
         cfg = set_config_value(single_well_config(), "dipoles[0].g", 0.0)
-        lab = build_hamiltonian(cfg, h, Frame.LAB).dense()
-        rot = build_hamiltonian(cfg, h, Frame.ROTATING).dense()
+        lab = build_hamiltonian(cfg, h, Frame.LAB).toarray()
+        rot = build_hamiltonian(cfg, h, Frame.ROTATING).toarray()
         # resonant carrier removes the whole first excitation energy
         assert rot[3, 3].real == pytest.approx(0.0, abs=1e-12)
         assert lab[3, 3].real == pytest.approx(40.0)
@@ -138,8 +139,8 @@ class TestRhs:
         h = HilbertConfig(n_photon_max=2, nu_max=1, n_wells=1)
         cfg = set_config_value(single_well_config(), "dipoles[0].g", 0.0)
         cfg = set_config_value(cfg, "pulse.F0", 0.0)
-        ops = build_operators(h)
-        number = (ops.a.matrix.conj().T @ ops.a.matrix).toarray()
+        a = build_operators(h)[0]
+        number = (a.conj().T @ a).toarray()
         # rho = |1_ph, 0><1_ph, 0|
         rho = np.zeros((h.dim, h.dim), dtype=complex)
         idx = 1 * (h.nu_max + 1)
@@ -154,12 +155,21 @@ class TestRhs:
 
     @pytest.mark.parametrize("n_photon_max", [4, 8])   # dim 45 and 81
     @pytest.mark.parametrize("frame", [Frame.ROTATING, Frame.LAB])
-    @pytest.mark.parametrize("offset", [0.0, 0.37])    # on the pulse peak and 2.4 T after it
+    # offsets from the pulse peak: 0, 2.4 T, the first time after the peak where
+    # the lab-frame c is almost purely imaginary, and 40 T, where c underflows to 0
+    @pytest.mark.parametrize("offset", [0.0, 0.37, 0.0676, 6.2])
     def test_matches_dense_oracle(self, n_photon_max, frame, offset):
         h = HilbertConfig(n_photon_max=n_photon_max, nu_max=2, n_wells=2)
         cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35, omega2=41.0, gamma2=0.9)
         rho = random_density_matrix(h.dim, seed=n_photon_max)
         t = cfg.pulse.center + offset
+        c = drive_coefficient(cfg, frame, t)
+        if offset == 6.2:
+            assert c == 0.0
+        elif frame is Frame.LAB:
+            assert c.imag != 0.0
+        if offset == 0.0676 and frame is Frame.LAB:
+            assert abs(c.imag) > 0.99 * abs(c)
         want = dense_rhs(rho, t, cfg, h, frame)
         got = lindblad_rhs(rho, t, cfg, h, frame)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -297,6 +307,46 @@ class TestChunkRecorder:
         assert res.diagnostics["n_chunks"] == ref.n_chunks == math.ceil((len(res.t) - 1) / 256)
         assert res.diagnostics["dim"] == h.dim
 
+    def test_n_steps_counts_accepted_steps(self):
+        h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
+        cfg = standard_config(u_over_gamma=0.5, f0_over_kappa=0.3)
+        runs = [evolve(vacuum_state(h), (0.0, 1.5), cfg, h, dt=0.004) for _ in range(2)]
+        ref = reference_evolve(vacuum_state(h), (0.0, 1.5), cfg, h, dt=0.004)
+        assert runs[0].diagnostics["n_steps"] == runs[1].diagnostics["n_steps"] == ref.n_steps
+        assert ref.n_steps > ref.n_chunks
+
+    def test_interpolant_matches_scipy_dense_output(self):
+        # pins the RkDenseOutput fields (t_old, h, y_old, Q) the recorder reads
+        h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
+        cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35)
+        rhs = _liouvillian(cfg, h, Frame.ROTATING)
+        solver = RK45(rhs, 0.0, vacuum_state(h).reshape(-1), 1.5, rtol=1e-9, atol=1e-12)
+        n_steps = 0
+        while solver.status == "running":
+            solver.step()
+            n_steps += 1
+            dense = solver.dense_output()
+            t = np.linspace(solver.t_old, solver.t, 7)
+            coeffs, powers = _interpolant(dense, t)
+            assert coeffs.shape == (5, h.dim**2) and powers.shape == (7, 5)
+            assert np.abs(powers @ coeffs - dense(t).T).max() <= 1e-15
+        assert n_steps > 10
+
+    def test_evolve_peak_memory(self):
+        # one full-span dim-81 run: no (D^2, chunk) state matrix is ever built
+        h = H_PAIR
+        cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35)
+        span = fid_time_span(cfg, SpectralPolicy())
+        assert span[1] > 9.6
+        tracemalloc.start()
+        try:
+            res = evolve(vacuum_state(h), span, cfg, h, dt=0.004)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.diagnostics["dim"] == 81
+        assert peak < 20e6
+
     def test_truncation_reports_same_first_sample(self):
         h = HilbertConfig(n_photon_max=1, nu_max=2, n_wells=2)
         cfg = standard_config(f0_over_kappa=0.5)
@@ -333,9 +383,10 @@ class TestChunkRecorder:
         ref = SampleRecorder(h, grid, **kwargs)
 
         def run_chunked():
-            chunked.record(0, ys[:, :1])
-            for start in range(1, len(grid), 16):
-                chunked.record(start, ys[:, start : start + 16])
+            # each state is its own coefficient row, selected by identity powers
+            for start, stop in [(0, 1)] + [(k, min(k + 16, len(grid))) for k in range(1, len(grid), 16)]:
+                chunked.record(start, ys[:, start:stop].T, np.eye(stop - start),
+                               lambda j, start=start: ys[:, start + j])
 
         outcomes = []
         for run in (run_chunked, lambda: ref.record_chunk(0, ys)):
