@@ -3,12 +3,7 @@ driven, lossy THz cavity: mean-field chirping dynamics, full Lindblad
 propagation, and FID phase-spectrum analysis.
 """
 
-import logging
-
 __version__ = "0.1.0"
-
-# the library logs to "qwcavity" without printing; `qwcavity -v` attaches a stderr handler
-logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .errors import (
     ConfigError,

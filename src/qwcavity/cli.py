@@ -629,8 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Driven THz cavity + quantum-well FID phase nonlinearity simulator",
     )
     parser.add_argument("--version", action="version", version=f"qwcavity {__version__}")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="log warnings, such as a raised Fock cutoff, to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, config_required=True):
@@ -681,10 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = logging.StreamHandler()   # stderr
-    handler.setFormatter(logging.Formatter("%(name)s: %(levelname)s: %(message)s"))
-    if args.verbose:
-        log.addHandler(handler)
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -696,8 +690,6 @@ def main(argv=None) -> int:
     except (GridError, ValidationError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 4
-    finally:
-        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -111,12 +111,11 @@ def _spost(op: sp.csr_matrix) -> sp.csr_matrix:
 def _liouvillian(cfg: SystemConfig, h: HilbertConfig, frame: Frame):
     """Master-equation generator dvec(rho)/dt = rhs(t, vec(rho)).
 
-    L(t) = L0 + c(t) La + c*(t) La' for the drive Hamiltonian c a + c* a^dag,
-    La = -i[a, .] and La' = -i[a^dag, .]. L0 holds -i[H0, .], the
+    L(t) = L0 + Re c(t) Lx + Im c(t) Ly for the drive Hamiltonian c a + c* a^dag,
+    Lx = -i[a + a^dag, .] and Ly = [a - a^dag, .]. L0 holds -i[H0, .], the
     anticommutator -1/2 {L^dag L, .} and the jumps rate * kron(L, L*) vec(rho).
-    A real c (the rotating frame) needs one drive matvec, with Lx = La + La', and
-    c = 0 (an underflowed Gaussian) none. A complex c keeps La and La', since
-    writing Im c as Im c [a - a^dag, .] would double the drive's nonzeros.
+    A zero coefficient (Im c in the rotating frame, all of c once the Gaussian
+    underflows) skips its matvec.
     """
     a, wells = build_operators(h)
     jumps = [(cfg.cavity.kappa, a)] + [(d.gamma, b) for d, b in zip(cfg.dipoles, wells)]
@@ -126,15 +125,13 @@ def _liouvillian(cfg: SystemConfig, h: HilbertConfig, frame: Frame):
     l0 = _spre(a0) + _spost(a0.conj().T)
     for rate, op in jumps:
         l0 = l0 + rate * sp.kron(op, op.conj(), format="csr")
-    ad = a.conj().T.tocsr()
-    la, lad = -1j * (_spre(a) - _spost(a)), -1j * (_spre(ad) - _spost(ad))
-    lx = la + lad
+    plus, minus = a + a.conj().T, a - a.conj().T
+    lx, ly = -1j * (_spre(plus) - _spost(plus)), _spre(minus) - _spost(minus)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         c = _drive_phase(cfg, frame, t)
         out = l0 @ y
-        terms = ((c.real, lx),) if c.imag == 0.0 else ((c, la), (np.conj(c), lad))
-        for coeff, gen in terms:
+        for coeff, gen in ((c.real, lx), (c.imag, ly)):
             if coeff != 0.0:
                 term = gen @ y
                 term *= coeff

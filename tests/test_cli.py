@@ -1,9 +1,15 @@
 import json
 import logging
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwcavity
 from qwcavity import SolverError, format_config, parse_config, purcell_rate, set_config_value
 from qwcavity.cli import ExperimentSpec, PRESET_IDS, get_preset, main, run, two_well_config
 
@@ -67,20 +73,38 @@ class TestSimulate:
 
 
 class TestLogging:
-    def test_fock_escalation_logged_and_shown_with_verbose(self, tmp_path, fast_config_path,
-                                                           capsys, caplog):
+    def test_fock_escalation_logged_at_warning(self, tmp_path, fast_config_path, caplog):
         args = ["simulate", "--config", str(fast_config_path), "--solver", "lindblad",
-                "--n-photon-max", "1", "--nu-max", "1"]
+                "--n-photon-max", "1", "--nu-max", "1", "--out", str(tmp_path / "run")]
         with caplog.at_level(logging.WARNING, logger="qwcavity"):
-            assert main(args + ["--out", str(tmp_path / "quiet")]) == 0
+            assert main(args) == 0
         escalations = [r for r in caplog.records if r.name == "qwcavity"]
         assert escalations and all(r.levelno == logging.WARNING for r in escalations)
         assert "n_photon_max=3" in escalations[0].getMessage()
-        assert "restarting" not in capsys.readouterr().err   # no handler without -v
-        assert main(["-v"] + args + ["--out", str(tmp_path / "loud")]) == 0
-        assert capsys.readouterr().err.count("qwcavity: WARNING: ") == len(escalations)
-        assert not logging.getLogger("qwcavity").handlers[1:]   # -v's handler is removed again
-        assert read_data_files(tmp_path / "quiet") == read_data_files(tmp_path / "loud")
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pooled_escalations_reach_stderr(self, tmp_path, fast_config_path, caplog, method):
+        """Pool workers have no handler of their own; logging's last resort prints there too."""
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        args = ["sweep", "--config", str(fast_config_path), "--solver", "lindblad",
+                "--n-photon-max", "1", "--nu-max", "1", "--axis", "pulse.F0=1.2,2.4"]
+        with caplog.at_level(logging.WARNING, logger="qwcavity"):
+            assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+        expected = sorted(r.getMessage() for r in caplog.records if r.name == "qwcavity")
+        assert expected
+        script = ("import multiprocessing, sys; multiprocessing.set_start_method(sys.argv[1]); "
+                  "from qwcavity.cli import main; sys.exit(main(sys.argv[2:]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(qwcavity.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, method, *args, "--jobs", "2",
+             "--out", str(tmp_path / "pooled")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(proc.stderr.splitlines()) == expected
+        assert read_data_files(tmp_path / "pooled") == read_data_files(tmp_path / "serial")
 
 
 class TestRunSpec:
