@@ -28,13 +28,11 @@ from .model import (
     load_config,
     parse_config,
     purcell_rate,
-    save_config,
     set_config_value,
     to_collective,
     to_local,
 )
 from .meanfield import (
-    MeanFieldState,
     MeanFieldTrajectory,
     PostPulseOracle,
     adiabatic_field,
@@ -42,8 +40,6 @@ from .meanfield import (
     integrate,
     oracle_from_trajectory,
     post_pulse_analytic,
-    rhs_identical,
-    rhs_two_well,
     stationary_phase,
 )
 from .lindblad import (

@@ -77,6 +77,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.solver not in ("meanfield", "lindblad", "both"):
             raise ConfigError(f"unknown solver {self.solver!r}")
+        if not self.sweep:
+            raise ConfigError("an experiment spec needs at least one sweep axis")
         for axis in self.sweep:
             set_config_value(self.config, axis.key, axis.values[0])  # resolves or raises
 
@@ -200,26 +202,14 @@ def sweep_phase_shifts(points, solver, policy, *, n_photon_max=N_PHOTON_MAX_DEFA
 
 
 def run(spec: ExperimentSpec) -> list:
-    """Execute an experiment spec and write its result bundle.
-
-    With sweep axes: one phase-shift table per solver. Without axes: the
-    bare trajectories of the base config. The manifest is written last and
-    is the only file carrying a wall-clock timestamp.
+    """Execute an experiment spec and write its result bundle: one
+    phase-shift table per solver. The manifest is written last and is the
+    only file carrying a wall-clock timestamp.
     """
     outdir = Path(spec.out)
     outdir.mkdir(parents=True, exist_ok=True)
     solvers = ["meanfield", "lindblad"] if spec.solver == "both" else [spec.solver]
     files = []
-
-    if not spec.sweep:
-        for solver in solvers:
-            traj = _solve(spec.config, solver, spec.policy, spec.n_photon_max, spec.nu_max)
-            traj.write_csv(outdir / f"{solver}.csv")
-            traj.write_sidecar(outdir / f"{solver}.json")
-            files += [outdir / f"{solver}.csv", outdir / f"{solver}.json"]
-        _write_manifest(outdir, spec.config, files)
-        return files
-
     grids = [[]]
     for axis in spec.sweep:
         grids = [g + [(axis.key, v)] for g in grids for v in axis.values]

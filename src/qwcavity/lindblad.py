@@ -22,8 +22,8 @@ import scipy.sparse as sp
 from scipy.integrate import RK45
 
 from .errors import ConfigError, SolverError, TruncationError, ValidationError
-from .meanfield import default_dt, uniform_grid
-from .model import Frame, SystemConfig, config_to_dict
+from .meanfield import CoherenceSeries, default_dt, uniform_grid
+from .model import Frame, SystemConfig, config_to_dict, drive_amplitude
 
 DIM_CAP_DEFAULT = 4096
 
@@ -126,10 +126,11 @@ def _liouvillian(cfg: SystemConfig, h: HilbertConfig, frame: Frame):
     for rate, op in jumps:
         l0 = l0 + rate * sp.kron(op, op.conj(), format="csr")
     plus, minus = a + a.conj().T, a - a.conj().T
+    pulse = cfg.pulse
     lx, ly = -1j * (_spre(plus) - _spost(plus)), _spre(minus) - _spost(minus)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        c = _drive_phase(cfg, frame, t)
+        c = drive_amplitude(t, pulse, frame).conjugate()   # coefficient of a in H_d(t)
         out = l0 @ y
         for coeff, gen in ((c.real, lx), (c.imag, ly)):
             if coeff != 0.0:
@@ -143,16 +144,6 @@ def _liouvillian(cfg: SystemConfig, h: HilbertConfig, frame: Frame):
 
 # lindblad_rhs is called repeatedly on one system; evolve builds its own.
 _cached_liouvillian = functools.lru_cache(maxsize=1)(_liouvillian)
-
-
-def _drive_phase(cfg: SystemConfig, frame: Frame, t: float) -> complex:
-    # coefficient of the bare annihilation operator in H_d(t)
-    amp = cfg.pulse.amplitude * math.exp(
-        -((t - cfg.pulse.center) ** 2) / (2.0 * cfg.pulse.duration**2)
-    )
-    if frame is Frame.ROTATING:
-        return amp
-    return amp * np.exp(1j * cfg.pulse.carrier * t)
 
 
 def lindblad_rhs(
@@ -201,7 +192,7 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class LindbladResult:
+class LindbladResult(CoherenceSeries):
     """Expectation series plus density-matrix checkpoints of one evolution."""
 
     t: np.ndarray
@@ -215,6 +206,8 @@ class LindbladResult:
     checkpoints: tuple
     diagnostics: dict
 
+    _CAVITY = "exp_a"
+
     def bright(self) -> np.ndarray:
         return self.exp_b.sum(axis=0) / math.sqrt(self.exp_b.shape[0])
 
@@ -222,21 +215,6 @@ class LindbladResult:
         if self.exp_b.shape[0] != 2:
             raise ValidationError("dark mode is only defined for N = 2")
         return (self.exp_b[0] - self.exp_b[1]) / math.sqrt(2.0)
-
-    def signal(self, source: str) -> np.ndarray:
-        if source == "cavity":
-            return self.exp_a
-        if source == "bright":
-            return self.bright()
-        if source == "dark":
-            return self.dark()
-        raise ValidationError(f"unknown source {source!r}")
-
-    def lab_signal(self, source: str = "cavity") -> np.ndarray:
-        x = self.signal(source)
-        if self.frame is Frame.ROTATING:
-            return x * np.exp(-1j * self.config.pulse.carrier * self.t)
-        return x
 
     def second_level_population(self) -> np.ndarray:
         """Per-well average P2(t); wells are reported jointly for N = 2."""

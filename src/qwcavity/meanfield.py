@@ -1,9 +1,10 @@
-"""Mean-field dynamics of the driven cavity and collective dipole coherences.
+"""Mean-field dynamics of the driven cavity and its dipole coherences.
 
-Implements the nonlinear equations of motion for <a> and <B0> (identical
-wells, any N) and the asymmetric two-well model in both the local (<b1>,
-<b2>) and collective (<B0>, <B1>) representations, plus the adiabatic
-post-pulse amplitude/phase solution used as an oracle.
+One set of equations of motion covers every well count: <a> plus one
+Kerr oscillator per mode. Identical wells (any N) enter as the single
+bright mode <B0>; an inhomogeneous set enters as one mode <b_n> per well.
+Also provides the adiabatic post-pulse amplitude/phase solution used as an
+oracle.
 
 Integration runs in the configured frame; the rotating frame removes the
 THz carrier and is the default. Trajectories are immutable once produced,
@@ -35,133 +36,44 @@ ATOL_DEFAULT = 1e-12
 SAMPLES_PER_SCALE = 20
 
 
-@dataclass(frozen=True)
-class MeanFieldState:
-    """Field amplitude plus dipole mode amplitudes in one representation.
-
-    representation: 'bright' (single <B0>), 'local' (<b1>, <b2>) or
-    'collective' (<B0>, <B1>).
-    """
-
-    a: complex
-    modes: tuple
-    representation: str = "bright"
-
-    def __post_init__(self):
-        if self.representation not in ("bright", "local", "collective"):
-            raise ValidationError(f"unknown representation {self.representation!r}")
-        values = (self.a, *self.modes)
-        if not all(np.isfinite(v.real) and np.isfinite(v.imag) for v in map(complex, values)):
-            raise ValidationError("mean-field state contains non-finite values")
-
-
 def _frame_shift(cfg: SystemConfig) -> float:
     return cfg.pulse.carrier if cfg.frame is Frame.ROTATING else 0.0
 
 
-def _drive(cfg: SystemConfig):
-    p, frame = cfg.pulse, cfg.frame
-    if frame is Frame.ROTATING:
-        return lambda t: p.amplitude * math.exp(-((t - p.center) ** 2) / (2.0 * p.duration**2))
-    return lambda t: (
-        p.amplitude
-        * math.exp(-((t - p.center) ** 2) / (2.0 * p.duration**2))
-        * np.exp(-1j * p.carrier * t)
-    )
+def _modes(cfg: SystemConfig, per_well: bool) -> tuple:
+    """(omega, U, gamma, g) of each mean-field mode.
 
-
-def _identical_rhs(cfg: SystemConfig):
-    shift = _frame_shift(cfg)
+    Identical wells collapse onto the bright mode B0 = sum_n b_n / sqrt(N),
+    which couples with sqrt(N) g and chirps with Kerr constant U/N.
+    """
+    if per_well:
+        return tuple((d.omega, d.anharmonicity, d.gamma, d.coupling) for d in cfg.dipoles)
     d = cfg.dipoles[0]
-    n = cfg.n_wells
-    dc = cfg.cavity.omega_c - shift
-    d0 = d.omega - shift
-    kappa_half = 0.5 * cfg.cavity.kappa
-    gamma_half = 0.5 * d.gamma
-    g_n = cfg.collective_coupling
-    kerr = 2.0 * d.anharmonicity / n
-    fd = _drive(cfg)
-
-    def rhs(t, y):
-        a, b0 = y
-        da = -(kappa_half + 1j * dc) * a - 1j * g_n * b0 - 1j * fd(t)
-        db = -(gamma_half + 1j * d0) * b0 + 1j * kerr * abs(b0) ** 2 * b0 - 1j * g_n * a
-        return [da, db]
-
-    return rhs
+    return ((d.omega, d.anharmonicity / cfg.n_wells, d.gamma, cfg.collective_coupling),)
 
 
-def _two_well_local_rhs(cfg: SystemConfig):
+def _rhs(cfg: SystemConfig, modes):
+    """Time derivative of y = (<a>, <b_1>, ..., <b_M>) for the given modes:
+
+    da/dt   = -(kappa/2 + i dc) a - i sum_n g_n b_n - i F(t)
+    db_n/dt = -(gamma_n/2 + i d_n) b_n + 2i U_n |b_n|^2 b_n - i g_n a
+    """
     shift = _frame_shift(cfg)
-    d1, d2 = cfg.dipoles
-    dc = cfg.cavity.omega_c - shift
-    kappa_half = 0.5 * cfg.cavity.kappa
-    fd = _drive(cfg)
-    p1 = (0.5 * d1.gamma + 1j * (d1.omega - shift), d1.coupling, 2.0 * d1.anharmonicity)
-    p2 = (0.5 * d2.gamma + 1j * (d2.omega - shift), d2.coupling, 2.0 * d2.anharmonicity)
+    cavity = 0.5 * cfg.cavity.kappa + 1j * (cfg.cavity.omega_c - shift)
+    consts = [(0.5 * gamma + 1j * (omega - shift), 2.0 * u, g) for omega, u, gamma, g in modes]
+    pulse, frame = cfg.pulse, cfg.frame
 
     def rhs(t, y):
-        a, b1, b2 = y
-        da = -(kappa_half + 1j * dc) * a - 1j * (p1[1] * b1 + p2[1] * b2) - 1j * fd(t)
-        db1 = -p1[0] * b1 - 1j * p1[1] * a + 1j * p1[2] * abs(b1) ** 2 * b1
-        db2 = -p2[0] * b2 - 1j * p2[1] * a + 1j * p2[2] * abs(b2) ** 2 * b2
-        return [da, db1, db2]
+        a = y[0]
+        field = -cavity * a
+        out = [0j]
+        for (rate, kerr, g), b in zip(consts, y[1:]):
+            field -= 1j * (g * b)
+            out.append(-rate * b + 1j * kerr * abs(b) ** 2 * b - 1j * g * a)
+        out[0] = field - 1j * drive_amplitude(t, pulse, frame)
+        return out
 
     return rhs
-
-
-def _two_well_collective_rhs(cfg: SystemConfig):
-    # Collective basis B0 = (b1+b2)/sqrt(2), B1 = (b1-b2)/sqrt(2); with this
-    # sign choice the mode-mixing constants are (g1-g2)/2-style differences.
-    shift = _frame_shift(cfg)
-    d1, d2 = cfg.dipoles
-    if d1.coupling != d2.coupling or d1.anharmonicity != d2.anharmonicity:
-        raise ValidationError("collective two-well form requires equal g and U")
-    g = d1.coupling
-    u = d1.anharmonicity
-    dc = cfg.cavity.omega_c - shift
-    kappa_half = 0.5 * cfg.cavity.kappa
-    gbar_half = 0.25 * (d1.gamma + d2.gamma)
-    dgamma_half = 0.25 * (d1.gamma - d2.gamma)
-    wbar = 0.5 * (d1.omega + d2.omega) - shift
-    dw = 0.5 * (d1.omega - d2.omega)
-    g_n = math.sqrt(2.0) * g
-    fd = _drive(cfg)
-
-    def rhs(t, y):
-        a, b0, b1 = y
-        occ = abs(b0) ** 2 + abs(b1) ** 2
-        cross = (b0.conjugate() * b1).real
-        diag = gbar_half + 1j * (wbar - u * occ)
-        mix = dgamma_half + 1j * (dw - 2.0 * u * cross)
-        da = -(kappa_half + 1j * dc) * a - 1j * g_n * b0 - 1j * fd(t)
-        db0 = -diag * b0 - mix * b1 - 1j * g_n * a
-        db1 = -diag * b1 - mix * b0
-        return [da, db0, db1]
-
-    return rhs
-
-
-def rhs_identical(state: MeanFieldState, t: float, cfg: SystemConfig) -> MeanFieldState:
-    """Time derivative of (<a>, <B0>) for identical wells."""
-    if not cfg.is_homogeneous:
-        raise ValidationError("rhs_identical requires a homogeneous dipole set")
-    da, db = _identical_rhs(cfg)(t, [complex(state.a), complex(state.modes[0])])
-    return MeanFieldState(a=da, modes=(db,), representation="bright")
-
-
-def rhs_two_well(state: MeanFieldState, t: float, cfg: SystemConfig) -> MeanFieldState:
-    """Time derivative for the asymmetric pair, local or collective form."""
-    if cfg.n_wells != 2:
-        raise ValidationError("two-well model requires exactly N = 2")
-    y = [complex(state.a), complex(state.modes[0]), complex(state.modes[1])]
-    if state.representation == "local":
-        dy = _two_well_local_rhs(cfg)(t, y)
-    elif state.representation == "collective":
-        dy = _two_well_collective_rhs(cfg)(t, y)
-    else:
-        raise ValidationError("two-well state must be 'local' or 'collective'")
-    return MeanFieldState(a=dy[0], modes=(dy[1], dy[2]), representation=state.representation)
 
 
 def _stored_frequencies(cfg: SystemConfig) -> list[float]:
@@ -193,17 +105,46 @@ def uniform_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
     return t0 + dt * np.arange(n + 1)
 
 
+class CoherenceSeries:
+    """Source selection shared by the mean-field and Lindblad result types.
+
+    Subclasses hold `t`, `frame` and `config`, define `bright()` and
+    `dark()`, and name their cavity series field in `_CAVITY`.
+    """
+
+    _CAVITY = "a"
+
+    def signal(self, source: str) -> np.ndarray:
+        if source == "cavity":
+            return getattr(self, self._CAVITY)
+        if source == "bright":
+            return self.bright()
+        if source == "dark":
+            return self.dark()
+        raise ValidationError(f"unknown source {source!r}")
+
+    def lab_signal(self, source: str = "cavity") -> np.ndarray:
+        """Coherence in the lab frame, X_lab = X_rot * exp(-i w_d t)."""
+        x = self.signal(source)
+        if self.frame is Frame.ROTATING:
+            return x * np.exp(-1j * self.config.pulse.carrier * self.t)
+        return x
+
+
 @dataclass(frozen=True)
-class MeanFieldTrajectory:
-    """Uniformly sampled mean-field solution with its config snapshot."""
+class MeanFieldTrajectory(CoherenceSeries):
+    """Uniformly sampled mean-field solution with its config snapshot.
+
+    modes holds <b_n> per well when per_well is set, else the bright mode
+    <B0> alone.
+    """
 
     t: np.ndarray
     a: np.ndarray
     modes: np.ndarray  # shape (M, len(t))
-    representation: str
     frame: Frame
     config: SystemConfig
-    model: str
+    per_well: bool
 
     def __post_init__(self):
         steps = np.diff(self.t)
@@ -223,49 +164,33 @@ class MeanFieldTrajectory:
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
 
+    @property
+    def labels(self) -> dict:
+        """Representation and model names written to the CSV header and sidecar."""
+        if self.per_well:
+            return {"representation": "local", "model": "per_well"}
+        return {"representation": "bright", "model": "identical"}
+
     def bright(self) -> np.ndarray:
         """Bright collective coherence <B0> in the stored frame."""
-        if self.representation == "local":
+        if self.per_well:
             return self.modes.sum(axis=0) / math.sqrt(self.modes.shape[0])
         return self.modes[0]
 
     def dark(self) -> np.ndarray:
-        """Dark-mode coherence <B1> for the two-well models."""
-        if self.representation == "collective":
-            return self.modes[1]
-        if self.representation == "local" and self.modes.shape[0] == 2:
+        """Dark-mode coherence <B1> = (<b1> - <b2>)/sqrt(2) of an inhomogeneous pair."""
+        if self.per_well and self.modes.shape[0] == 2:
             return (self.modes[0] - self.modes[1]) / math.sqrt(2.0)
-        raise ValidationError("dark mode is only defined for the two-well models")
-
-    def signal(self, source: str) -> np.ndarray:
-        if source == "cavity":
-            return self.a
-        if source == "bright":
-            return self.bright()
-        if source == "dark":
-            return self.dark()
-        raise ValidationError(f"unknown source {source!r}")
-
-    def lab_signal(self, source: str = "cavity") -> np.ndarray:
-        """Coherence in the lab frame, X_lab = X_rot * exp(-i w_d t)."""
-        x = self.signal(source)
-        if self.frame is Frame.ROTATING:
-            return x * np.exp(-1j * self.config.pulse.carrier * self.t)
-        return x
+        raise ValidationError("dark mode is only defined for an inhomogeneous pair of wells")
 
     def write_csv(self, path) -> None:
-        if self.representation == "bright":
-            names = ["B0"]
-        elif self.representation == "collective":
-            names = ["B0", "B1"]
-        else:
-            names = [f"b{i+1}" for i in range(self.modes.shape[0])]
+        names = [f"b{i+1}" for i in range(self.modes.shape[0])] if self.per_well else ["B0"]
         cols = [("a", self.a)] + list(zip(names, self.modes))
         header = ",".join(["t"] + [f"re_{n},im_{n}" for n, _ in cols])
         lines = [
             f"# frame: {self.frame.value}",
-            f"# representation: {self.representation}",
-            f"# model: {self.model}",
+            f"# representation: {self.labels['representation']}",
+            f"# model: {self.labels['model']}",
             header,
         ]
         for i, ti in enumerate(self.t):
@@ -279,28 +204,10 @@ class MeanFieldTrajectory:
         payload = {
             "config": config_to_dict(self.config),
             "dt": self.dt,
-            "model": self.model,
-            "representation": self.representation,
+            **self.labels,
             "frame": self.frame.value,
         }
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _select_model(cfg: SystemConfig, model: str | None) -> str:
-    if model is None:
-        model = "identical" if cfg.is_homogeneous else "two_well"
-    if model == "identical":
-        if not cfg.is_homogeneous:
-            raise ValidationError("identical model requires a homogeneous dipole set")
-    elif model == "two_well":
-        if cfg.n_wells != 2:
-            raise ValidationError(
-                f"two-well model requires N = 2, got N = {cfg.n_wells}; inhomogeneous "
-                "sets with N > 2 are out of scope"
-            )
-    else:
-        raise ValidationError(f"unknown model {model!r}")
-    return model
 
 
 def integrate(
@@ -310,44 +217,25 @@ def integrate(
     rtol: float = RTOL_DEFAULT,
     atol: float = ATOL_DEFAULT,
     dt: float | None = None,
-    model: str | None = None,
-    representation: str = "local",
-    y0: MeanFieldState | None = None,
 ) -> MeanFieldTrajectory:
     """Integrate the mean-field equations on a uniform output grid.
 
-    The pulse must lie inside t_span. Initial coherences default to zero
+    Identical wells integrate the bright mode alone, any other set one mode
+    per well. The pulse must lie inside t_span. Coherences start at zero
     (vacuum before the pulse). Solver failures raise SolverError instead of
     returning a silently truncated trajectory.
     """
-    model = _select_model(cfg, model)
     p = cfg.pulse
     if t_span[0] > p.center - 3 * p.duration or t_span[1] < p.center + 3 * p.duration:
         raise ValidationError(f"t_span {t_span} does not cover the pulse")
-
-    if model == "identical":
-        rhs = _identical_rhs(cfg)
-        representation = "bright"
-        n_modes = 1
-    elif representation == "local":
-        rhs = _two_well_local_rhs(cfg)
-        n_modes = 2
-    else:
-        rhs = _two_well_collective_rhs(cfg)
-        n_modes = 2
-
-    if y0 is None:
-        start = np.zeros(1 + n_modes, dtype=complex)
-    else:
-        if len(y0.modes) != n_modes or y0.representation != representation:
-            raise ValidationError("initial state does not match the selected model")
-        start = np.array([y0.a, *y0.modes], dtype=complex)
-
+    per_well = not cfg.is_homogeneous
+    modes = _modes(cfg, per_well)
+    rhs = _rhs(cfg, modes)
     grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
     sol = solve_ivp(
         lambda t, y: np.asarray(rhs(t, y), dtype=complex),
         t_span=(grid[0], grid[-1]),
-        y0=start,
+        y0=np.zeros(1 + len(modes), dtype=complex),
         t_eval=grid,
         method="RK45",
         rtol=rtol,
@@ -356,19 +244,13 @@ def integrate(
     if not sol.success:
         raise SolverError(f"mean-field integration failed: {sol.message}")
     return MeanFieldTrajectory(
-        t=grid,
-        a=sol.y[0],
-        modes=sol.y[1:],
-        representation=representation,
-        frame=cfg.frame,
-        config=cfg,
-        model=model,
+        t=grid, a=sol.y[0], modes=sol.y[1:], frame=cfg.frame, config=cfg, per_well=per_well
     )
 
 
 def instantaneous_frequency(traj: MeanFieldTrajectory) -> np.ndarray:
     """Chirped dipole frequency w0 - (2U/N)|<B0>|^2 along the grid."""
-    if traj.model != "identical":
+    if traj.per_well:
         raise ValidationError("instantaneous frequency is defined for identical wells")
     d = traj.config.dipoles[0]
     n = traj.config.n_wells
@@ -376,7 +258,7 @@ def instantaneous_frequency(traj: MeanFieldTrajectory) -> np.ndarray:
 
 
 def adiabatic_field(b0, t, cfg: SystemConfig):
-    """Cavity amplitude with the field slaved to the dipoles (bad cavity).
+    """Cavity amplitude at time t with the field slaved to the dipoles (bad cavity).
 
     Warns when the bad-cavity conditions kappa >> gamma and
     (kappa - gamma)/4 > sqrt(N) g do not hold.

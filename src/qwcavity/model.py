@@ -121,26 +121,22 @@ def level_spacing(nu: int, d: DipoleParams) -> float:
 def purcell_rate(cfg: SystemConfig) -> float:
     """Cavity-enhanced dipole decay rate gamma*(1 + 4*N*g^2/(kappa*gamma)).
 
-    Only defined for wells with identical gamma and g; inhomogeneous pairs
-    must be handled by the two-well model instead.
+    Only defined for wells with identical gamma and g; for other sets
+    effective_decay gives the same formula on the mean gamma.
     """
-    gammas = {d.gamma for d in cfg.dipoles}
-    couplings = {d.coupling for d in cfg.dipoles}
-    if len(gammas) != 1 or len(couplings) != 1:
+    if len({d.gamma for d in cfg.dipoles}) != 1 or len({d.coupling for d in cfg.dipoles}) != 1:
         raise ValidationError(
             "purcell_rate requires identical dipole gamma and g; "
-            "use the two-well model for inhomogeneous pairs"
+            "use effective_decay for inhomogeneous sets"
         )
-    gamma = gammas.pop()
-    ng2 = cfg.collective_coupling**2
-    return gamma * (1.0 + 4.0 * ng2 / (cfg.cavity.kappa * gamma))
+    return effective_decay(cfg)
 
 
 def effective_decay(cfg: SystemConfig) -> float:
     """Purcell-style effective decay built from mean gamma and sum g^2.
 
-    Coincides with purcell_rate for homogeneous configs; for mildly
-    inhomogeneous pairs it sets window lengths and spectral resolutions.
+    Equals purcell_rate for homogeneous configs; for inhomogeneous sets it
+    sets window lengths and spectral resolutions.
     """
     gamma = sum(d.gamma for d in cfg.dipoles) / len(cfg.dipoles)
     ng2 = cfg.collective_coupling**2
@@ -154,14 +150,11 @@ def envelope(t, p: PulseParams):
     return out if out.ndim else float(out)
 
 
-def drive_amplitude(t, p: PulseParams, frame: Frame):
-    """Complex drive F0*phi(t)*exp(-i w_d t); the carrier phase is dropped
-    in the rotating frame."""
-    t = np.asarray(t, dtype=float)
-    out = p.amplitude * np.exp(-((t - p.center) ** 2) / (2.0 * p.duration**2)).astype(complex)
-    if frame is Frame.LAB:
-        out = out * np.exp(-1j * p.carrier * t)
-    return out if out.ndim else complex(out)
+def drive_amplitude(t: float, p: PulseParams, frame: Frame):
+    """Complex drive F0*phi(t)*exp(-i w_d t) at one time t; the carrier phase
+    is dropped in the rotating frame, where the value is a real float."""
+    amp = p.amplitude * math.exp(-((t - p.center) ** 2) / (2.0 * p.duration**2))
+    return amp if frame is Frame.ROTATING else amp * np.exp(-1j * p.carrier * t)
 
 
 @dataclass(frozen=True)
@@ -308,10 +301,6 @@ def format_config(cfg: SystemConfig) -> str:
 
 def load_config(path) -> SystemConfig:
     return parse_config(Path(path).read_text())
-
-
-def save_config(cfg: SystemConfig, path) -> None:
-    Path(path).write_text(format_config(cfg))
 
 
 def config_digest(cfg: SystemConfig) -> str:

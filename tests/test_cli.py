@@ -11,7 +11,7 @@ import pytest
 
 import qwcavity
 from qwcavity import SolverError, format_config, parse_config, purcell_rate, set_config_value
-from qwcavity.cli import ExperimentSpec, PRESET_IDS, get_preset, main, run, two_well_config
+from qwcavity.cli import ExperimentSpec, PRESET_IDS, get_preset, main, two_well_config
 
 from conftest import standard_config
 
@@ -109,18 +109,24 @@ class TestLogging:
 
 class TestRunSpec:
     def test_empty_sweep_undriven_writes_zero_trajectory(self, tmp_path):
+        # a spec without axes is refused; the single run is `simulate`
+        from qwcavity import ConfigError
+
         cfg = set_config_value(
             standard_config(gamma=3.0, gamma2=3.0), "pulse.F0", 0.0
         )
-        spec = ExperimentSpec(config=cfg, out=str(tmp_path / "empty"))
-        files = run(spec)
-        table = next(f for f in files if f.name == "meanfield.csv")
+        with pytest.raises(ConfigError):
+            ExperimentSpec(config=cfg, out=str(tmp_path / "empty"))
+        config_path = tmp_path / "undriven.txt"
+        config_path.write_text(format_config(cfg))
+        out = tmp_path / "empty"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
         data = np.array(
             [[float(v) for v in line.split(",")[1:]] for line in
-             table.read_text().splitlines()[4:]]
+             (out / "meanfield.csv").read_text().splitlines()[4:]]
         )
         assert np.abs(data).max() == 0.0
-        manifest = json.loads((tmp_path / "empty" / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
         assert {e["path"] for e in manifest["files"]} == {"meanfield.csv", "meanfield.json"}
 
     def test_unknown_solver_rejected(self):

@@ -23,7 +23,7 @@ from qwcavity import (
     vacuum_state,
     write_checkpoints,
 )
-from qwcavity import Frame, baseline_config, fid_time_span, integrate, nonlinear_phase_shift
+from qwcavity import Frame, baseline_config, drive_amplitude, fid_time_span, integrate, nonlinear_phase_shift
 from qwcavity.errors import SolverError
 from qwcavity.lindblad import _ChunkRecorder, _interpolant, _liouvillian
 from qwcavity.spectral import SpectralPolicy
@@ -152,6 +152,13 @@ class TestRhs:
     def test_shape_checked(self):
         with pytest.raises(ValidationError):
             lindblad_rhs(np.zeros((3, 3), dtype=complex), 0.0, standard_config(), H_PAIR)
+
+    @pytest.mark.parametrize("frame", [Frame.ROTATING, Frame.LAB])
+    def test_drive_is_conjugate_of_meanfield_drive(self, frame):
+        # the coefficient of a in H_d(t) is conj(F(t)), bit for bit
+        cfg = standard_config(f0_over_kappa=0.35)
+        for t in np.linspace(0.0, 2.0, 2001):
+            assert drive_amplitude(t, cfg.pulse, frame).conjugate() == drive_coefficient(cfg, frame, t)
 
     @pytest.mark.parametrize("n_photon_max", [4, 8])   # dim 45 and 81
     @pytest.mark.parametrize("frame", [Frame.ROTATING, Frame.LAB])

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from qwcavity import (
     Frame,
     GridError,
-    MeanFieldState,
     PostPulseOracle,
     ValidationError,
     adiabatic_field,
@@ -16,19 +16,28 @@ from qwcavity import (
     oracle_from_trajectory,
     post_pulse_analytic,
     purcell_rate,
-    rhs_identical,
-    rhs_two_well,
     set_config_value,
     stationary_phase,
     to_collective,
 )
-from qwcavity.meanfield import MeanFieldTrajectory, default_dt
+from qwcavity.meanfield import MeanFieldTrajectory, _modes, _rhs
 
 from conftest import standard_config
+from meanfield_reference import collective_rhs, solve
 
 
 def undriven(cfg):
     return set_config_value(cfg, "pulse.F0", 0.0)
+
+
+def bright_rhs(cfg):
+    """(<a>, <B0>) right-hand side of a homogeneous set."""
+    return _rhs(cfg, _modes(cfg, per_well=False))
+
+
+def local_rhs(cfg):
+    """(<a>, <b_1>, ..., <b_N>) right-hand side, one mode per well."""
+    return _rhs(cfg, _modes(cfg, per_well=True))
 
 
 class TestIdenticalRhs:
@@ -36,46 +45,47 @@ class TestIdenticalRhs:
         # resonant rotating frame, a=0, B0=1, no drive:
         # da/dt = -i*sqrt(N)g = -i, dB0/dt = -gamma/2 + i(2U/N)|B0|^2 B0
         cfg = undriven(standard_config(u_over_gamma=1.0))
-        out = rhs_identical(MeanFieldState(a=0j, modes=(1.0 + 0j,)), 0.6, cfg)
-        assert out.a == pytest.approx(-1j, rel=1e-12)
-        assert out.modes[0] == pytest.approx(-0.3 + 0.6j, rel=1e-12)
+        da, db = bright_rhs(cfg)(0.6, [0j, 1.0 + 0j])
+        assert da == pytest.approx(-1j, rel=1e-12)
+        assert db == pytest.approx(-0.3 + 0.6j, rel=1e-12)
 
     def test_vacuum_is_fixed_point(self):
         cfg = undriven(standard_config())
-        out = rhs_identical(MeanFieldState(a=0j, modes=(0j,)), 1.0, cfg)
-        assert out.a == 0 and out.modes[0] == 0
+        da, db = bright_rhs(cfg)(1.0, [0j, 0j])
+        assert da == 0 and db == 0
 
     def test_harmonic_rhs_is_linear(self):
         cfg = undriven(standard_config(u_over_gamma=0.0))
-        s1 = MeanFieldState(a=0.2 - 0.1j, modes=(0.4 + 0.3j,))
-        s2 = MeanFieldState(a=2 * (0.2 - 0.1j), modes=(2 * (0.4 + 0.3j),))
-        d1 = rhs_identical(s1, 0.3, cfg)
-        d2 = rhs_identical(s2, 0.3, cfg)
-        assert d2.a == pytest.approx(2 * d1.a, rel=1e-12)
-        assert d2.modes[0] == pytest.approx(2 * d1.modes[0], rel=1e-12)
+        y1 = [0.2 - 0.1j, 0.4 + 0.3j]
+        d1 = bright_rhs(cfg)(0.3, y1)
+        d2 = bright_rhs(cfg)(0.3, [2 * v for v in y1])
+        assert d2[0] == pytest.approx(2 * d1[0], rel=1e-12)
+        assert d2[1] == pytest.approx(2 * d1[1], rel=1e-12)
 
     def test_rejects_inhomogeneous_config(self):
+        # an inhomogeneous set never collapses onto the bright mode, so the
+        # bright-mode chirp is refused for it
         cfg = standard_config(gamma2=1.2)
+        traj = integrate(cfg, (0.0, 2.0), dt=0.004)
+        assert traj.per_well and traj.modes.shape[0] == 2
         with pytest.raises(ValidationError):
-            rhs_identical(MeanFieldState(a=0j, modes=(0j,)), 0.0, cfg)
+            instantaneous_frequency(traj)
 
 
 class TestTwoWellRhs:
     def test_symmetric_collective_reduces_to_identical(self):
         cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.1)
-        s_id = MeanFieldState(a=0.1 + 0.05j, modes=(0.3 - 0.2j,))
-        s_tw = MeanFieldState(a=0.1 + 0.05j, modes=(0.3 - 0.2j, 0j), representation="collective")
-        d_id = rhs_identical(s_id, 0.7, cfg)
-        d_tw = rhs_two_well(s_tw, 0.7, cfg)
-        assert d_tw.modes[1] == 0
-        assert d_tw.a == pytest.approx(d_id.a, rel=1e-12)
-        assert d_tw.modes[0] == pytest.approx(d_id.modes[0], rel=1e-12)
+        a, b0 = 0.1 + 0.05j, 0.3 - 0.2j
+        d_id = bright_rhs(cfg)(0.7, [a, b0])
+        d_tw = collective_rhs(cfg)(0.7, [a, b0, 0j])
+        assert d_tw[2] == 0
+        assert d_tw[0] == pytest.approx(d_id[0], rel=1e-12)
+        assert d_tw[1] == pytest.approx(d_id[1], rel=1e-12)
 
     def test_exchange_symmetry(self):
         cfg = standard_config(u_over_gamma=0.5, f0_over_kappa=0.1)
-        s = MeanFieldState(a=0.1j, modes=(0.2 + 0.1j, 0.2 + 0.1j), representation="local")
-        d = rhs_two_well(s, 0.5, cfg)
-        assert d.modes[0] == d.modes[1]
+        d = local_rhs(cfg)(0.5, [0.1j, 0.2 + 0.1j, 0.2 + 0.1j])
+        assert d[1] == d[2]
 
     def test_local_collective_consistency(self):
         rng = np.random.default_rng(11)
@@ -89,21 +99,20 @@ class TestTwoWellRhs:
             a = complex(*rng.normal(0, 0.3, 2))
             local = rng.normal(0, 0.3, 2) + 1j * rng.normal(0, 0.3, 2)
             t = rng.uniform(0.0, 2.0)
-            d_loc = rhs_two_well(
-                MeanFieldState(a=a, modes=tuple(local), representation="local"), t, cfg
-            )
-            coll = to_collective(local)
-            d_coll = rhs_two_well(
-                MeanFieldState(a=a, modes=tuple(coll), representation="collective"), t, cfg
-            )
-            expect = to_collective(np.array(d_loc.modes))
-            assert d_loc.a == pytest.approx(d_coll.a, abs=1e-12)
-            assert np.allclose(expect, np.array(d_coll.modes), atol=1e-10)
+            d_loc = local_rhs(cfg)(t, [a, *local])
+            d_coll = collective_rhs(cfg)(t, [a, *to_collective(local)])
+            expect = to_collective(np.array(d_loc[1:]))
+            assert d_loc[0] == pytest.approx(d_coll[0], abs=1e-12)
+            assert np.allclose(expect, np.array(d_coll[1:]), atol=1e-10)
 
     def test_rejects_wrong_well_count(self):
-        cfg = standard_config(n_wells=1)
+        # the dark mode (b1 - b2)/sqrt(2) exists only for a pair of wells
+        cfg = set_config_value(standard_config(n_wells=3), "dipoles[2].gamma", 0.9)
+        traj = integrate(cfg, (0.0, 2.0), dt=0.004)
         with pytest.raises(ValidationError):
-            rhs_two_well(MeanFieldState(a=0j, modes=(0j, 0j), representation="local"), 0.0, cfg)
+            traj.dark()
+        with pytest.raises(ValidationError):
+            integrate(standard_config(n_wells=1), (0.0, 2.0), dt=0.004).dark()
 
 
 class TestIntegrate:
@@ -146,24 +155,34 @@ class TestIntegrate:
     def test_two_well_representations_agree(self):
         cfg = standard_config(u_over_gamma=0.5, f0_over_kappa=0.2, gamma2=0.9)
         t_span = (0.0, 6.0)
-        loc = integrate(cfg, t_span, representation="local")
-        col = integrate(cfg, t_span, representation="collective")
-        scale = np.abs(col.modes).max()
+        loc = integrate(cfg, t_span)
+        _, col = solve(collective_rhs(cfg), np.zeros(3), t_span, cfg)
+        scale = np.abs(col[1:]).max()
         mapped = np.stack([to_collective(loc.modes[:, i]) for i in range(loc.modes.shape[1])]).T
-        assert np.abs(mapped - col.modes).max() / scale < 1e-8
-        assert np.abs(loc.a - col.a).max() / np.abs(col.a).max() < 1e-8
+        assert np.abs(mapped - col[1:]).max() / scale < 1e-8
+        assert np.abs(loc.a - col[0]).max() / np.abs(col[0]).max() < 1e-8
 
     def test_dark_mode_stays_empty_for_identical_pair(self):
         cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.3)
-        traj = integrate(cfg, (0.0, 6.0), model="two_well", representation="local")
-        assert np.abs(traj.dark()).max() < 1e-10
+        _, y = solve(local_rhs(cfg), np.zeros(3), (0.0, 6.0), cfg)
+        assert np.abs((y[1] - y[2]) / np.sqrt(2.0)).max() < 1e-10
+
+    def test_bright_mode_matches_per_well_solution(self):
+        # identical wells: the bright mode alone carries the per-well dynamics,
+        # b_n = B0/sqrt(N) for every n, at any N
+        for n in (1, 2, 3):
+            cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.3, n_wells=n)
+            traj = integrate(cfg, (0.0, 4.0), rtol=1e-12, atol=1e-15)
+            _, y = solve(local_rhs(cfg), np.zeros(1 + n), (0.0, 4.0), cfg, rtol=1e-12, atol=1e-15)
+            scale = np.abs(traj.modes).max()
+            assert np.abs(y[1:].sum(axis=0) / np.sqrt(n) - traj.bright()).max() / scale < 1e-8
+            assert np.abs(y[0] - traj.a).max() / np.abs(traj.a).max() < 1e-8
 
     def test_undriven_state_relaxes_to_vacuum(self):
         cfg = undriven(standard_config())
-        y0 = MeanFieldState(a=0.1 + 0.2j, modes=(0.3 - 0.1j,), representation="bright")
-        traj = integrate(cfg, (0.0, 25.0), y0=y0)
-        assert abs(traj.a[-1]) < 1e-4
-        assert abs(traj.bright()[-1]) < 1e-4
+        _, y = solve(bright_rhs(cfg), [0.1 + 0.2j, 0.3 - 0.1j], (0.0, 25.0), cfg)
+        assert abs(y[0, -1]) < 1e-4
+        assert abs(y[1, -1]) < 1e-4
 
     def test_lab_and_rotating_frames_give_same_lab_signal(self):
         cfg_rot = standard_config(u_over_gamma=1.0, f0_over_kappa=0.2)
@@ -185,11 +204,25 @@ class TestIntegrate:
         with pytest.raises(GridError):
             integrate(cfg, (0.0, 4.0), dt=0.05)
 
-    def test_inhomogeneous_needs_two_wells(self):
-        cfg = standard_config(n_wells=3)
-        cfg = set_config_value(cfg, "dipoles[2].gamma", 0.9)
-        with pytest.raises(ValidationError):
-            integrate(cfg, (0.0, 4.0))
+    def test_three_wells_reduce_to_merged_pair(self):
+        # wells 2 and 3 identical: they move together as (b2 + b3)/sqrt(2), a
+        # single well with sqrt(2) g and Kerr U/2 beside the distinct well 1
+        cfg3 = set_config_value(
+            set_config_value(standard_config(n_wells=3), "dipoles[0].gamma", 0.9),
+            "dipoles[0].omega", 40.5,
+        )
+        d1, d2, _ = cfg3.dipoles
+        merged = replace(d2, anharmonicity=d2.anharmonicity / 2, coupling=math.sqrt(2.0) * d2.coupling)
+        cfg2 = replace(cfg3, dipoles=(d1, merged))
+        t_span = (0.0, 6.0)
+        three = integrate(cfg3, t_span, dt=0.004)
+        two = integrate(cfg2, t_span, dt=0.004)
+        assert three.per_well and three.modes.shape[0] == 3
+        scale = np.abs(two.modes).max()
+        assert np.abs(three.a - two.a).max() / np.abs(two.a).max() < 1e-8
+        assert np.abs(three.modes[0] - two.modes[0]).max() / scale < 1e-8
+        pair = (three.modes[1] + three.modes[2]) / math.sqrt(2.0)
+        assert np.abs(pair - two.modes[1]).max() / scale < 1e-8
 
 
 class TestDerivedQuantities:
@@ -200,10 +233,9 @@ class TestDerivedQuantities:
             t=t,
             a=np.zeros(4, dtype=complex),
             modes=m,
-            representation="bright",
             frame=Frame.ROTATING,
             config=cfg,
-            model="identical",
+            per_well=False,
         )
 
     def test_instantaneous_frequency_vacuum(self):
@@ -311,5 +343,6 @@ class TestTrajectoryExport:
         traj = integrate(cfg, (0.0, 2.0), dt=0.004)
         path = tmp_path / "tw.csv"
         traj.write_csv(path)
-        header = path.read_text().splitlines()[3]
-        assert header == "t,re_a,im_a,re_b1,im_b1,re_b2,im_b2"
+        lines = path.read_text().splitlines()
+        assert lines[1:3] == ["# representation: local", "# model: per_well"]
+        assert lines[3] == "t,re_a,im_a,re_b1,im_b1,re_b2,im_b2"

@@ -304,10 +304,9 @@ def fid_trajectory(cfg, values, t):
         t=t,
         a=np.zeros_like(values),
         modes=values[None, :],
-        representation="bright",
         frame=Frame.LAB,
         config=set_config_value(cfg, "frame", "lab"),
-        model="identical",
+        per_well=False,
     )
 
 
