@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,9 +35,11 @@ from .model import (
     load_config,
     parse_config,
     set_config_value,
+    write_json,
+    write_table,
 )
 from .meanfield import integrate
-from .lindblad import HilbertConfig, evolve, vacuum_state, write_checkpoints
+from .lindblad import DIM_CAP_DEFAULT, HilbertConfig, evolve, vacuum_state, write_checkpoints
 from .spectral import (
     SpectralPolicy,
     baseline_config,
@@ -83,27 +84,7 @@ class ExperimentSpec:
             set_config_value(self.config, axis.key, axis.values[0])  # resolves or raises
 
 
-# --- deterministic file helpers -------------------------------------------
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
-def _write_table(path: Path, comments: list[str], columns: list[str], rows: list[tuple]) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
+# --- manifest ---------------------------------------------------------------
 
 def _write_manifest(outdir: Path, cfg: SystemConfig, files: list[Path]) -> None:
     entries = []
@@ -112,7 +93,7 @@ def _write_manifest(outdir: Path, cfg: SystemConfig, files: list[Path]) -> None:
         entries.append(
             {"path": f.name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
         )
-    _write_json(
+    write_json(
         outdir / "manifest.json",
         {
             "files": entries,
@@ -137,27 +118,19 @@ def _solve(cfg: SystemConfig, solver: str, policy: SpectralPolicy, n_photon_max:
         except TruncationError as exc:
             # raise the Fock cutoff until the drive fits under it
             try:
-                h = HilbertConfig(
-                    n_photon_max=h.n_photon_max + 2, nu_max=h.nu_max, n_wells=h.n_wells,
-                    dim_cap=h.dim_cap,
-                )
+                h = HilbertConfig(h.n_photon_max + 2, h.nu_max, h.n_wells)
             except ConfigError:
                 raise TruncationError(
                     f"drive needs n_photon_max > {h.n_photon_max} but the dimension cap "
-                    f"{h.dim_cap} forbids it"
+                    f"{DIM_CAP_DEFAULT} forbids it"
                 ) from None
             log.warning("%s; restarting from t=%s with n_photon_max=%d", exc, span[0], h.n_photon_max)
 
 
-def _policy_payload(policy: SpectralPolicy) -> dict:
-    return {f.name: getattr(policy, f.name) for f in fields(SpectralPolicy)}
-
-
 def _spectra_worker(args):
     """Integrate one config and return its phase spectra per source."""
-    cfg_text, solver, n_ph, nu_max, policy_payload, sources, dt = args
+    cfg_text, solver, n_ph, nu_max, policy, sources, dt = args
     cfg = parse_config(cfg_text)
-    policy = SpectralPolicy(**policy_payload)
     traj = _solve(cfg, solver, policy, n_ph, nu_max, dt=dt)
     return {src: phase_pipeline(traj, policy, src) for src in sources}
 
@@ -177,11 +150,10 @@ def _phase_shift_tasks(points, solver, policy, n_ph, nu_max, sources=("cavity",)
     tasks = {}
     pairs = []
     for label, cfg in points:
-        base = baseline_config(cfg, policy)
         k_run = ("run", format_config(cfg))
-        k_base = ("base", format_config(base))
-        tasks[k_run] = (format_config(cfg), solver, n_ph, nu_max, _policy_payload(policy), tuple(sources), dt)
-        tasks[k_base] = (format_config(base), solver, n_ph, nu_max, _policy_payload(policy), tuple(sources), dt)
+        k_base = ("base", format_config(baseline_config(cfg, policy)))
+        for key in (k_run, k_base):
+            tasks[key] = (key[1], solver, n_ph, nu_max, policy, tuple(sources), dt)
         pairs.append((label, k_run, k_base))
     return tasks, pairs
 
@@ -226,7 +198,7 @@ def run(spec: ExperimentSpec) -> list:
             nu_max=spec.nu_max, sources=("cavity", "bright"), jobs=spec.jobs,
         )
         table = outdir / f"sweep_{solver}.csv"
-        _write_table(
+        write_table(
             table,
             [f"solver: {solver}", f"baseline: {spec.policy.baseline_mode}"],
             [axis.key for axis in spec.sweep] + ["dphi_cavity", "dphi_dipole"],
@@ -321,7 +293,7 @@ def _preset_fig2(outdir: Path, policy: SpectralPolicy, jobs: int) -> list[Path]:
             files.append(path)
         delays = time_delay(trajs["strong"], trajs["weak"])
         path = outdir / f"fig2_delay_gamma{gamma}.csv"
-        _write_table(
+        write_table(
             path,
             [f"gamma = {gamma}", "delay of strong-drive extrema relative to weak drive"],
             ["t", "delay", "kind"],
@@ -342,7 +314,7 @@ def _preset_fig3(outdir: Path, policy: SpectralPolicy, jobs: int) -> list[Path]:
         (ug, r, s["cavity"], s["bright"]) for (ug, r), s in shifts
     ]
     table = outdir / "fig3_phase_shifts.csv"
-    _write_table(
+    write_table(
         table,
         ["nonlinear phase shift at omega0 vs drive ratio"],
         ["u_over_gamma", "f0_over_kappa", "dphi_cavity", "dphi_dipole"],
@@ -370,7 +342,7 @@ def _preset_fig4(outdir: Path, policy: SpectralPolicy, jobs: int, which: str) ->
     points = [((name, f, r), make(f, r)) for name, f in cases for r in F_GRID_FIG4]
     shifts = sweep_phase_shifts(points, "meanfield", policy, jobs=jobs)
     table = outdir / f"{which}_phase_shifts.csv"
-    _write_table(
+    write_table(
         table,
         ["nonlinear phase shift at omega0, U = 0.5 gamma1"],
         [cases[0][0], "f0_over_kappa", "dphi_cavity"],
@@ -393,7 +365,7 @@ def _preset_fig5(outdir: Path, policy: SpectralPolicy, jobs: int, which: str,
     )
     rows = [(r, mf[r]["cavity"], lb[r]["cavity"]) for r in F_GRID_FIG5]
     table = outdir / f"{which}_phase_shifts.csv"
-    _write_table(
+    write_table(
         table,
         [f"U = {ug} gamma1; mean-field vs Lindblad"],
         ["f0_over_kappa", "dphi_meanfield", "dphi_lindblad"],
@@ -401,7 +373,7 @@ def _preset_fig5(outdir: Path, policy: SpectralPolicy, jobs: int, which: str,
     )
     report = compare_tables(rows)
     path = outdir / f"{which}_compare.json"
-    _write_json(path, report)
+    write_json(path, report)
     return [table, path]
 
 
@@ -417,10 +389,8 @@ def _preset_fig5c(outdir: Path, policy: SpectralPolicy, jobs: int,
         t_ref = res.t
     table = outdir / "fig5c_p2.csv"
     cols = ["t"] + [f"p2_u{ug}" for ug in (0.5, 1.0, 2.0)]
-    rows = [
-        (t_ref[i], series[0.5][i], series[1.0][i], series[2.0][i]) for i in range(len(t_ref))
-    ]
-    _write_table(table, ["per-well second-level population, F0 = 0.3 kappa"], cols, rows)
+    rows = zip(t_ref, series[0.5], series[1.0], series[2.0])
+    write_table(table, ["per-well second-level population, F0 = 0.3 kappa"], cols, rows)
     return [table]
 
 
@@ -493,10 +463,9 @@ def _apply_overrides(cfg: SystemConfig, overrides: list[str]) -> SystemConfig:
 
 
 def _policy_from_args(args) -> SpectralPolicy:
-    policy = SpectralPolicy(baseline_mode=args.baseline)
-    if getattr(args, "t_off_factor", None) is not None:
-        policy = replace(policy, t_off_factor=args.t_off_factor)
-    return policy
+    """SpectralPolicy with the fields the subcommand has flags for and the user set."""
+    given = {"baseline_mode": getattr(args, "baseline", None), "t_off_factor": args.t_off_factor}
+    return SpectralPolicy(**{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:
@@ -594,23 +563,36 @@ def _cmd_compare(args) -> int:
     report = compare_tables(rows)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "compare.json", report)
+    write_json(outdir / "compare.json", report)
     return 0
 
 
 def _cmd_preset(args) -> int:
-    if args.override and not args.allow_override:
-        raise ConfigError("presets are frozen; pass --allow-override to change parameters")
-    policy = _policy_from_args(args)
     run_preset(
         args.preset_id,
         Path(args.out),
-        policy=policy,
+        policy=_policy_from_args(args),
         jobs=args.jobs,
         n_photon_max=args.n_photon_max,
         nu_max=args.nu_max,
     )
     return 0
+
+
+# each subcommand registers only the flags it reads
+_FLAGS = {
+    "--config": dict(required=True, help="path to a config file"),
+    "--solver": dict(default="meanfield", choices=["meanfield", "lindblad", "both"]),
+    "--jobs": dict(type=int, default=os.cpu_count() or 1),
+    "--out": dict(default="out", help="output directory"),
+    "--baseline": dict(default="harmonic", choices=["harmonic", "weak"]),
+    "--override": dict(action="append", default=[], metavar="k=v"),
+    "--t-off-factor": dict(type=float),
+    "--n-photon-max": dict(type=int, default=N_PHOTON_MAX_DEFAULT),
+    "--nu-max": dict(type=int, default=NU_MAX_DEFAULT),
+}
+_RUN_FLAGS = ("--config", "--solver", "--out", "--override", "--t-off-factor", "--n-photon-max",
+              "--nu-max")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -621,49 +603,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qwcavity {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="path to a config file")
-        p.add_argument("--solver", default="meanfield", choices=["meanfield", "lindblad", "both"])
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--baseline", default="harmonic", choices=["harmonic", "weak"])
-        p.add_argument("--override", action="append", default=[], metavar="k=v")
-        p.add_argument("--t-off-factor", type=float, default=None)
-        p.add_argument("--n-photon-max", type=int, default=N_PHOTON_MAX_DEFAULT)
-        p.add_argument("--nu-max", type=int, default=NU_MAX_DEFAULT)
+    def command(name, fn, flags, text):
+        p = sub.add_parser(name, help=text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("simulate", help="single run, trajectory CSV + sidecar")
-    common(p)
+    p = command("simulate", _cmd_simulate, _RUN_FLAGS, "single run, trajectory CSV + sidecar")
     p.add_argument("--checkpoints", action="store_true", help="dump density-matrix checkpoints")
-    p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("sweep", help="phase shifts over one or more parameter axes")
-    common(p)
+    p = command("sweep", _cmd_sweep, _RUN_FLAGS + ("--jobs", "--baseline"),
+                "phase shifts over one or more parameter axes")
     p.add_argument("--axis", action="append", required=True, metavar="key=v1,v2,...")
-    p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("spectrum", help="FID phase spectrum of one run")
-    common(p)
+    p = command("spectrum", _cmd_spectrum, _RUN_FLAGS, "FID phase spectrum of one run")
     p.add_argument("--source", default="cavity", choices=["cavity", "bright"])
-    p.set_defaults(fn=_cmd_spectrum)
 
-    p = sub.add_parser("fit-alpha", help="quadratic fit of a sweep table")
-    common(p)
+    p = command("fit-alpha", _cmd_fit_alpha, ("--config", "--out", "--override"),
+                "quadratic fit of a sweep table")
     p.add_argument("--table", required=True, help="sweep CSV with a dphi column")
-    p.set_defaults(fn=_cmd_fit_alpha)
 
-    p = sub.add_parser("compare", help="mean-field vs Lindblad discrepancy report")
+    p = command("compare", _cmd_compare, ("--out",), "mean-field vs Lindblad discrepancy report")
     p.add_argument("--meanfield", required=True)
     p.add_argument("--lindblad", required=True)
-    p.add_argument("--out", default="out")
-    p.set_defaults(fn=_cmd_compare)
 
-    p = sub.add_parser("preset", help="run a frozen figure preset")
+    p = command("preset", _cmd_preset, ("--jobs", "--out", "--baseline", "--t-off-factor",
+                                        "--n-photon-max", "--nu-max"), "run a frozen figure preset")
     p.add_argument("preset_id", choices=list(PRESET_IDS))
-    common(p, config_required=False)
-    p.add_argument("--allow-override", action="store_true")
-    p.set_defaults(fn=_cmd_preset)
     return parser
 
 

@@ -23,7 +23,7 @@ from scipy.integrate import RK45
 
 from .errors import ConfigError, SolverError, TruncationError, ValidationError
 from .meanfield import CoherenceSeries, default_dt, uniform_grid
-from .model import Frame, SystemConfig, config_to_dict, drive_amplitude
+from .model import Frame, SystemConfig, config_to_dict, drive_amplitude, write_json, write_table
 
 DIM_CAP_DEFAULT = 4096
 
@@ -35,15 +35,14 @@ class HilbertConfig:
     n_photon_max: int
     nu_max: int = 2
     n_wells: int = 2
-    dim_cap: int = DIM_CAP_DEFAULT
 
     def __post_init__(self):
         if self.n_photon_max < 1 or self.nu_max < 1 or self.n_wells < 1:
             raise ConfigError("n_photon_max, nu_max and n_wells must all be >= 1")
-        if self.dim > self.dim_cap:
+        if self.dim > DIM_CAP_DEFAULT:
             raise ConfigError(
-                f"total dimension {self.dim} exceeds the cap {self.dim_cap}; "
-                "lower the truncation or raise dim_cap explicitly"
+                f"total dimension {self.dim} exceeds the cap {DIM_CAP_DEFAULT}; "
+                "lower the truncation"
             )
 
     @property
@@ -223,27 +222,21 @@ class LindbladResult(CoherenceSeries):
         return self.populations[:, 2, :].mean(axis=0)
 
     def write_csv(self, path) -> None:
-        n = self.exp_b.shape[0]
+        n, levels = self.exp_b.shape[0], range(self.hilbert.nu_max + 1)
         names = ["a", "B0"] + (["B1"] if n == 2 else [])
         series = [self.exp_a, self.bright()] + ([self.dark()] if n == 2 else [])
-        header = ["t"] + [f"re_{nm},im_{nm}" for nm in names]
-        header += [f"p{nu}_{w + 1}" for w in range(n) for nu in range(self.hilbert.nu_max + 1)]
-        lines = [
-            f"# frame: {self.frame.value}",
-            f"# n_photon_max: {self.hilbert.n_photon_max}, nu_max: {self.hilbert.nu_max}",
-            ",".join(header),
-        ]
-        for i, ti in enumerate(self.t):
-            row = [repr(float(ti))]
-            for s in series:
-                row += [repr(float(s[i].real)), repr(float(s[i].imag))]
-            for w in range(n):
-                row += [repr(float(self.populations[w, nu, i])) for nu in range(self.hilbert.nu_max + 1)]
-            lines.append(",".join(row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_table(
+            path,
+            [f"frame: {self.frame.value}",
+             f"n_photon_max: {self.hilbert.n_photon_max}, nu_max: {self.hilbert.nu_max}"],
+            ["t"] + [f"re_{nm},im_{nm}" for nm in names]
+            + [f"p{nu}_{w + 1}" for w in range(n) for nu in levels],
+            zip(self.t.tolist(), *(part.tolist() for s in series for part in (s.real, s.imag)),
+                *(self.populations[w, nu].tolist() for w in range(n) for nu in levels)),
+        )
 
     def write_sidecar(self, path) -> None:
-        payload = {
+        write_json(path, {
             "config": config_to_dict(self.config),
             "hilbert": {
                 "n_photon_max": self.hilbert.n_photon_max,
@@ -252,8 +245,7 @@ class LindbladResult(CoherenceSeries):
             },
             "frame": self.frame.value,
             "diagnostics": self.diagnostics,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        })
 
 
 class _ChunkRecorder:
@@ -461,7 +453,7 @@ def write_checkpoints(result: LindbladResult, path_base) -> None:
         np.ascontiguousarray(cp.matrix).astype("<c16").tobytes() for cp in result.checkpoints
     )
     bin_path.write_bytes(payload)
-    header = {
+    write_json(base.with_suffix(".json"), {
         "file": bin_path.name,
         "dim": result.hilbert.dim,
         "count": len(result.checkpoints),
@@ -469,8 +461,7 @@ def write_checkpoints(result: LindbladResult, path_base) -> None:
         "dtype": "complex128",
         "byte_order": "little",
         "layout": "row-major",
-    }
-    base.with_suffix(".json").write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def read_checkpoints(path_base) -> list[DensityMatrix]:

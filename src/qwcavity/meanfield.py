@@ -13,11 +13,9 @@ so independent parameter-sweep integrations can run in parallel workers.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -29,6 +27,8 @@ from .model import (
     config_to_dict,
     drive_amplitude,
     purcell_rate,
+    write_json,
+    write_table,
 )
 
 RTOL_DEFAULT = 1e-9
@@ -178,36 +178,34 @@ class MeanFieldTrajectory(CoherenceSeries):
         return self.modes[0]
 
     def dark(self) -> np.ndarray:
-        """Dark-mode coherence <B1> = (<b1> - <b2>)/sqrt(2) of an inhomogeneous pair."""
-        if self.per_well and self.modes.shape[0] == 2:
-            return (self.modes[0] - self.modes[1]) / math.sqrt(2.0)
-        raise ValidationError("dark mode is only defined for an inhomogeneous pair of wells")
+        """Dark-mode coherence <B1> = (<b1> - <b2>)/sqrt(2) of a pair of wells.
+
+        Identically zero for an identical pair, whose mean field keeps only
+        the bright mode.
+        """
+        if self.config.n_wells != 2:
+            raise ValidationError("dark mode is only defined for a pair of wells")
+        if not self.per_well:
+            return np.zeros_like(self.a)
+        return (self.modes[0] - self.modes[1]) / math.sqrt(2.0)
 
     def write_csv(self, path) -> None:
         names = [f"b{i+1}" for i in range(self.modes.shape[0])] if self.per_well else ["B0"]
-        cols = [("a", self.a)] + list(zip(names, self.modes))
-        header = ",".join(["t"] + [f"re_{n},im_{n}" for n, _ in cols])
-        lines = [
-            f"# frame: {self.frame.value}",
-            f"# representation: {self.labels['representation']}",
-            f"# model: {self.labels['model']}",
-            header,
-        ]
-        for i, ti in enumerate(self.t):
-            row = [repr(float(ti))]
-            for _, series in cols:
-                row += [repr(float(series[i].real)), repr(float(series[i].imag))]
-            lines.append(",".join(row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        series = [self.a, *self.modes]
+        write_table(
+            path,
+            [f"frame: {self.frame.value}", *(f"{k}: {v}" for k, v in self.labels.items())],
+            ["t"] + [f"re_{n},im_{n}" for n in ["a", *names]],
+            zip(self.t.tolist(), *(part.tolist() for s in series for part in (s.real, s.imag))),
+        )
 
     def write_sidecar(self, path) -> None:
-        payload = {
+        write_json(path, {
             "config": config_to_dict(self.config),
             "dt": self.dt,
             **self.labels,
             "frame": self.frame.value,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        })
 
 
 def integrate(

@@ -1,14 +1,18 @@
-"""Physical parameter types, Kerr ladder, pulse envelope, and collective modes.
+"""Physical parameter types, Kerr ladder, pulse envelope, collective modes,
+and the config and data-file formats.
 
 Units: angular frequencies and decay rates in rad/ps (equivalently 1/ps),
 times in ps. All parameter containers are frozen dataclasses; every function
-here is pure, so sharing across threads or worker processes is safe.
+but the file readers and writers is pure, so sharing across threads or worker
+processes is safe.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
+import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -193,26 +197,25 @@ def to_local(collective: np.ndarray) -> np.ndarray:
 
 # --- configuration file format -------------------------------------------
 #
-# Flat "key = value" lines; '#' starts a comment. Normative keys:
-#   cavity.omega_c, cavity.kappa,
-#   dipoles[n].omega | U | gamma | g      (n = 0 .. N-1, contiguous),
-#   pulse.F0 | omega_d | t0 | T,
-#   frame  (lab | rotating)
+# Flat "key = value" lines; '#' starts a comment. The file lists the cavity
+# keys, then dipoles[n].<key> for n = 0 .. N-1 (contiguous), then the pulse
+# keys and `frame = lab | rotating`. The two tables below are the numeric
+# keys: file key -> (part of SystemConfig, field), and dipole key -> field.
 
-_DIPOLE_KEY = re.compile(r"^dipoles\[(\d+)\]\.(omega|U|gamma|g)$")
-_DIPOLE_FIELDS = {"omega": "omega", "U": "anharmonicity", "gamma": "gamma", "g": "coupling"}
-_SCALAR_KEYS = {
-    "cavity.omega_c",
-    "cavity.kappa",
-    "pulse.F0",
-    "pulse.omega_d",
-    "pulse.t0",
-    "pulse.T",
+_SCALAR_FIELDS = {
+    "cavity.omega_c": ("cavity", "omega_c"),
+    "cavity.kappa": ("cavity", "kappa"),
+    "pulse.F0": ("pulse", "amplitude"),
+    "pulse.omega_d": ("pulse", "carrier"),
+    "pulse.t0": ("pulse", "center"),
+    "pulse.T": ("pulse", "duration"),
 }
+_DIPOLE_FIELDS = {"omega": "omega", "U": "anharmonicity", "gamma": "gamma", "g": "coupling"}
+_DIPOLE_KEY = re.compile(rf"^dipoles\[(\d+)\]\.({'|'.join(_DIPOLE_FIELDS)})$")
 
 
 def parse_config(text: str) -> SystemConfig:
-    scalars: dict[str, float] = {}
+    parts: dict[str, dict[str, float]] = {"cavity": {}, "pulse": {}}
     frame_value: str | None = None
     dipoles: dict[int, dict[str, float]] = {}
 
@@ -228,21 +231,18 @@ def parse_config(text: str) -> SystemConfig:
             continue
         m = _DIPOLE_KEY.match(key)
         if m:
-            idx, fld = int(m.group(1)), m.group(2)
-            try:
-                dipoles.setdefault(idx, {})[_DIPOLE_FIELDS[fld]] = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad numeric value {value!r}") from None
-            continue
-        if key in _SCALAR_KEYS:
-            try:
-                scalars[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad numeric value {value!r}") from None
-            continue
-        raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            entry, fld = dipoles.setdefault(int(m.group(1)), {}), _DIPOLE_FIELDS[m.group(2)]
+        elif key in _SCALAR_FIELDS:
+            part, fld = _SCALAR_FIELDS[key]
+            entry = parts[part]
+        else:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            entry[fld] = float(value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: bad numeric value {value!r}") from None
 
-    missing = _SCALAR_KEYS - scalars.keys()
+    missing = [key for key, (part, fld) in _SCALAR_FIELDS.items() if fld not in parts[part]]
     if missing:
         raise ConfigError(f"missing keys: {sorted(missing)}")
     if frame_value is None:
@@ -265,38 +265,23 @@ def parse_config(text: str) -> SystemConfig:
         wells.append(DipoleParams(**entry))
 
     return SystemConfig(
-        cavity=CavityParams(omega_c=scalars["cavity.omega_c"], kappa=scalars["cavity.kappa"]),
+        cavity=CavityParams(**parts["cavity"]),
         dipoles=tuple(wells),
-        pulse=PulseParams(
-            amplitude=scalars["pulse.F0"],
-            carrier=scalars["pulse.omega_d"],
-            center=scalars["pulse.t0"],
-            duration=scalars["pulse.T"],
-        ),
+        pulse=PulseParams(**parts["pulse"]),
         frame=frame,
     )
 
 
 def format_config(cfg: SystemConfig) -> str:
-    lines = [
-        f"cavity.omega_c = {float(cfg.cavity.omega_c)!r}",
-        f"cavity.kappa = {float(cfg.cavity.kappa)!r}",
+    scalars = [(key, getattr(getattr(cfg, p), fld)) for key, (p, fld) in _SCALAR_FIELDS.items()]
+    wells = [
+        (f"dipoles[{n}].{key}", getattr(d, fld))
+        for n, d in enumerate(cfg.dipoles)
+        for key, fld in _DIPOLE_FIELDS.items()
     ]
-    for n, d in enumerate(cfg.dipoles):
-        lines += [
-            f"dipoles[{n}].omega = {float(d.omega)!r}",
-            f"dipoles[{n}].U = {float(d.anharmonicity)!r}",
-            f"dipoles[{n}].gamma = {float(d.gamma)!r}",
-            f"dipoles[{n}].g = {float(d.coupling)!r}",
-        ]
-    lines += [
-        f"pulse.F0 = {float(cfg.pulse.amplitude)!r}",
-        f"pulse.omega_d = {float(cfg.pulse.carrier)!r}",
-        f"pulse.t0 = {float(cfg.pulse.center)!r}",
-        f"pulse.T = {float(cfg.pulse.duration)!r}",
-        f"frame = {cfg.frame.value}",
-    ]
-    return "\n".join(lines) + "\n"
+    # the cavity keys come first, then the dipoles, then the pulse
+    lines = [f"{key} = {float(value)!r}" for key, value in scalars[:2] + wells + scalars[2:]]
+    return "\n".join(lines) + f"\nframe = {cfg.frame.value}\n"
 
 
 def load_config(path) -> SystemConfig:
@@ -309,20 +294,13 @@ def config_digest(cfg: SystemConfig) -> str:
 
 
 def config_to_dict(cfg: SystemConfig) -> dict:
-    return {
-        "cavity": {"omega_c": cfg.cavity.omega_c, "kappa": cfg.cavity.kappa},
-        "dipoles": [
-            {"omega": d.omega, "U": d.anharmonicity, "gamma": d.gamma, "g": d.coupling}
-            for d in cfg.dipoles
-        ],
-        "pulse": {
-            "F0": cfg.pulse.amplitude,
-            "omega_d": cfg.pulse.carrier,
-            "t0": cfg.pulse.center,
-            "T": cfg.pulse.duration,
-        },
-        "frame": cfg.frame.value,
-    }
+    """The config as nested file keys: {"cavity": {"omega_c": ...}, "dipoles": [...], ...}."""
+    out = {"cavity": {}, "pulse": {}}
+    for key, (part, fld) in _SCALAR_FIELDS.items():
+        out[part][key.split(".", 1)[1]] = getattr(getattr(cfg, part), fld)
+    out["dipoles"] = [{k: getattr(d, f) for k, f in _DIPOLE_FIELDS.items()} for d in cfg.dipoles]
+    out["frame"] = cfg.frame.value
+    return out
 
 
 def set_config_value(cfg: SystemConfig, key: str, value) -> SystemConfig:
@@ -342,18 +320,6 @@ def set_config_value(cfg: SystemConfig, key: str, value) -> SystemConfig:
     except (TypeError, ValueError):
         raise ConfigError(f"value for {key!r} must be numeric, got {value!r}") from None
 
-    if key == "cavity.omega_c":
-        return replace(cfg, cavity=replace(cfg.cavity, omega_c=value))
-    if key == "cavity.kappa":
-        return replace(cfg, cavity=replace(cfg.cavity, kappa=value))
-    if key == "pulse.F0":
-        return replace(cfg, pulse=replace(cfg.pulse, amplitude=value))
-    if key == "pulse.omega_d":
-        return replace(cfg, pulse=replace(cfg.pulse, carrier=value))
-    if key == "pulse.t0":
-        return replace(cfg, pulse=replace(cfg.pulse, center=value))
-    if key == "pulse.T":
-        return replace(cfg, pulse=replace(cfg.pulse, duration=value))
     m = _DIPOLE_KEY.match(key)
     if m:
         idx, fld = int(m.group(1)), m.group(2)
@@ -362,4 +328,40 @@ def set_config_value(cfg: SystemConfig, key: str, value) -> SystemConfig:
         wells = list(cfg.dipoles)
         wells[idx] = replace(wells[idx], **{_DIPOLE_FIELDS[fld]: value})
         return replace(cfg, dipoles=tuple(wells))
-    raise ConfigError(f"unknown config key {key!r}")
+    if key not in _SCALAR_FIELDS:
+        raise ConfigError(f"unknown config key {key!r}")
+    part, fld = _SCALAR_FIELDS[key]
+    return replace(cfg, **{part: replace(getattr(cfg, part), **{fld: value})})
+
+
+# --- data file format -------------------------------------------------------
+#
+# Every table and JSON file the package writes: '# ' comment lines, one
+# header line and comma-separated rows; JSON indented with sorted keys.
+
+def _fmt(value) -> str:
+    """Floats as repr (round-trips exactly), integers as int, anything else as str."""
+    if type(value) is float:   # the bulk of every trajectory table
+        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+def write_table(path, comments, columns, rows) -> None:
+    """CSV with one '# ' line per comment, a header row and one line per row.
+
+    Rows are formatted and written in blocks, so a long table is never held
+    as one string.
+    """
+    rows = iter(rows)
+    with open(path, "w") as f:
+        f.write("".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n")
+        while block := [",".join(map(_fmt, row)) for row in itertools.islice(rows, 4096)]:
+            f.write("\n".join(block) + "\n")
+
+
+def write_json(path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

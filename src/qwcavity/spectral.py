@@ -9,22 +9,34 @@ parallel safely.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
 
 from .errors import GridError, ValidationError
-from .model import SystemConfig, effective_decay, envelope, purcell_rate, set_config_value
+from .model import (
+    SystemConfig,
+    effective_decay,
+    envelope,
+    purcell_rate,
+    set_config_value,
+    write_json,
+    write_table,
+)
 from .meanfield import MeanFieldTrajectory
 
 # Gaussian envelope at the default turn-off t0 + 3T is exp(-4.5) ~ 1.11e-2;
 # the window check allows exactly that much residual drive.
 ENVELOPE_OFF_THRESHOLD = 1.2e-2
 FFT_CONVENTION = "S(w) = (2*pi)^(-1/2) * sum_j dt s(t_j) exp(+i w t_j), trapezoid ends"
+MIN_TAIL = 5.0            # required trajectory length past t_off, in 1/gamma_tilde
+WINDOW_TAIL = 8.0         # integration span past t_off, in 1/gamma_tilde
+RESOLUTION_FACTOR = 50.0  # spectrum grid step d_omega = gamma_tilde / factor
+BAND_FACTOR = 10.0        # unwrap band half-width, in gamma_tilde
+NOISE_FLOOR = 1e-12       # magnitude floor relative to the band peak
+WEAK_RATIO = 0.01         # F0/kappa of the 'weak' baseline
 
 
 @dataclass(frozen=True)
@@ -33,13 +45,7 @@ class SpectralPolicy:
 
     t_off_factor: float = 3.0      # t_off = t0 + factor * T
     t_off: float | None = None     # explicit override
-    min_tail: float = 5.0          # required trajectory length past t_off, in 1/gamma_tilde
-    window_tail: float = 8.0       # suggested span past t_off, in 1/gamma_tilde
-    resolution_factor: float = 50.0  # target grid: d_omega = gamma_tilde / factor
-    band_factor: float = 10.0      # unwrap band half-width, in gamma_tilde
-    noise_floor: float = 1e-12     # magnitude floor relative to the band peak
-    baseline_mode: str = "harmonic"  # 'harmonic' (U = 0) or 'weak' (F0 = weak_ratio*kappa)
-    weak_ratio: float = 0.01
+    baseline_mode: str = "harmonic"  # 'harmonic' (U = 0) or 'weak' (F0 = WEAK_RATIO*kappa)
 
     def resolve_t_off(self, cfg: SystemConfig) -> float:
         if self.t_off is not None:
@@ -48,10 +54,10 @@ class SpectralPolicy:
 
 
 def fid_time_span(cfg: SystemConfig, policy: SpectralPolicy | None = None) -> tuple[float, float]:
-    """Integration span that leaves `window_tail` decay lengths of FID."""
+    """Integration span that leaves WINDOW_TAIL decay lengths of FID."""
     policy = policy or SpectralPolicy()
     t_off = policy.resolve_t_off(cfg)
-    return (0.0, t_off + policy.window_tail / effective_decay(cfg))
+    return (0.0, t_off + WINDOW_TAIL / effective_decay(cfg))
 
 
 def baseline_config(cfg: SystemConfig, policy: SpectralPolicy | None = None) -> SystemConfig:
@@ -63,7 +69,7 @@ def baseline_config(cfg: SystemConfig, policy: SpectralPolicy | None = None) -> 
             out = set_config_value(out, f"dipoles[{n}].U", 0.0)
         return out
     if policy.baseline_mode == "weak":
-        return set_config_value(cfg, "pulse.F0", policy.weak_ratio * cfg.cavity.kappa)
+        return set_config_value(cfg, "pulse.F0", WEAK_RATIO * cfg.cavity.kappa)
     raise ValidationError(f"unknown baseline mode {policy.baseline_mode!r}")
 
 
@@ -91,22 +97,19 @@ class FidWindow:
         return float(self.t[1] - self.t[0])
 
 
-def fid_window(traj, pulse=None, policy: SpectralPolicy | None = None, source: str = "cavity") -> FidWindow:
+def fid_window(traj, policy: SpectralPolicy | None = None, source: str = "cavity") -> FidWindow:
     """Cut the post-pulse FID segment out of a trajectory.
 
-    `traj` is any result with .t, .config and .lab_signal(source); `pulse`
-    defaults to the trajectory's own pulse parameters.
+    `traj` is any result with .t, .config and .lab_signal(source).
     """
     policy = policy or SpectralPolicy()
     cfg = traj.config
-    if pulse is None:
-        pulse = cfg.pulse
-    t_off = policy.t_off if policy.t_off is not None else pulse.center + policy.t_off_factor * pulse.duration
+    t_off = policy.resolve_t_off(cfg)
     gamma_tilde = effective_decay(cfg)
-    if traj.t[-1] < t_off + policy.min_tail / gamma_tilde - 1e-9:
+    if traj.t[-1] < t_off + MIN_TAIL / gamma_tilde - 1e-9:
         raise ValidationError(
             f"trajectory too short: ends at {traj.t[-1]:.3f}, need "
-            f">= {t_off + policy.min_tail / gamma_tilde:.3f} (t_off + {policy.min_tail}/gamma_tilde)"
+            f">= {t_off + MIN_TAIL / gamma_tilde:.3f} (t_off + {MIN_TAIL}/gamma_tilde)"
         )
     keep = traj.t >= t_off - 1e-12
     return FidWindow(
@@ -130,26 +133,18 @@ class Spectrum:
     source: str
 
 
-def fourier(
-    window: FidWindow,
-    *,
-    resolution: float | None = None,
-    band_halfwidth: float | None = None,
-    omega0: float | None = None,
-) -> Spectrum:
+def fourier(window: FidWindow) -> Spectrum:
     """Discrete approximation of the continuous transform on a padded grid.
 
-    Zero-pads until the frequency step is at most gamma_tilde/50 (or the
-    requested resolution) and corrects the end points to trapezoid weights.
+    Zero-pads until the frequency step is at most gamma_tilde/RESOLUTION_FACTOR,
+    corrects the end points to trapezoid weights and keeps the band within
+    12 gamma_tilde of the first dipole's omega0.
     """
     cfg = window.config
     gamma_tilde = effective_decay(cfg)
-    if omega0 is None:
-        omega0 = cfg.dipoles[0].omega
-    if resolution is None:
-        resolution = gamma_tilde / SpectralPolicy().resolution_factor
-    if band_halfwidth is None:
-        band_halfwidth = 12.0 * gamma_tilde
+    omega0 = cfg.dipoles[0].omega
+    resolution = gamma_tilde / RESOLUTION_FACTOR
+    band_halfwidth = 12.0 * gamma_tilde
 
     dt = window.dt
     nyquist = math.pi / dt
@@ -201,18 +196,13 @@ class PhaseSpectrum:
     source: str
 
 
-def phase_spectrum(
-    spec: Spectrum,
-    *,
-    band_factor: float = SpectralPolicy().band_factor,
-    noise_floor: float = SpectralPolicy().noise_floor,
-) -> PhaseSpectrum:
+def phase_spectrum(spec: Spectrum) -> PhaseSpectrum:
     mag = np.abs(spec.values)
     peak = float(mag.max())
     if peak == 0.0:
         raise ValidationError("spectrum is identically zero; phase undefined")
-    alive = mag > noise_floor * peak
-    band = np.abs(spec.omega - spec.omega0) <= band_factor * spec.gamma_tilde
+    alive = mag > NOISE_FLOOR * peak
+    band = np.abs(spec.omega - spec.omega0) <= BAND_FACTOR * spec.gamma_tilde
     if not band.any():
         raise ValidationError("resonance band not covered by the spectrum grid")
 
@@ -292,10 +282,7 @@ def relative_phase(run: PhaseSpectrum, base: PhaseSpectrum) -> RelativePhase:
 
 def phase_pipeline(traj, policy: SpectralPolicy | None = None, source: str = "cavity") -> PhaseSpectrum:
     """fid_window -> fourier -> phase_spectrum with one policy object."""
-    policy = policy or SpectralPolicy()
-    win = fid_window(traj, policy=policy, source=source)
-    spec = fourier(win, resolution=effective_decay(traj.config) / policy.resolution_factor)
-    return phase_spectrum(spec, band_factor=policy.band_factor, noise_floor=policy.noise_floor)
+    return phase_spectrum(fourier(fid_window(traj, policy, source)))
 
 
 def nonlinear_phase_shift(
@@ -475,34 +462,14 @@ def time_delay(
 
 
 def write_phase_csv(ps: PhaseSpectrum, path) -> None:
-    lines = [
-        f"# source: {ps.source}",
-        f"# t_off: {ps.t_off!r}",
-        f"# convention: {FFT_CONVENTION}",
-        "omega,re,im,magnitude,phase_unwrapped",
-    ]
-    for i, w in enumerate(ps.omega):
-        phase = ps.phase[i] if ps.mask[i] else float("nan")
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (w, ps.values[i].real, ps.values[i].imag, ps.magnitude[i], phase)
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(
+        path,
+        [f"source: {ps.source}", f"t_off: {ps.t_off!r}", f"convention: {FFT_CONVENTION}"],
+        ["omega", "re", "im", "magnitude", "phase_unwrapped"],
+        zip(ps.omega.tolist(), ps.values.real.tolist(), ps.values.imag.tolist(),
+            ps.magnitude.tolist(), np.where(ps.mask, ps.phase, np.nan).tolist()),
+    )
 
 
 def write_fit_json(result: NonlinearPhaseResult, path) -> None:
-    payload = {
-        "points": [[r, p] for r, p in result.points],
-        "alpha": result.alpha,
-        "quad_coeff": result.quad_coeff,
-        "exponent": result.exponent,
-        "residual": result.residual,
-        "fit_range": list(result.fit_range),
-        "in_regime": result.in_regime,
-        "gamma_tilde": result.gamma_tilde,
-        "U": result.U,
-        "N": result.N,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, asdict(result))

@@ -11,7 +11,8 @@ import pytest
 
 import qwcavity
 from qwcavity import SolverError, format_config, parse_config, purcell_rate, set_config_value
-from qwcavity.cli import ExperimentSpec, PRESET_IDS, get_preset, main, two_well_config
+from qwcavity.cli import ExperimentSpec, PRESET_IDS, _read_table, get_preset, main, two_well_config
+from qwcavity.model import write_table
 
 from conftest import standard_config
 
@@ -201,6 +202,18 @@ class TestFitAlphaCommand:
         assert rc == 4
 
 
+class TestReadTable:
+    def test_reads_written_table_back_exactly(self, tmp_path):
+        rows = [(0.1, 1e-300, -0.0, 3), (2.5, float("nan"), 1e300, np.int64(-4))]
+        path = tmp_path / "t.csv"
+        write_table(path, ["solver: meanfield", "baseline: harmonic"], ["a", "b", "c", "d"], rows)
+        cols, got = _read_table(path)
+        assert cols == ["a", "b", "c", "d"]
+        assert [[repr(v) for v in row] for row in got] == [
+            [repr(float(v)) for v in row] for row in rows
+        ]
+
+
 class TestCompareCommand:
     def _table(self, path, values):
         rows = ["f0_over_kappa,dphi_cavity"]
@@ -272,11 +285,13 @@ class TestPresets:
         assert base.collective_coupling == pytest.approx(1.0)
 
     def test_override_requires_explicit_flag(self, tmp_path):
-        rc = main([
-            "preset", "fig3", "--out", str(tmp_path / "p"),
-            "--override", "pulse.F0=1.0",
-        ])
-        assert rc == 2
+        # presets are frozen: preset has no --override, and argparse exits with 2
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "preset", "fig3", "--out", str(tmp_path / "p"),
+                "--override", "pulse.F0=1.0",
+            ])
+        assert exc.value.code == 2
 
     def test_fig5c_preset_runs(self, tmp_path):
         out = tmp_path / "fig5c"

@@ -447,3 +447,16 @@ class TestExports:
             "t,re_a,im_a,re_B0,im_B0,re_B1,im_B1,p0_1,p1_1,p2_1,p0_2,p1_2,p2_2"
         )
         assert len(lines) == 3 + len(res.t)
+
+    def test_dark_signal_of_identical_pair_on_both_solvers(self):
+        # both solvers give the dark mode of an identical pair as 0 (exactly, for
+        # the mean field), while the bright mode carries the response
+        cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.2)
+        results = (
+            integrate(cfg, (0.0, 2.0), dt=0.004),
+            evolve(vacuum_state(H_PAIR), (0.0, 2.0), cfg, H_PAIR, dt=0.004),
+        )
+        for res in results:
+            assert np.abs(res.signal("bright")).max() > 0.05
+            assert np.abs(res.signal("dark")).max() < 1e-14
+        assert np.all(results[0].signal("dark") == 0.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from qwcavity import (
     to_collective,
     to_local,
 )
-from qwcavity.model import config_digest
+from qwcavity.model import (
+    _DIPOLE_FIELDS,
+    _SCALAR_FIELDS,
+    config_digest,
+    config_to_dict,
+    write_json,
+    write_table,
+)
 
 from conftest import standard_config
 
@@ -258,3 +266,73 @@ class TestConfigFile:
             set_config_value(base_config, "pulse.area", 1.0)
         with pytest.raises(ConfigError):
             set_config_value(base_config, "dipoles[5].g", 1.0)
+
+
+# every numeric file key of a two-well config
+FILE_KEYS = list(_SCALAR_FIELDS) + [f"dipoles[{n}].{k}" for n in range(2) for k in _DIPOLE_FIELDS]
+
+
+class TestConfigKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from(FILE_KEYS), value=st.floats(0.01, 100.0))
+    def test_every_key_sets_formats_and_parses(self, key, value):
+        cfg = set_config_value(standard_config(), key, value)
+        text = format_config(cfg)
+        assert f"\n{key} = {value!r}\n" in "\n" + text
+        assert parse_config(text) == cfg
+        nested = config_to_dict(cfg)
+        m = re.match(r"dipoles\[(\d+)\]\.(\w+)$", key)
+        entry = nested["dipoles"][int(m.group(1))] if m else nested[key.split(".")[0]]
+        assert entry[key.rsplit(".", 1)[1]] == value
+        with pytest.raises(ConfigError):
+            set_config_value(cfg, key, "fast")
+        with pytest.raises(ConfigError):
+            parse_config(text.replace(f"{key} = {value!r}", f"{key} = fast"))
+
+    @given(n=st.integers(2, 40), key=st.sampled_from(sorted(_DIPOLE_FIELDS)))
+    def test_out_of_range_dipole_index_rejected(self, n, key):
+        with pytest.raises(ConfigError):
+            set_config_value(standard_config(), f"dipoles[{n}].{key}", 1.0)
+
+    def test_nested_dict_layout(self, base_config):
+        nested = config_to_dict(base_config)
+        assert nested["cavity"] == {"omega_c": 40.0, "kappa": 12.0}
+        assert nested["pulse"] == {"F0": 0.2 * 12.0, "omega_d": 40.0, "t0": 0.6, "T": 0.155}
+        g = 1.0 / math.sqrt(2)
+        assert nested["dipoles"][1] == {"omega": 40.0, "U": 0.6, "gamma": 0.6, "g": g}
+        assert nested["frame"] == "rotating"
+
+
+class TestDataFiles:
+    def test_write_table_exact_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [
+            (0.1, np.int64(3), "peak"),
+            (1e-300, -7, "dip"),
+            (np.float64(-0.0), float("nan"), np.int32(-2)),
+        ]
+        write_table(path, ["note", "gamma = 0.6"], ["x", "y", "kind"], rows)
+        assert path.read_text() == (
+            "# note\n# gamma = 0.6\nx,y,kind\n0.1,3,peak\n1e-300,-7,dip\n-0.0,nan,-2\n"
+        )
+
+    def test_write_table_without_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, [], ["t", "delay"], [])
+        assert path.read_text() == "t,delay\n"
+
+    def test_write_table_spanning_several_blocks(self, tmp_path):
+        path = tmp_path / "t.csv"
+        t = 1e-4 * np.arange(10_000)
+        write_table(path, ["frame: rotating"], ["t", "x"], zip(t.tolist(), (-t).tolist()))
+        expected = "".join(f"{v!r},{-v!r}\n" for v in t.tolist())
+        assert path.read_text() == "# frame: rotating\nt,x\n" + expected
+
+    def test_write_json_exact_text(self, tmp_path):
+        path = tmp_path / "p.json"
+        payload = {"b": [0.1, 1e-300, np.float64(-0.0)], "a": {"n": 3, "s": "x"}, "c": float("nan")}
+        write_json(path, payload)
+        assert path.read_text() == (
+            '{\n  "a": {\n    "n": 3,\n    "s": "x"\n  },\n'
+            '  "b": [\n    0.1,\n    1e-300,\n    -0.0\n  ],\n  "c": NaN\n}\n'
+        )
