@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import logging
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,32 +58,6 @@ NU_MAX_DEFAULT = 2
 log = logging.getLogger("qwcavity")
 
 
-@dataclass(frozen=True)
-class SweepAxis:
-    key: str
-    values: tuple
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    config: SystemConfig
-    solver: str = "meanfield"  # meanfield | lindblad | both
-    sweep: tuple = ()
-    policy: SpectralPolicy = SpectralPolicy()
-    n_photon_max: int = N_PHOTON_MAX_DEFAULT
-    nu_max: int = NU_MAX_DEFAULT
-    out: str = "out"
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.solver not in ("meanfield", "lindblad", "both"):
-            raise ConfigError(f"unknown solver {self.solver!r}")
-        if not self.sweep:
-            raise ConfigError("an experiment spec needs at least one sweep axis")
-        for axis in self.sweep:
-            set_config_value(self.config, axis.key, axis.values[0])  # resolves or raises
-
-
 # --- manifest ---------------------------------------------------------------
 
 def _write_manifest(outdir: Path, cfg: SystemConfig, files: list[Path]) -> None:
@@ -107,8 +81,8 @@ def _write_manifest(outdir: Path, cfg: SystemConfig, files: list[Path]) -> None:
 # --- solver plumbing --------------------------------------------------------
 
 def _solve(cfg: SystemConfig, solver: str, policy: SpectralPolicy, n_photon_max: int, nu_max: int,
-           dt: float | None = None, t_span=None):
-    span = t_span if t_span is not None else fid_time_span(cfg, policy)
+           dt: float | None = None):
+    span = fid_time_span(cfg, policy)
     if solver == "meanfield":
         return integrate(cfg, span, dt=dt)
     h = HilbertConfig(n_photon_max=n_photon_max, nu_max=nu_max, n_wells=cfg.n_wells)
@@ -135,78 +109,46 @@ def _spectra_worker(args):
     return {src: phase_pipeline(traj, policy, src) for src in sources}
 
 
-def _run_spectra(tasks: dict, jobs: int):
-    """tasks: key -> worker args; returns key -> {source: PhaseSpectrum}."""
-    keys = list(tasks)
-    if jobs <= 1 or len(keys) <= 1:
-        return {k: _spectra_worker(tasks[k]) for k in keys}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_spectra_worker, [tasks[k] for k in keys]))
-    return dict(zip(keys, results))
-
-
-def _phase_shift_tasks(points, solver, policy, n_ph, nu_max, sources=("cavity",), dt=None):
-    """Deduplicated run+baseline task table for a list of (label, cfg)."""
-    tasks = {}
+def sweep_phase_shifts(points, solver, policy, *, n_photon_max=N_PHOTON_MAX_DEFAULT,
+                       nu_max=NU_MAX_DEFAULT, sources=("cavity",), jobs=1, dt=None):
+    """Delta Phi(omega0) for labelled configs, baselines shared and cached."""
+    tasks = {}   # ("run" | "base", config text) -> worker args, each solved once
     pairs = []
     for label, cfg in points:
         k_run = ("run", format_config(cfg))
         k_base = ("base", format_config(baseline_config(cfg, policy)))
         for key in (k_run, k_base):
-            tasks[key] = (key[1], solver, n_ph, nu_max, policy, tuple(sources), dt)
+            tasks[key] = (key[1], solver, n_photon_max, nu_max, policy, tuple(sources), dt)
         pairs.append((label, k_run, k_base))
-    return tasks, pairs
+    if jobs <= 1 or len(tasks) <= 1:
+        spectra = [_spectra_worker(task) for task in tasks.values()]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            spectra = list(pool.map(_spectra_worker, tasks.values()))
+    done = dict(zip(tasks, spectra))
+    return [
+        (label, {src: relative_phase(done[k_run][src], done[k_base][src]).dphi_at_resonance
+                 for src in sources})
+        for label, k_run, k_base in pairs
+    ]
 
 
-def sweep_phase_shifts(points, solver, policy, *, n_photon_max=N_PHOTON_MAX_DEFAULT,
-                       nu_max=NU_MAX_DEFAULT, sources=("cavity",), jobs=1, dt=None):
-    """Delta Phi(omega0) for labelled configs, baselines shared and cached."""
-    tasks, pairs = _phase_shift_tasks(points, solver, policy, n_photon_max, nu_max, sources, dt)
-    done = _run_spectra(tasks, jobs)
-    out = []
-    for label, k_run, k_base in pairs:
-        shifts = {
-            src: relative_phase(done[k_run][src], done[k_base][src]).dphi_at_resonance
-            for src in sources
-        }
-        out.append((label, shifts))
-    return out
-
-
-def run(spec: ExperimentSpec) -> list:
-    """Execute an experiment spec and write its result bundle: one
-    phase-shift table per solver. The manifest is written last and is the
-    only file carrying a wall-clock timestamp.
-    """
-    outdir = Path(spec.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    solvers = ["meanfield", "lindblad"] if spec.solver == "both" else [spec.solver]
-    files = []
-    grids = [[]]
-    for axis in spec.sweep:
-        grids = [g + [(axis.key, v)] for g in grids for v in axis.values]
-    points = []
-    for assignment in grids:
-        c = spec.config
-        for key, value in assignment:
-            c = set_config_value(c, key, value)
-        points.append((tuple(v for _, v in assignment), c))
-
-    for solver in solvers:
-        shifts = sweep_phase_shifts(
-            points, solver, spec.policy, n_photon_max=spec.n_photon_max,
-            nu_max=spec.nu_max, sources=("cavity", "bright"), jobs=spec.jobs,
-        )
-        table = outdir / f"sweep_{solver}.csv"
-        write_table(
-            table,
-            [f"solver: {solver}", f"baseline: {spec.policy.baseline_mode}"],
-            [axis.key for axis in spec.sweep] + ["dphi_cavity", "dphi_dipole"],
-            [(*label, s["cavity"], s["bright"]) for label, s in shifts],
-        )
-        files.append(table)
-    _write_manifest(outdir, spec.config, files)
-    return files
+def _phase_table(path: Path, comments, columns, points, solvers, policy: SpectralPolicy, *,
+                 sources=("cavity",), jobs=1, dt=None, n_photon_max=N_PHOTON_MAX_DEFAULT,
+                 nu_max=NU_MAX_DEFAULT) -> list[tuple]:
+    """Write one row per labelled point, the label's values and then Delta
+    Phi(omega0) of each solver and source, and return the rows."""
+    shifts = [
+        sweep_phase_shifts(points, solver, policy, n_photon_max=n_photon_max, nu_max=nu_max,
+                           sources=sources, jobs=jobs, dt=dt)
+        for solver in solvers
+    ]
+    rows = [
+        (*label, *(per_solver[i][1][src] for per_solver in shifts for src in sources))
+        for i, (label, _) in enumerate(points)
+    ]
+    write_table(path, comments, columns, rows)
+    return rows
 
 
 # --- frozen figure presets --------------------------------------------------
@@ -217,7 +159,6 @@ BASE_GAMMA = 0.6
 BASE_SQRTN_G = 1.0
 BASE_T = 0.155
 BASE_T0 = 0.6
-PRESET_IDS = ("fig2", "fig3", "fig4a", "fig4b", "fig5a", "fig5b", "fig5c")
 
 
 def two_well_config(
@@ -229,18 +170,12 @@ def two_well_config(
     omega2: float | None = None,
 ) -> SystemConfig:
     """Standard two-well operating point from the common parameter set."""
-    g = BASE_SQRTN_G / math.sqrt(2.0)
-    u = u_over_gamma * BASE_GAMMA
-    d1 = DipoleParams(omega=BASE_OMEGA, anharmonicity=u, gamma=gamma1, coupling=g)
-    d2 = DipoleParams(
-        omega=omega2 if omega2 is not None else BASE_OMEGA,
-        anharmonicity=u,
-        gamma=gamma2 if gamma2 is not None else gamma1,
-        coupling=g,
-    )
+    u, g = u_over_gamma * BASE_GAMMA, BASE_SQRTN_G / math.sqrt(2.0)
+    wells = ((BASE_OMEGA, gamma1), (BASE_OMEGA if omega2 is None else omega2,
+                                    gamma1 if gamma2 is None else gamma2))
     return SystemConfig(
         cavity=CavityParams(omega_c=BASE_OMEGA, kappa=BASE_KAPPA),
-        dipoles=(d1, d2),
+        dipoles=tuple(DipoleParams(omega=w, anharmonicity=u, gamma=gm, coupling=g) for w, gm in wells),
         pulse=PulseParams(
             amplitude=f0_over_kappa * BASE_KAPPA, carrier=BASE_OMEGA, center=BASE_T0, duration=BASE_T
         ),
@@ -248,35 +183,15 @@ def two_well_config(
     )
 
 
-@dataclass(frozen=True)
-class FigurePreset:
-    preset_id: str
-    description: str
-    base: SystemConfig
-
-
-def get_preset(preset_id: str) -> FigurePreset:
-    if preset_id not in PRESET_IDS:
-        raise ConfigError(f"unknown preset {preset_id!r}; choose from {PRESET_IDS}")
-    base = two_well_config(u_over_gamma=1.0, f0_over_kappa=0.2)
-    descriptions = {
-        "fig2": "strong/weak FID traces and extremum time delays, gamma = 0.6 and 10.0",
-        "fig3": "Delta Phi(omega0) vs drive for U/gamma in {0.1, 0.5, 1.0} with alpha fits",
-        "fig4a": "decay-rate inhomogeneity: gamma2/gamma1 in {0.5, 1.0, 1.5}",
-        "fig4b": "frequency inhomogeneity: d_omega/omega0 in {-0.02, 0, 0.02, 0.12}",
-        "fig5a": "mean-field vs Lindblad Delta Phi(omega0), U = 0.5 gamma1",
-        "fig5b": "mean-field vs Lindblad Delta Phi(omega0), U = 2.0 gamma1",
-        "fig5c": "second-level population dynamics at F0 = 0.3 kappa",
-    }
-    return FigurePreset(preset_id=preset_id, description=descriptions[preset_id], base=base)
-
-
+# every preset writes this config as <preset>_base_config.txt and digests it in its manifest
+PRESET_BASE = two_well_config(u_over_gamma=1.0, f0_over_kappa=0.2)
 F_GRID_FIG3 = tuple(float(r) for r in np.round(np.linspace(0.02, 0.2, 7), 10))
 F_GRID_FIG4 = tuple(float(r) for r in np.round(np.linspace(0.05, 0.5, 7), 10))
 F_GRID_FIG5 = (0.05, 0.125, 0.2, 0.275, 0.35, 0.425, 0.5)
 
 
-def _preset_fig2(outdir: Path, policy: SpectralPolicy, jobs: int) -> list[Path]:
+def _preset_fig2(preset_id: str, outdir: Path, policy: SpectralPolicy, opts) -> list[Path]:
+    """Strong/weak FID traces and extremum time delays, gamma = 0.6 and 10.0."""
     files = []
     for gamma in (0.6, 10.0):
         trajs = {}
@@ -303,26 +218,21 @@ def _preset_fig2(outdir: Path, policy: SpectralPolicy, jobs: int) -> list[Path]:
     return files
 
 
-def _preset_fig3(outdir: Path, policy: SpectralPolicy, jobs: int) -> list[Path]:
-    points = [
-        ((ug, r), two_well_config(u_over_gamma=ug, f0_over_kappa=r))
-        for ug in (0.1, 0.5, 1.0)
-        for r in F_GRID_FIG3
-    ]
-    shifts = sweep_phase_shifts(points, "meanfield", policy, sources=("cavity", "bright"), jobs=jobs)
-    rows = [
-        (ug, r, s["cavity"], s["bright"]) for (ug, r), s in shifts
-    ]
+def _preset_fig3(preset_id: str, outdir: Path, policy: SpectralPolicy, opts) -> list[Path]:
+    """Delta Phi(omega0) vs drive for U/gamma in {0.1, 0.5, 1.0} with alpha fits."""
+    ratios = (0.1, 0.5, 1.0)
     table = outdir / "fig3_phase_shifts.csv"
-    write_table(
+    rows = _phase_table(
         table,
         ["nonlinear phase shift at omega0 vs drive ratio"],
         ["u_over_gamma", "f0_over_kappa", "dphi_cavity", "dphi_dipole"],
-        rows,
+        [((ug, r), two_well_config(u_over_gamma=ug, f0_over_kappa=r))
+         for ug in ratios for r in F_GRID_FIG3],
+        ("meanfield",), policy, sources=("cavity", "bright"), jobs=opts.jobs,
     )
     files = [table]
-    for ug in (0.1, 0.5, 1.0):
-        pts = [(r, s["cavity"]) for (u, r), s in shifts if u == ug]
+    for ug in ratios:
+        pts = [(r, dphi) for u, r, dphi, _ in rows if u == ug]
         result = fit_alpha(pts, two_well_config(u_over_gamma=ug, f0_over_kappa=0.1))
         path = outdir / f"fig3_alpha_u{ug}.json"
         write_fit_json(result, path)
@@ -330,125 +240,102 @@ def _preset_fig3(outdir: Path, policy: SpectralPolicy, jobs: int) -> list[Path]:
     return files
 
 
-def _preset_fig4(outdir: Path, policy: SpectralPolicy, jobs: int, which: str) -> list[Path]:
-    if which == "fig4a":
-        cases = [("gamma2_over_gamma1", f) for f in (0.5, 1.0, 1.5)]
+def _preset_fig4(preset_id: str, outdir: Path, policy: SpectralPolicy, opts) -> list[Path]:
+    """Inhomogeneity at U = 0.5 gamma1: fig4a scans the decay rates,
+    gamma2/gamma1 in {0.5, 1.0, 1.5}; fig4b the frequencies, d_omega/omega0
+    in {-0.02, 0, 0.02, 0.12}."""
+    if preset_id == "fig4a":
+        column, factors = "gamma2_over_gamma1", (0.5, 1.0, 1.5)
         make = lambda f, r: two_well_config(u_over_gamma=0.5, f0_over_kappa=r, gamma2=f * BASE_GAMMA)
     else:
-        cases = [("domega_over_omega0", f) for f in (-0.02, 0.0, 0.02, 0.12)]
+        column, factors = "domega_over_omega0", (-0.02, 0.0, 0.02, 0.12)
         make = lambda f, r: two_well_config(
             u_over_gamma=0.5, f0_over_kappa=r, omega2=BASE_OMEGA + 2.0 * f * BASE_OMEGA
         )
-    points = [((name, f, r), make(f, r)) for name, f in cases for r in F_GRID_FIG4]
-    shifts = sweep_phase_shifts(points, "meanfield", policy, jobs=jobs)
-    table = outdir / f"{which}_phase_shifts.csv"
-    write_table(
+    table = outdir / f"{preset_id}_phase_shifts.csv"
+    _phase_table(
         table,
         ["nonlinear phase shift at omega0, U = 0.5 gamma1"],
-        [cases[0][0], "f0_over_kappa", "dphi_cavity"],
-        [(f, r, s["cavity"]) for (name, f, r), s in shifts],
+        [column, "f0_over_kappa", "dphi_cavity"],
+        [((f, r), make(f, r)) for f in factors for r in F_GRID_FIG4],
+        ("meanfield",), policy, jobs=opts.jobs,
     )
     return [table]
 
 
-def _preset_fig5(outdir: Path, policy: SpectralPolicy, jobs: int, which: str,
-                 n_photon_max: int, nu_max: int) -> list[Path]:
-    ug = 0.5 if which == "fig5a" else 2.0
-    points = [
-        (r, two_well_config(u_over_gamma=ug, f0_over_kappa=r)) for r in F_GRID_FIG5
-    ]
-    mf = dict(sweep_phase_shifts(points, "meanfield", policy, jobs=jobs, dt=0.004))
-    lb = dict(
-        sweep_phase_shifts(
-            points, "lindblad", policy, n_photon_max=n_photon_max, nu_max=nu_max, jobs=jobs, dt=0.004
-        )
-    )
-    rows = [(r, mf[r]["cavity"], lb[r]["cavity"]) for r in F_GRID_FIG5]
-    table = outdir / f"{which}_phase_shifts.csv"
-    write_table(
+def _preset_fig5(preset_id: str, outdir: Path, policy: SpectralPolicy, opts) -> list[Path]:
+    """Mean-field vs Lindblad Delta Phi(omega0): fig5a at U = 0.5 gamma1,
+    fig5b at U = 2.0 gamma1."""
+    ug = 0.5 if preset_id == "fig5a" else 2.0
+    table = outdir / f"{preset_id}_phase_shifts.csv"
+    rows = _phase_table(
         table,
         [f"U = {ug} gamma1; mean-field vs Lindblad"],
         ["f0_over_kappa", "dphi_meanfield", "dphi_lindblad"],
-        rows,
+        [((r,), two_well_config(u_over_gamma=ug, f0_over_kappa=r)) for r in F_GRID_FIG5],
+        ("meanfield", "lindblad"), policy, jobs=opts.jobs, dt=0.004,
+        n_photon_max=opts.n_photon_max, nu_max=opts.nu_max,
     )
-    report = compare_tables(rows)
-    path = outdir / f"{which}_compare.json"
-    write_json(path, report)
+    path = outdir / f"{preset_id}_compare.json"
+    write_json(path, compare_tables([({"f0_over_kappa": r}, mf, lb) for r, mf, lb in rows]))
     return [table, path]
 
 
-def _preset_fig5c(outdir: Path, policy: SpectralPolicy, jobs: int,
-                  n_photon_max: int, nu_max: int) -> list[Path]:
-    series = {}
-    t_ref = None
-    for ug in (0.5, 1.0, 2.0):
-        cfg = two_well_config(u_over_gamma=ug, f0_over_kappa=0.3)
-        h = HilbertConfig(n_photon_max=n_photon_max, nu_max=nu_max, n_wells=2)
-        res = evolve(vacuum_state(h), fid_time_span(cfg, policy), cfg, h, dt=0.004)
-        series[ug] = res.second_level_population()
-        t_ref = res.t
+def _preset_fig5c(preset_id: str, outdir: Path, policy: SpectralPolicy, opts) -> list[Path]:
+    """Second-level population dynamics at F0 = 0.3 kappa."""
+    ratios = (0.5, 1.0, 2.0)
+    results = [
+        _solve(two_well_config(u_over_gamma=ug, f0_over_kappa=0.3), "lindblad", policy,
+               opts.n_photon_max, opts.nu_max, dt=0.004)
+        for ug in ratios
+    ]
     table = outdir / "fig5c_p2.csv"
-    cols = ["t"] + [f"p2_u{ug}" for ug in (0.5, 1.0, 2.0)]
-    rows = zip(t_ref, series[0.5], series[1.0], series[2.0])
-    write_table(table, ["per-well second-level population, F0 = 0.3 kappa"], cols, rows)
+    write_table(
+        table,
+        ["per-well second-level population, F0 = 0.3 kappa"],
+        ["t"] + [f"p2_u{ug}" for ug in ratios],
+        zip(results[-1].t, *(res.second_level_population() for res in results)),
+    )
     return [table]
 
 
-def run_preset(preset_id: str, outdir: Path, *, policy: SpectralPolicy | None = None,
-               jobs: int = 1, n_photon_max: int = N_PHOTON_MAX_DEFAULT,
-               nu_max: int = NU_MAX_DEFAULT) -> list[Path]:
-    preset = get_preset(preset_id)
-    policy = policy or SpectralPolicy()
-    outdir.mkdir(parents=True, exist_ok=True)
-    cfg_path = outdir / f"{preset_id}_base_config.txt"
-    cfg_path.write_text(format_config(preset.base))
-    files = [cfg_path]
-    if preset_id == "fig2":
-        files += _preset_fig2(outdir, policy, jobs)
-    elif preset_id == "fig3":
-        files += _preset_fig3(outdir, policy, jobs)
-    elif preset_id in ("fig4a", "fig4b"):
-        files += _preset_fig4(outdir, policy, jobs, preset_id)
-    elif preset_id in ("fig5a", "fig5b"):
-        files += _preset_fig5(outdir, policy, jobs, preset_id, n_photon_max, nu_max)
-    else:
-        files += _preset_fig5c(outdir, policy, jobs, n_photon_max, nu_max)
-    _write_manifest(outdir, preset.base, files)
-    return files
+# preset id -> builder(preset_id, outdir, policy, opts) returning the data files it wrote;
+# opts carries jobs, n_photon_max and nu_max
+PRESETS = {
+    "fig2": _preset_fig2,
+    "fig3": _preset_fig3,
+    "fig4a": _preset_fig4,
+    "fig4b": _preset_fig4,
+    "fig5a": _preset_fig5,
+    "fig5b": _preset_fig5,
+    "fig5c": _preset_fig5c,
+}
+PRESET_IDS = tuple(PRESETS)
 
 
 # --- compare ----------------------------------------------------------------
 
 def compare_tables(rows) -> dict:
-    """Per-point mean-field/Lindblad ratio and regime classification."""
+    """Mean-field/Lindblad ratio and regime of each (axis values by column, mf, lb) row."""
     floor = 1e-5
     table = []
-    for r, mf, lb in rows:
+    for axes, mf, lb in rows:
         if abs(mf) < floor and abs(lb) < floor:
-            regime = "negligible"
-            ratio = float("nan")
+            ratio, regime = float("nan"), "negligible"
         else:
             ratio = mf / lb if lb != 0 else float("inf")
             regime = "agree" if 0.5 <= ratio <= 2.0 else "breakdown"
         table.append(
-            {"f0_over_kappa": r, "dphi_meanfield": mf, "dphi_lindblad": lb,
-             "ratio": ratio, "regime": regime}
+            {**axes, "dphi_meanfield": mf, "dphi_lindblad": lb, "ratio": ratio, "regime": regime}
         )
     return {"points": table, "floor": floor}
 
 
 def _read_table(path: Path) -> tuple[list[str], list[list[float]]]:
-    cols, rows = None, []
-    for line in path.read_text().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        if cols is None:
-            cols = line.split(",")
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    if cols is None:
+    lines = [line for line in path.read_text().splitlines() if line and not line.startswith("#")]
+    if not lines:
         raise ConfigError(f"{path}: empty table")
-    return cols, rows
+    return lines[0].split(","), [[float(v) for v in line.split(",")] for line in lines[1:]]
 
 
 # --- CLI --------------------------------------------------------------------
@@ -488,33 +375,40 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_axis(spec: str) -> SweepAxis:
+def _parse_axis(spec: str) -> tuple[str, tuple]:
     if "=" not in spec:
         raise ConfigError(f"axis must look like key=v1,v2,..., got {spec!r}")
     key, values = spec.split("=", 1)
     try:
-        vals = tuple(float(v) for v in values.split(","))
+        return key.strip(), tuple(float(v) for v in values.split(","))
     except ValueError:
         raise ConfigError(f"axis values must be numeric: {spec!r}") from None
-    if not vals:
-        raise ConfigError(f"axis {key!r} has no values")
-    return SweepAxis(key=key.strip(), values=vals)
 
 
 def _cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args.override)
-    run(
-        ExperimentSpec(
-            config=cfg,
-            solver=args.solver,
-            sweep=tuple(_parse_axis(a) for a in args.axis),
-            policy=_policy_from_args(args),
-            n_photon_max=args.n_photon_max,
-            nu_max=args.nu_max,
-            out=args.out,
-            jobs=args.jobs,
+    axes = [_parse_axis(a) for a in args.axis]
+    points = []
+    for values in itertools.product(*(vals for _, vals in axes)):
+        c = cfg
+        for (key, _), value in zip(axes, values):
+            c = set_config_value(c, key, value)   # an unknown key raises before any file is written
+        points.append((values, c))
+    policy = _policy_from_args(args)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = []
+    for solver in ["meanfield", "lindblad"] if args.solver == "both" else [args.solver]:
+        table = outdir / f"sweep_{solver}.csv"
+        _phase_table(
+            table,
+            [f"solver: {solver}", f"baseline: {policy.baseline_mode}"],
+            [key for key, _ in axes] + ["dphi_cavity", "dphi_dipole"],
+            points, (solver,), policy, sources=("cavity", "bright"), jobs=args.jobs,
+            n_photon_max=args.n_photon_max, nu_max=args.nu_max,
         )
-    )
+        files.append(table)
+    _write_manifest(outdir, cfg, files)
     return 0
 
 
@@ -534,14 +428,11 @@ def _cmd_spectrum(args) -> int:
 def _cmd_fit_alpha(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args.override)
     cols, rows = _read_table(Path(args.table))
-    if "f0_over_kappa" in cols:
-        r_col = cols.index("f0_over_kappa")
-    elif "pulse.F0" in cols:
-        r_col = cols.index("pulse.F0")
-    else:
+    drive = next((c for c in ("f0_over_kappa", "pulse.F0") if c in cols), None)
+    if drive is None:
         raise ConfigError(f"table {args.table} lacks a drive column (f0_over_kappa or pulse.F0)")
+    r_col, scale = cols.index(drive), 1.0 if drive == "f0_over_kappa" else 1.0 / cfg.cavity.kappa
     d_col = cols.index("dphi_cavity") if "dphi_cavity" in cols else len(cols) - 1
-    scale = 1.0 if "f0_over_kappa" in cols else 1.0 / cfg.cavity.kappa
     points = [(row[r_col] * scale, row[d_col]) for row in rows]
     result = fit_alpha(points, cfg)
     outdir = Path(args.out)
@@ -552,15 +443,20 @@ def _cmd_fit_alpha(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cols_m, rows_m = _read_table(Path(args.meanfield))
-    cols_l, rows_l = _read_table(Path(args.lindblad))
-    # sweep tables produced here always carry dphi_cavity as the value column
-    val_m = {tuple(r[: cols_m.index("dphi_cavity")]): r[cols_m.index("dphi_cavity")] for r in rows_m}
-    val_l = {tuple(r[: cols_l.index("dphi_cavity")]): r[cols_l.index("dphi_cavity")] for r in rows_l}
+    axes, values = [], []
+    for path in (args.meanfield, args.lindblad):
+        cols, rows = _read_table(Path(path))
+        if "dphi_cavity" not in cols:
+            raise ConfigError(f"table {path} has no dphi_cavity column")
+        i = cols.index("dphi_cavity")   # the axis columns precede it
+        axes.append(cols[:i])
+        values.append({tuple(r[:i]): r[i] for r in rows})
+    if axes[0] != axes[1]:
+        raise ValidationError(f"axis columns of the two bundles differ: {axes[0]} vs {axes[1]}")
+    val_m, val_l = values
     if set(val_m) != set(val_l):
         raise ValidationError("sweep axes of the two bundles do not match")
-    rows = [(k[0] if len(k) == 1 else k, val_m[k], val_l[k]) for k in sorted(val_m)]
-    report = compare_tables(rows)
+    report = compare_tables([(dict(zip(axes[0], k)), val_m[k], val_l[k]) for k in sorted(val_m)])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "compare.json", report)
@@ -568,14 +464,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    run_preset(
-        args.preset_id,
-        Path(args.out),
-        policy=_policy_from_args(args),
-        jobs=args.jobs,
-        n_photon_max=args.n_photon_max,
-        nu_max=args.nu_max,
-    )
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    cfg_path = outdir / f"{args.preset_id}_base_config.txt"
+    cfg_path.write_text(format_config(PRESET_BASE))
+    files = PRESETS[args.preset_id](args.preset_id, outdir, _policy_from_args(args), args)
+    _write_manifest(outdir, PRESET_BASE, [cfg_path] + files)
     return 0
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -195,9 +194,9 @@ class LindbladResult(CoherenceSeries):
     """Expectation series plus density-matrix checkpoints of one evolution."""
 
     t: np.ndarray
-    exp_a: np.ndarray
+    a: np.ndarray
     exp_n: np.ndarray          # photon number <a^dag a>
-    exp_b: np.ndarray          # shape (N, len(t))
+    modes: np.ndarray          # <b_n>, shape (N, len(t))
     populations: np.ndarray    # shape (N, nu_max+1, len(t))
     frame: Frame
     config: SystemConfig
@@ -205,15 +204,7 @@ class LindbladResult(CoherenceSeries):
     checkpoints: tuple
     diagnostics: dict
 
-    _CAVITY = "exp_a"
-
-    def bright(self) -> np.ndarray:
-        return self.exp_b.sum(axis=0) / math.sqrt(self.exp_b.shape[0])
-
-    def dark(self) -> np.ndarray:
-        if self.exp_b.shape[0] != 2:
-            raise ValidationError("dark mode is only defined for N = 2")
-        return (self.exp_b[0] - self.exp_b[1]) / math.sqrt(2.0)
+    per_well = True
 
     def second_level_population(self) -> np.ndarray:
         """Per-well average P2(t); wells are reported jointly for N = 2."""
@@ -222,9 +213,9 @@ class LindbladResult(CoherenceSeries):
         return self.populations[:, 2, :].mean(axis=0)
 
     def write_csv(self, path) -> None:
-        n, levels = self.exp_b.shape[0], range(self.hilbert.nu_max + 1)
+        n, levels = self.modes.shape[0], range(self.hilbert.nu_max + 1)
         names = ["a", "B0"] + (["B1"] if n == 2 else [])
-        series = [self.exp_a, self.bright()] + ([self.dark()] if n == 2 else [])
+        series = [self.a, self.bright()] + ([self.dark()] if n == 2 else [])
         write_table(
             path,
             [f"frame: {self.frame.value}",
@@ -238,11 +229,7 @@ class LindbladResult(CoherenceSeries):
     def write_sidecar(self, path) -> None:
         write_json(path, {
             "config": config_to_dict(self.config),
-            "hilbert": {
-                "n_photon_max": self.hilbert.n_photon_max,
-                "nu_max": self.hilbert.nu_max,
-                "n_wells": self.hilbert.n_wells,
-            },
+            "hilbert": asdict(self.hilbert),
             "frame": self.frame.value,
             "diagnostics": self.diagnostics,
         })
@@ -280,9 +267,9 @@ class _ChunkRecorder:
         ).reshape(-1, d).astype(float)
         self._check_idx = np.unique(np.linspace(0, nt - 1, n_checkpoints).astype(int))
 
-        self.exp_a = np.empty(nt, dtype=complex)
+        self.a = np.empty(nt, dtype=complex)
         self.exp_n = np.empty(nt)
-        self.exp_b = np.empty((h.n_wells, nt), dtype=complex)
+        self.modes = np.empty((h.n_wells, nt), dtype=complex)
         self.populations = np.empty((h.n_wells, h.nu_max + 1, nt))
         self.checkpoints: list[DensityMatrix] = []
         self.max_trace_dev = 0.0
@@ -301,7 +288,7 @@ class _ChunkRecorder:
         h, d, m = self.h, self.h.dim, powers.shape[0]
         sl = slice(start, start + m)
         diag = (powers @ np.take(coeffs, self._diag, axis=1)).real
-        for series, (idx, vals) in zip((self.exp_a, *self.exp_b), self._probes):
+        for series, (idx, vals) in zip((self.a, *self.modes), self._probes):
             series[sl] = powers @ (coeffs[:, idx] @ vals)
         self.exp_n[sl] = diag @ self._number
         self.populations[:, :, sl] = (self._level_sum @ diag.T).reshape(h.n_wells, h.nu_max + 1, m)
@@ -432,9 +419,9 @@ def evolve(
 
     return LindbladResult(
         t=grid,
-        exp_a=rec.exp_a,
+        a=rec.a,
         exp_n=rec.exp_n,
-        exp_b=rec.exp_b,
+        modes=rec.modes,
         populations=rec.populations,
         frame=frame,
         config=cfg,

@@ -106,17 +106,34 @@ def uniform_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
 
 
 class CoherenceSeries:
-    """Source selection shared by the mean-field and Lindblad result types.
+    """Coherences shared by the mean-field and Lindblad result types.
 
-    Subclasses hold `t`, `frame` and `config`, define `bright()` and
-    `dark()`, and name their cavity series field in `_CAVITY`.
+    Subclasses hold `t`, `frame`, `config`, the cavity series `a` and
+    `modes`: <b_n> per well when `per_well` is set, else the bright mode
+    <B0> alone.
     """
 
-    _CAVITY = "a"
+    def bright(self) -> np.ndarray:
+        """Bright collective coherence <B0> in the stored frame."""
+        if self.per_well:
+            return self.modes.sum(axis=0) / math.sqrt(self.modes.shape[0])
+        return self.modes[0]
+
+    def dark(self) -> np.ndarray:
+        """Dark-mode coherence <B1> = (<b1> - <b2>)/sqrt(2) of a pair of wells.
+
+        Identically zero for an identical pair, whose mean field keeps only
+        the bright mode.
+        """
+        if self.config.n_wells != 2:
+            raise ValidationError("dark mode is only defined for a pair of wells")
+        if not self.per_well:
+            return np.zeros_like(self.a)
+        return (self.modes[0] - self.modes[1]) / math.sqrt(2.0)
 
     def signal(self, source: str) -> np.ndarray:
         if source == "cavity":
-            return getattr(self, self._CAVITY)
+            return self.a
         if source == "bright":
             return self.bright()
         if source == "dark":
@@ -133,11 +150,7 @@ class CoherenceSeries:
 
 @dataclass(frozen=True)
 class MeanFieldTrajectory(CoherenceSeries):
-    """Uniformly sampled mean-field solution with its config snapshot.
-
-    modes holds <b_n> per well when per_well is set, else the bright mode
-    <B0> alone.
-    """
+    """Uniformly sampled mean-field solution with its config snapshot."""
 
     t: np.ndarray
     a: np.ndarray
@@ -170,24 +183,6 @@ class MeanFieldTrajectory(CoherenceSeries):
         if self.per_well:
             return {"representation": "local", "model": "per_well"}
         return {"representation": "bright", "model": "identical"}
-
-    def bright(self) -> np.ndarray:
-        """Bright collective coherence <B0> in the stored frame."""
-        if self.per_well:
-            return self.modes.sum(axis=0) / math.sqrt(self.modes.shape[0])
-        return self.modes[0]
-
-    def dark(self) -> np.ndarray:
-        """Dark-mode coherence <B1> = (<b1> - <b2>)/sqrt(2) of a pair of wells.
-
-        Identically zero for an identical pair, whose mean field keeps only
-        the bright mode.
-        """
-        if self.config.n_wells != 2:
-            raise ValidationError("dark mode is only defined for a pair of wells")
-        if not self.per_well:
-            return np.zeros_like(self.a)
-        return (self.modes[0] - self.modes[1]) / math.sqrt(2.0)
 
     def write_csv(self, path) -> None:
         names = [f"b{i+1}" for i in range(self.modes.shape[0])] if self.per_well else ["B0"]

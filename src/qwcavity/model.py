@@ -218,6 +218,7 @@ def parse_config(text: str) -> SystemConfig:
     parts: dict[str, dict[str, float]] = {"cavity": {}, "pulse": {}}
     frame_value: str | None = None
     dipoles: dict[int, dict[str, float]] = {}
+    seen: dict[tuple, int] = {}   # (part or dipole index, field) -> line of its entry
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -226,17 +227,23 @@ def parse_config(text: str) -> SystemConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        m = _DIPOLE_KEY.match(key)
+        if key == "frame":
+            slot = ("frame",)
+        elif m:
+            idx, fld = int(m.group(1)), _DIPOLE_FIELDS[m.group(2)]
+            entry, slot = dipoles.setdefault(idx, {}), (idx, fld)
+        elif key in _SCALAR_FIELDS:
+            part, fld = _SCALAR_FIELDS[key]
+            entry, slot = parts[part], (part, fld)
+        else:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if slot in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[slot]}")
+        seen[slot] = lineno
         if key == "frame":
             frame_value = value
             continue
-        m = _DIPOLE_KEY.match(key)
-        if m:
-            entry, fld = dipoles.setdefault(int(m.group(1)), {}), _DIPOLE_FIELDS[m.group(2)]
-        elif key in _SCALAR_FIELDS:
-            part, fld = _SCALAR_FIELDS[key]
-            entry = parts[part]
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             entry[fld] = float(value)
         except ValueError:

@@ -314,7 +314,7 @@ def test_criterion_6_lindblad_validation():
     cfg_weak = standard_config(u_over_gamma=0.5, f0_over_kappa=0.05)
     lb = lb_result(cfg_weak)
     mf = mf_traj(cfg_weak, dt=DT_COMPARE)
-    l2 = float(np.linalg.norm(lb.exp_a - mf.a) / np.linalg.norm(lb.exp_a))
+    l2 = float(np.linalg.norm(lb.a - mf.a) / np.linalg.norm(lb.a))
 
     failures = []
     for r, ratio in ratios.items():

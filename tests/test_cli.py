@@ -11,7 +11,8 @@ import pytest
 
 import qwcavity
 from qwcavity import SolverError, format_config, parse_config, purcell_rate, set_config_value
-from qwcavity.cli import ExperimentSpec, PRESET_IDS, _read_table, get_preset, main, two_well_config
+import qwcavity.cli as cli
+from qwcavity.cli import PRESET_BASE, PRESET_IDS, _read_table, main, two_well_config
 from qwcavity.model import write_table
 
 from conftest import standard_config
@@ -110,17 +111,17 @@ class TestLogging:
 
 class TestRunSpec:
     def test_empty_sweep_undriven_writes_zero_trajectory(self, tmp_path):
-        # a spec without axes is refused; the single run is `simulate`
-        from qwcavity import ConfigError
-
+        # a sweep without axes is a usage error; the single run is `simulate`
         cfg = set_config_value(
             standard_config(gamma=3.0, gamma2=3.0), "pulse.F0", 0.0
         )
-        with pytest.raises(ConfigError):
-            ExperimentSpec(config=cfg, out=str(tmp_path / "empty"))
         config_path = tmp_path / "undriven.txt"
         config_path.write_text(format_config(cfg))
         out = tmp_path / "empty"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(config_path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
         assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
         data = np.array(
             [[float(v) for v in line.split(",")[1:]] for line in
@@ -130,11 +131,11 @@ class TestRunSpec:
         manifest = json.loads((out / "manifest.json").read_text())
         assert {e["path"] for e in manifest["files"]} == {"meanfield.csv", "meanfield.json"}
 
-    def test_unknown_solver_rejected(self):
-        from qwcavity import ConfigError
-
-        with pytest.raises(ConfigError):
-            ExperimentSpec(config=standard_config(), solver="exact")
+    def test_unknown_solver_rejected(self, tmp_path, fast_config_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(fast_config_path), "--solver", "exact",
+                  "--axis", "pulse.F0=1.2", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
 
 
 class TestSweepAndReproducibility:
@@ -158,6 +159,7 @@ class TestSweepAndReproducibility:
             "--axis", "pulse.area=1,2", "--out", str(tmp_path / "x"),
         ])
         assert rc == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestSpectrumCommand:
@@ -215,10 +217,42 @@ class TestReadTable:
 
 
 class TestCompareCommand:
-    def _table(self, path, values):
-        rows = ["f0_over_kappa,dphi_cavity"]
-        rows += [f"{r!r},{v!r}" for r, v in values]
+    def _table(self, path, values, header="f0_over_kappa,dphi_cavity"):
+        rows = [header]
+        rows += [",".join(repr(v) for v in row) for row in values]
         path.write_text("\n".join(rows) + "\n")
+
+    def _compare(self, tmp_path):
+        return main([
+            "compare", "--meanfield", str(tmp_path / "mf.csv"),
+            "--lindblad", str(tmp_path / "lb.csv"), "--out", str(tmp_path / "cmp"),
+        ])
+
+    def test_points_carry_one_key_per_axis_column(self, tmp_path):
+        header = "pulse.F0,dipoles[0].gamma,dphi_cavity,dphi_dipole"
+        values = [(0.6, 0.9, 0.02, 0.5), (0.6, 0.6, 0.01, 0.5), (1.2, 0.6, 0.04, 0.5)]
+        self._table(tmp_path / "mf.csv", values, header)
+        self._table(tmp_path / "lb.csv", [(f, g, 2 * v, d) for f, g, v, d in values], header)
+        assert self._compare(tmp_path) == 0
+        report = json.loads((tmp_path / "cmp" / "compare.json").read_text())
+        assert [(p["pulse.F0"], p["dipoles[0].gamma"], p["ratio"]) for p in report["points"]] == [
+            (0.6, 0.6, 0.5), (0.6, 0.9, 0.5), (1.2, 0.6, 0.5)
+        ]
+        assert all("f0_over_kappa" not in p for p in report["points"])
+
+    def test_table_without_dphi_cavity_is_config_error(self, tmp_path, capsys):
+        header = "f0_over_kappa,dphi_meanfield,dphi_lindblad"
+        for name in ("mf.csv", "lb.csv"):
+            self._table(tmp_path / name, [(0.1, 0.01, 0.01)], header)
+        assert self._compare(tmp_path) == 2
+        assert "dphi_cavity" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_differing_axis_columns_rejected(self, tmp_path):
+        values = [(0.1, 0.01), (0.2, 0.04)]
+        self._table(tmp_path / "mf.csv", values)
+        self._table(tmp_path / "lb.csv", values, "pulse.F0,dphi_cavity")
+        assert self._compare(tmp_path) == 4
 
     def test_identical_bundles_ratio_one(self, tmp_path):
         values = [(0.1, 0.01), (0.2, 0.04), (0.3, 0.09)]
@@ -258,8 +292,6 @@ class TestExitCodes:
         assert rc == 2
 
     def test_solver_failure_maps_to_three(self, tmp_path, fast_config_path, monkeypatch):
-        import qwcavity.cli as cli
-
         def boom(*args, **kwargs):
             raise SolverError("stiffness failure")
 
@@ -268,14 +300,37 @@ class TestExitCodes:
         assert rc == 3
 
 
+TRACE = "t,re_a,im_a,re_B0,im_B0"
+FIG5 = "f0_over_kappa,dphi_meanfield,dphi_lindblad"
+# preset -> {data file: (CSV column header, rows) or (JSON list key, length)};
+# fig5a/fig5b run on a two-point drive grid
+PRESET_FILES = {
+    "fig2": {
+        "fig2_trace_gamma0.6_strong.csv": (TRACE, 96365),
+        "fig2_trace_gamma0.6_weak.csv": (TRACE, 96365),
+        "fig2_trace_gamma10.0_strong.csv": (TRACE, 39101),
+        "fig2_trace_gamma10.0_weak.csv": (TRACE, 39101),
+        "fig2_delay_gamma0.6.csv": ("t,delay,kind", 123),
+        "fig2_delay_gamma10.0.csv": ("t,delay,kind", 47),
+    },
+    "fig3": {
+        "fig3_phase_shifts.csv": ("u_over_gamma,f0_over_kappa,dphi_cavity,dphi_dipole", 21),
+        **{f"fig3_alpha_u{ug}.json": ("points", 7) for ug in (0.1, 0.5, 1.0)},
+    },
+    "fig4a": {"fig4a_phase_shifts.csv": ("gamma2_over_gamma1,f0_over_kappa,dphi_cavity", 21)},
+    "fig4b": {"fig4b_phase_shifts.csv": ("domega_over_omega0,f0_over_kappa,dphi_cavity", 28)},
+    "fig5a": {"fig5a_phase_shifts.csv": (FIG5, 2), "fig5a_compare.json": ("points", 2)},
+    "fig5b": {"fig5b_phase_shifts.csv": (FIG5, 2), "fig5b_compare.json": ("points", 2)},
+    "fig5c": {"fig5c_p2.csv": ("t,p2_u0.5,p2_u1.0,p2_u2.0", 2410)},
+}
+
+
 class TestPresets:
     def test_all_presets_round_trip_through_parser(self):
-        for preset_id in PRESET_IDS:
-            preset = get_preset(preset_id)
-            assert parse_config(format_config(preset.base)) == preset.base
+        assert parse_config(format_config(PRESET_BASE)) == PRESET_BASE
 
     def test_preset_base_parameters(self):
-        base = get_preset("fig3").base
+        base = PRESET_BASE
         assert base.cavity.omega_c == 40.0
         assert base.cavity.kappa == 12.0
         assert base.dipoles[0].gamma == 0.6
@@ -301,6 +356,34 @@ class TestPresets:
         assert table[1] == "t,p2_u0.5,p2_u1.0,p2_u2.0"
         manifest = json.loads((out / "manifest.json").read_text())
         assert any(e["path"] == "fig5c_p2.csv" for e in manifest["files"])
+
+    def test_fig5c_escalates_a_low_fock_cutoff(self, tmp_path, caplog):
+        out = tmp_path / "fig5c"
+        with caplog.at_level(logging.WARNING, logger="qwcavity"):
+            rc = main(["preset", "fig5c", "--out", str(out), "--n-photon-max", "2", "--jobs", "1"])
+        assert rc == 0
+        escalations = [r.getMessage() for r in caplog.records if r.name == "qwcavity"]
+        assert any("n_photon_max=4" in m for m in escalations)
+        assert (out / "fig5c_p2.csv").exists()
+
+    @pytest.mark.parametrize("preset_id", PRESET_IDS)
+    def test_preset_writes_its_files(self, preset_id, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "F_GRID_FIG5", (0.05, 0.2))
+        out = tmp_path / preset_id
+        rc = main(["preset", preset_id, "--out", str(out), "--jobs", "1", "--n-photon-max", "4"])
+        assert rc == 0
+        expected = PRESET_FILES[preset_id]
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = {f"{preset_id}_base_config.txt", *expected}
+        assert {e["path"] for e in manifest["files"]} == names
+        assert {f.name for f in out.iterdir()} == names | {"manifest.json"}
+        assert parse_config((out / f"{preset_id}_base_config.txt").read_text()) == PRESET_BASE
+        for name, (header, n_rows) in expected.items():
+            if name.endswith(".json"):
+                assert len(json.loads((out / name).read_text())[header]) == n_rows
+            else:
+                lines = [ln for ln in (out / name).read_text().splitlines() if not ln.startswith("#")]
+                assert (lines[0], len(lines) - 1) == (header, n_rows)
 
     def test_two_well_config_shape(self):
         cfg = two_well_config(u_over_gamma=0.5, f0_over_kappa=0.3, gamma2=0.9, omega2=41.6)

@@ -207,8 +207,8 @@ class TestEvolve:
     def test_vacuum_stays_vacuum(self):
         cfg = set_config_value(standard_config(), "pulse.F0", 0.0)
         res = evolve(vacuum_state(H_PAIR), (0.0, 2.0), cfg, H_PAIR, dt=0.004)
-        assert np.abs(res.exp_a).max() == 0.0
-        assert np.abs(res.exp_b).max() == 0.0
+        assert np.abs(res.a).max() == 0.0
+        assert np.abs(res.modes).max() == 0.0
         assert np.abs(res.second_level_population()).max() == 0.0
 
     def test_single_photon_decay_oracle(self):
@@ -285,8 +285,9 @@ RECORD_TOL = 1e-14   # absolute: the recorder sums in a different order than the
 
 def assert_same_record(got, diagnostics: dict, want: SampleRecorder):
     """Chunk-recorded series and diagnostics against the per-sample reference."""
-    for name in ("exp_a", "exp_n", "exp_b", "populations"):
-        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= RECORD_TOL
+    names = {"a": "exp_a", "exp_n": "exp_n", "modes": "exp_b", "populations": "populations"}
+    for name, ref_name in names.items():
+        assert np.abs(getattr(got, name) - getattr(want, ref_name)).max() <= RECORD_TOL
     for key, value in want.diagnostics().items():
         assert abs(diagnostics[key] - value) <= RECORD_TOL
     assert [cp.time for cp in got.checkpoints] == [cp.time for cp in want.checkpoints]

@@ -289,6 +289,24 @@ class TestConfigKeys:
         with pytest.raises(ConfigError):
             parse_config(text.replace(f"{key} = {value!r}", f"{key} = fast"))
 
+    def test_repeated_key_rejected_with_both_lines(self):
+        text = format_config(standard_config())
+        first = text.splitlines().index(f"pulse.F0 = {standard_config().pulse.amplitude!r}") + 1
+        last = text.count("\n") + 1
+        with pytest.raises(ConfigError, match=rf"line {last}: .*repeats line {first}$"):
+            parse_config(text + "pulse.F0 = 9.0\n")
+
+    @pytest.mark.parametrize("key", FILE_KEYS + ["frame"])
+    def test_every_key_rejected_when_repeated(self, key):
+        text = format_config(standard_config())
+        line = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
+        with pytest.raises(ConfigError, match="repeats line"):
+            parse_config(text + line + "\n")
+        # the same slot spelled with another index format is a repeat too
+        if key.startswith("dipoles[0]"):
+            with pytest.raises(ConfigError, match="repeats line"):
+                parse_config(text + line.replace("[0]", "[00]") + "\n")
+
     @given(n=st.integers(2, 40), key=st.sampled_from(sorted(_DIPOLE_FIELDS)))
     def test_out_of_range_dipole_index_rejected(self, n, key):
         with pytest.raises(ConfigError):
