@@ -332,10 +332,22 @@ def compare_tables(rows) -> dict:
 
 
 def _read_table(path: Path) -> tuple[list[str], list[list[float]]]:
-    lines = [line for line in path.read_text().splitlines() if line and not line.startswith("#")]
+    lines = [(n, line) for n, line in enumerate(path.read_text().splitlines(), 1)
+             if line and not line.startswith("#")]
     if not lines:
         raise ConfigError(f"{path}: empty table")
-    return lines[0].split(","), [[float(v) for v in line.split(",")] for line in lines[1:]]
+    header, rows = lines[0][1].split(","), []
+    for n, line in lines[1:]:
+        row = []
+        for k, cell in enumerate(line.split(",")):
+            try:
+                row.append(float(cell))
+            except ValueError:
+                column = header[k] if k < len(header) else f"#{k + 1}"
+                raise ConfigError(
+                    f"{path}, line {n}, column {column}: {cell!r} is not a number") from None
+        rows.append(row)
+    return header, rows
 
 
 # --- CLI --------------------------------------------------------------------

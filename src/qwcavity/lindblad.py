@@ -3,10 +3,16 @@
 The joint Hilbert space is a truncated Fock ladder for the cavity tensored
 with (nu_max+1)-level Kerr ladders for each well, cavity index slowest.
 The master equation is a sparse CSR superoperator acting on the row-major
-vec(rho) (spre/spost construction, as in QuTiP), integrated with the same
-adaptive RK pair and tolerances as the mean-field solver so expectation
-series are directly comparable. Observables are read off each RK step's
-interpolant coefficients, without materialising the states in between.
+vec(rho) (spre/spost construction, as in QuTiP). `evolve` integrates only the
+upper triangle of rho, diagonal included: D(D+1)/2 of the D^2 entries, the
+rest being their conjugates. Its right-hand side expands that half vector to
+vec(rho) and applies the upper-triangle rows of the generator. Every norm the
+RK45 step control takes (initial step, error estimate) is taken over the
+expanded vector, so the accepted steps are those of RK45 on vec(rho), with the
+same adaptive pair and tolerances as the mean-field solver. Observables are
+read off each RK step's interpolant coefficients, without materialising the
+states in between. Off the diagonal rho is Hermitian by construction, so
+`max_herm_dev` is 2 max |Im rho_ii|.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import RK45
+from scipy.integrate._ivp.common import norm, select_initial_step
 
 from .errors import ConfigError, SolverError, TruncationError, ValidationError
 from .meanfield import CoherenceSeries, default_dt, uniform_grid
@@ -106,14 +113,14 @@ def _spost(op: sp.csr_matrix) -> sp.csr_matrix:
     return sp.kron(sp.identity(op.shape[0], dtype=complex), op.T, format="csr")
 
 
-def _liouvillian(cfg: SystemConfig, h: HilbertConfig, frame: Frame):
+def _liouvillian(cfg: SystemConfig, h: HilbertConfig, frame: Frame, rows=None):
     """Master-equation generator dvec(rho)/dt = rhs(t, vec(rho)).
 
     L(t) = L0 + Re c(t) Lx + Im c(t) Ly for the drive Hamiltonian c a + c* a^dag,
     Lx = -i[a + a^dag, .] and Ly = [a - a^dag, .]. L0 holds -i[H0, .], the
     anticommutator -1/2 {L^dag L, .} and the jumps rate * kron(L, L*) vec(rho).
     A zero coefficient (Im c in the rotating frame, all of c once the Gaussian
-    underflows) skips its matvec.
+    underflows) skips its matvec. `rows` keeps only those rows of dvec(rho)/dt.
     """
     a, wells = build_operators(h)
     jumps = [(cfg.cavity.kappa, a)] + [(d.gamma, b) for d, b in zip(cfg.dipoles, wells)]
@@ -126,6 +133,8 @@ def _liouvillian(cfg: SystemConfig, h: HilbertConfig, frame: Frame):
     plus, minus = a + a.conj().T, a - a.conj().T
     pulse = cfg.pulse
     lx, ly = -1j * (_spre(plus) - _spost(plus)), _spre(minus) - _spost(minus)
+    if rows is not None:
+        l0, lx, ly = l0[rows], lx[rows], ly[rows]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         c = drive_amplitude(t, pulse, frame).conjugate()   # coefficient of a in H_d(t)
@@ -235,14 +244,38 @@ class LindbladResult(CoherenceSeries):
         })
 
 
+class _UpperTriangle:
+    """Row-major vec(rho) of a Hermitian D x D rho held as its upper triangle.
+
+    The half vector lists rho[i, j] for i <= j in row-major order;
+    `upper` are those entries' positions in vec(rho), and `index[i, j]` is
+    the half-vector entry holding rho[i, j] (its conjugate for i > j).
+    """
+
+    def __init__(self, d: int):
+        rows, cols = np.triu_indices(d)
+        self.upper = rows * d + cols
+        self.index = np.empty((d, d), dtype=np.intp)
+        self.index[rows, cols] = self.index[cols, rows] = np.arange(len(rows))
+        self._below = np.tri(d, k=-1, dtype=bool).reshape(-1)
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """vec(rho) from the half vector (or the last axis of a stack of them)."""
+        full = np.take(v, self.index.reshape(-1), axis=-1)
+        np.conjugate(full, out=full, where=self._below)
+        return full
+
+
 class _ChunkRecorder:
     """Expectation series and state hygiene, read off RK step interpolants.
 
-    A record call covers the samples vec(rho) = powers @ coeffs (see
-    `_interpolant`), and each quantity needs only some columns of coeffs:
-    Tr(A rho) is a dot product with vec(A^T) over A's nonzeros, the diagonal
-    sits at columns arange(D) * (D + 1), and rho - rho^dag pairs the upper and
-    lower triangle columns. Full states are built only at checkpoints.
+    A record call covers the samples v = powers @ coeffs (see `_interpolant`)
+    of the upper-triangle half vector v of rho (see `_UpperTriangle`), and
+    each quantity needs only some columns of coeffs: Tr(A rho) is a dot
+    product with rho[c, r] over A's nonzeros (r, c), conjugated below the
+    diagonal, which powers being real allows on the coefficients. Full states
+    are built only at checkpoints. Off the diagonal rho is Hermitian by
+    construction, so |rho - rho^dag| peaks at 2 |Im rho_ii|.
     """
 
     def __init__(self, h: HilbertConfig, grid: np.ndarray, n_checkpoints: int,
@@ -250,12 +283,12 @@ class _ChunkRecorder:
         d, nt = h.dim, len(grid)
         self.h, self.grid = h, grid
         self.top_level_tol, self.positivity_tol = top_level_tol, positivity_tol
+        self.tri = _UpperTriangle(d)
         a, wells = build_operators(h)
-        # (columns, weights) with Tr(op @ rho) = weights @ vec(rho)[columns]
-        self._probes = [(c.col * d + c.row, c.data) for c in (op.tocoo() for op in (a, *wells))]
-        self._diag = np.arange(d) * (d + 1)
-        rows, cols = np.triu_indices(d)
-        self._upper, self._lower = rows * d + cols, cols * d + rows
+        # (columns, conjugated, weights): Tr(op @ rho) = weights @ v[columns], conj where flagged
+        self._probes = [(self.tri.index[c.col, c.row], c.col > c.row, c.data)
+                        for c in (op.tocoo() for op in (a, *wells))]
+        self._diag = np.diagonal(self.tri.index)
         d_w, idx = h.nu_max + 1, np.arange(d)
         photon = idx // d_w ** h.n_wells
         self._number = photon.astype(float)
@@ -280,29 +313,32 @@ class _ChunkRecorder:
     def record(self, start: int, coeffs: np.ndarray, powers: np.ndarray, state) -> None:
         """Record samples start, start + 1, ...: row j of powers @ coeffs.
 
-        powers is real (m, k), coeffs complex (k, D^2). state(j) returns the
-        full vec(rho) of sample start + j and is called only at checkpoints.
+        powers is real (m, k), coeffs complex (k, D(D+1)/2). state(j) returns
+        the half vector of sample start + j and is called only at checkpoints.
         Raises exactly what a sample-by-sample pass would raise first: a
         checkpoint's SolverError before a later sample's TruncationError.
         """
         h, d, m = self.h, self.h.dim, powers.shape[0]
         sl = slice(start, start + m)
-        diag = (powers @ np.take(coeffs, self._diag, axis=1)).real
-        for series, (idx, vals) in zip((self.a, *self.modes), self._probes):
-            series[sl] = powers @ (coeffs[:, idx] @ vals)
+        diag_c = powers @ np.take(coeffs, self._diag, axis=1)
+        diag = diag_c.real
+        for series, (idx, below, vals) in zip((self.a, *self.modes), self._probes):
+            gathered = np.take(coeffs, idx, axis=1)
+            np.conjugate(gathered, out=gathered, where=below)
+            series[sl] = powers @ (gathered @ vals)
         self.exp_n[sl] = diag @ self._number
         self.populations[:, :, sl] = (self._level_sum @ diag.T).reshape(h.n_wells, h.nu_max + 1, m)
 
         top = diag[:, self._top].sum(axis=1)
         trace_dev = np.abs(diag.sum(axis=1) - 1.0)
-        herm_dev = self._herm_dev(coeffs, powers)
+        herm_dev = 2.0 * np.abs(diag_c.imag).max(axis=1)
         over = np.flatnonzero(top > self.top_level_tol)
         first_over = int(over[0]) if len(over) else m
 
         lo, hi = np.searchsorted(self._check_idx, [start, start + first_over])
         for i in self._check_idx[lo:hi]:
             j = int(i) - start
-            dm = DensityMatrix(matrix=state(j).reshape(d, d).copy(), time=float(self.grid[i]))
+            dm = DensityMatrix(matrix=self.tri.expand(state(j)).reshape(d, d), time=float(self.grid[i]))
             eig = dm.deviations()["min_eigenvalue"]
             self.min_eig = min(self.min_eig, eig)
             if eig < -self.positivity_tol:
@@ -331,16 +367,6 @@ class _ChunkRecorder:
             "max_top_population": self.max_top,
         }
 
-    def _herm_dev(self, coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
-        """Per-sample max |rho - rho^dag| over the upper triangle and diagonal.
-
-        powers is real, so the coefficients of rho - rho^dag are
-        coeffs[:, upper] - conj(coeffs[:, lower]).
-        """
-        anti = np.take(coeffs, self._upper, axis=1)
-        anti -= np.take(coeffs, self._lower, axis=1).conj()
-        return np.abs(powers @ anti).max(axis=1)
-
 
 def _interpolant(dense, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(coeffs, powers) with powers @ coeffs = dense(t).T on one RK step.
@@ -353,6 +379,29 @@ def _interpolant(dense, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     coeffs[0] = dense.y_old
     np.multiply(dense.Q.T, dense.h, out=coeffs[1:])
     return coeffs, np.vander((t - dense.t_old) / dense.h, len(coeffs), increasing=True)
+
+
+class _HermitianRK45(RK45):
+    """scipy's RK45 on the half vector of `_UpperTriangle`, with its step control on vec(rho).
+
+    The initial step and every error norm are scipy's own, evaluated on the
+    expanded vectors, so each step is accepted or rejected as RK45 on the
+    full vec(rho) would.
+    """
+
+    def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, tri: _UpperTriangle,
+                 *, rtol: float, atol: float):
+        self._expand = tri.expand
+        # a placeholder first step, so that scipy's own choice is made only once, below;
+        # its one RHS call counts in nfev as it does in RK45
+        super().__init__(fun, t0, y0, t_bound, rtol=rtol, atol=atol, first_step=t_bound - t0)
+        self.h_abs = select_initial_step(
+            lambda t, y: tri.expand(self.fun(t, y[tri.upper])), self.t, tri.expand(self.y),
+            t_bound, self.max_step, tri.expand(self.f), self.direction,
+            self.error_estimator_order, self.rtol, self.atol)
+
+    def _estimate_error_norm(self, K, h, scale):
+        return norm(self._expand(self._estimate_error(K, h) / scale))
 
 
 def evolve(
@@ -373,8 +422,8 @@ def evolve(
     """Propagate rho0 and record expectation series on a uniform grid.
 
     The grid is integrated in chunks of `chunk` samples, each a fresh RK45
-    run from the previous chunk's end state, and every sample is read off
-    the interpolant of the step that covers it.
+    run on the upper triangle of rho from the previous chunk's end state,
+    and every sample is read off the interpolant of the step that covers it.
 
     Raises TruncationError when the top photon level acquires > 1e-4
     population (the Fock cutoff is then too low for this drive) and
@@ -384,19 +433,24 @@ def evolve(
     if rho0.shape != (h.dim, h.dim):
         raise ValidationError(f"rho0 has shape {rho0.shape}, expected {(h.dim, h.dim)}")
     DensityMatrix(matrix=rho0, time=t_span[0]).validate()
-    rhs = _liouvillian(cfg, h, frame)
     grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
     nt = len(grid)
     rec = _ChunkRecorder(h, grid, n_checkpoints, top_level_tol, positivity_tol)
+    tri = rec.tri
+    upper_rows = _liouvillian(cfg, h, frame, rows=tri.upper)
 
-    y = rho0.reshape(-1)
+    def rhs(t: float, v: np.ndarray) -> np.ndarray:
+        return upper_rows(t, tri.expand(v))
+
+    y = rho0.reshape(-1)[tri.upper]
     rec.record(0, y[None, :], np.ones((1, 1)), lambda j: y)
     nfev = n_steps = n_chunks = 0
     for start in range(0, nt - 1, chunk):
         stop = min(start + chunk, nt - 1)
         t_eval = grid[start + 1 : stop + 1]
         # what solve_ivp(t_eval=...) runs, without stacking the chunk's states
-        solver = RK45(rhs, float(grid[start]), y, float(grid[stop]), rtol=rtol, atol=atol)
+        solver = _HermitianRK45(rhs, float(grid[start]), y, float(grid[stop]), tri,
+                                rtol=rtol, atol=atol)
         done = 0   # samples of t_eval recorded so far
         while solver.status == "running":
             message = solver.step()
@@ -406,7 +460,7 @@ def evolve(
             covered = int(np.searchsorted(t_eval, solver.t, side="right"))
             if covered > done:
                 dense, t_step = solver.dense_output(), t_eval[done:covered]
-                # full states evaluate the whole step as solve_ivp does, bit for bit
+                # checkpoint states evaluate the whole step as solve_ivp does, bit for bit
                 coeffs, powers = _interpolant(dense, t_step)
                 rec.record(start + 1 + done, coeffs, powers, lambda j: dense(t_step)[:, j])
                 done = covered

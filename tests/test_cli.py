@@ -204,7 +204,32 @@ class TestFitAlphaCommand:
         assert rc == 4
 
 
+def _table_with_text_cell(tmp_path):
+    """A drive/dphi table whose second data row (line 4) ends in a word."""
+    table = tmp_path / "table.csv"
+    table.write_text("# solver: meanfield\nf0_over_kappa,dphi_cavity,kind\n"
+                     "0.1,0.01,1\n0.2,0.04,peak\n0.3,0.09,1\n")
+    return table
+
+
 class TestReadTable:
+    def test_text_cell_in_fit_alpha_is_config_error(self, tmp_path, fast_config_path, capsys):
+        table = _table_with_text_cell(tmp_path)
+        rc = main(["fit-alpha", "--config", str(fast_config_path),
+                   "--table", str(table), "--out", str(tmp_path / "fit")])
+        assert rc == 2
+        assert f"{table}, line 4, column kind: 'peak' is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
+    def test_text_cell_in_compare_is_config_error(self, tmp_path, capsys):
+        table = _table_with_text_cell(tmp_path)
+        (tmp_path / "lb.csv").write_text("f0_over_kappa,dphi_cavity\n0.1,0.01\n")
+        rc = main(["compare", "--meanfield", str(table), "--lindblad", str(tmp_path / "lb.csv"),
+                   "--out", str(tmp_path / "cmp")])
+        assert rc == 2
+        assert f"{table}, line 4, column kind: 'peak' is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
     def test_reads_written_table_back_exactly(self, tmp_path):
         rows = [(0.1, 1e-300, -0.0, 3), (2.5, float("nan"), 1e300, np.int64(-4))]
         path = tmp_path / "t.csv"
