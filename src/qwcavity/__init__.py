@@ -56,15 +56,11 @@ from .lindblad import (
 )
 from .spectral import (
     DelaySeries,
-    EquivalenceReport,
     FidWindow,
     NonlinearPhaseResult,
-    PhaseSpectrum,
-    RelativePhase,
     SpectralPolicy,
     Spectrum,
     baseline_config,
-    dipole_phase_equivalence,
     fid_time_span,
     fid_window,
     fit_alpha,

@@ -34,6 +34,7 @@ from .model import (
     format_config,
     load_config,
     parse_config,
+    read_input,
     set_config_value,
     write_json,
     write_table,
@@ -127,8 +128,7 @@ def sweep_phase_shifts(points, solver, policy, *, n_photon_max=N_PHOTON_MAX_DEFA
             spectra = list(pool.map(_spectra_worker, tasks.values()))
     done = dict(zip(tasks, spectra))
     return [
-        (label, {src: relative_phase(done[k_run][src], done[k_base][src]).dphi_at_resonance
-                 for src in sources})
+        (label, {src: relative_phase(done[k_run][src], done[k_base][src]) for src in sources})
         for label, k_run, k_base in pairs
     ]
 
@@ -332,7 +332,7 @@ def compare_tables(rows) -> dict:
 
 
 def _read_table(path: Path) -> tuple[list[str], list[list[float]]]:
-    lines = [(n, line) for n, line in enumerate(path.read_text().splitlines(), 1)
+    lines = [(n, line) for n, line in enumerate(read_input(path).splitlines(), 1)
              if line and not line.startswith("#")]
     if not lines:
         raise ConfigError(f"{path}: empty table")

@@ -207,7 +207,6 @@ class LindbladResult(CoherenceSeries):
     exp_n: np.ndarray          # photon number <a^dag a>
     modes: np.ndarray          # <b_n>, shape (N, len(t))
     populations: np.ndarray    # shape (N, nu_max+1, len(t))
-    frame: Frame
     config: SystemConfig
     hilbert: HilbertConfig
     checkpoints: tuple
@@ -227,7 +226,7 @@ class LindbladResult(CoherenceSeries):
         series = [self.a, self.bright()] + ([self.dark()] if n == 2 else [])
         write_table(
             path,
-            [f"frame: {self.frame.value}",
+            [f"frame: {self.config.frame.value}",
              f"n_photon_max: {self.hilbert.n_photon_max}, nu_max: {self.hilbert.nu_max}"],
             ["t"] + [f"re_{nm},im_{nm}" for nm in names]
             + [f"p{nu}_{w + 1}" for w in range(n) for nu in levels],
@@ -239,7 +238,7 @@ class LindbladResult(CoherenceSeries):
         write_json(path, {
             "config": config_to_dict(self.config),
             "hilbert": asdict(self.hilbert),
-            "frame": self.frame.value,
+            "frame": self.config.frame.value,
             "diagnostics": self.diagnostics,
         })
 
@@ -413,13 +412,12 @@ def evolve(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     dt: float | None = None,
-    frame: Frame = Frame.ROTATING,
     n_checkpoints: int = 17,
     top_level_tol: float = 1e-4,
     positivity_tol: float = 1e-6,
     chunk: int = 256,
 ) -> LindbladResult:
-    """Propagate rho0 and record expectation series on a uniform grid.
+    """Propagate rho0 in cfg.frame and record expectation series on a uniform grid.
 
     The grid is integrated in chunks of `chunk` samples, each a fresh RK45
     run on the upper triangle of rho from the previous chunk's end state,
@@ -437,7 +435,7 @@ def evolve(
     nt = len(grid)
     rec = _ChunkRecorder(h, grid, n_checkpoints, top_level_tol, positivity_tol)
     tri = rec.tri
-    upper_rows = _liouvillian(cfg, h, frame, rows=tri.upper)
+    upper_rows = _liouvillian(cfg, h, cfg.frame, rows=tri.upper)
 
     def rhs(t: float, v: np.ndarray) -> np.ndarray:
         return upper_rows(t, tri.expand(v))
@@ -477,7 +475,6 @@ def evolve(
         exp_n=rec.exp_n,
         modes=rec.modes,
         populations=rec.populations,
-        frame=frame,
         config=cfg,
         hilbert=h,
         checkpoints=tuple(rec.checkpoints),

@@ -108,9 +108,9 @@ def uniform_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
 class CoherenceSeries:
     """Coherences shared by the mean-field and Lindblad result types.
 
-    Subclasses hold `t`, `frame`, `config`, the cavity series `a` and
-    `modes`: <b_n> per well when `per_well` is set, else the bright mode
-    <B0> alone.
+    Subclasses hold `t`, `config` (its frame is the series' frame), the
+    cavity series `a` and `modes`: <b_n> per well when `per_well` is set,
+    else the bright mode <B0> alone.
     """
 
     def bright(self) -> np.ndarray:
@@ -143,7 +143,7 @@ class CoherenceSeries:
     def lab_signal(self, source: str = "cavity") -> np.ndarray:
         """Coherence in the lab frame, X_lab = X_rot * exp(-i w_d t)."""
         x = self.signal(source)
-        if self.frame is Frame.ROTATING:
+        if self.config.frame is Frame.ROTATING:
             return x * np.exp(-1j * self.config.pulse.carrier * self.t)
         return x
 
@@ -155,7 +155,6 @@ class MeanFieldTrajectory(CoherenceSeries):
     t: np.ndarray
     a: np.ndarray
     modes: np.ndarray  # shape (M, len(t))
-    frame: Frame
     config: SystemConfig
     per_well: bool
 
@@ -189,7 +188,7 @@ class MeanFieldTrajectory(CoherenceSeries):
         series = [self.a, *self.modes]
         write_table(
             path,
-            [f"frame: {self.frame.value}", *(f"{k}: {v}" for k, v in self.labels.items())],
+            [f"frame: {self.config.frame.value}", *(f"{k}: {v}" for k, v in self.labels.items())],
             ["t"] + [f"re_{n},im_{n}" for n in ["a", *names]],
             zip(self.t.tolist(), *(part.tolist() for s in series for part in (s.real, s.imag))),
         )
@@ -199,7 +198,7 @@ class MeanFieldTrajectory(CoherenceSeries):
             "config": config_to_dict(self.config),
             "dt": self.dt,
             **self.labels,
-            "frame": self.frame.value,
+            "frame": self.config.frame.value,
         })
 
 
@@ -236,9 +235,7 @@ def integrate(
     )
     if not sol.success:
         raise SolverError(f"mean-field integration failed: {sol.message}")
-    return MeanFieldTrajectory(
-        t=grid, a=sol.y[0], modes=sol.y[1:], frame=cfg.frame, config=cfg, per_well=per_well
-    )
+    return MeanFieldTrajectory(t=grid, a=sol.y[0], modes=sol.y[1:], config=cfg, per_well=per_well)
 
 
 def instantaneous_frequency(traj: MeanFieldTrajectory) -> np.ndarray:
@@ -315,7 +312,7 @@ def oracle_from_trajectory(traj: MeanFieldTrajectory, t_off: float) -> PostPulse
     if not traj.config.is_homogeneous:
         raise ValidationError("the post-pulse oracle applies to identical wells")
     b = traj.bright()
-    if traj.frame is Frame.LAB:
+    if traj.config.frame is Frame.LAB:
         b = b * np.exp(1j * traj.config.pulse.carrier * traj.t)
     if not traj.t[0] <= t_off <= traj.t[-1]:
         raise ValidationError(f"t_off {t_off} outside trajectory range")

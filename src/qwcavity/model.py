@@ -291,8 +291,16 @@ def format_config(cfg: SystemConfig) -> str:
     return "\n".join(lines) + f"\nframe = {cfg.frame.value}\n"
 
 
+def read_input(path) -> str:
+    """Text of an input file the user named; a missing or unreadable one is a ConfigError."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def load_config(path) -> SystemConfig:
-    return parse_config(Path(path).read_text())
+    return parse_config(read_input(path))
 
 
 def config_digest(cfg: SystemConfig) -> str:

@@ -37,6 +37,7 @@ RESOLUTION_FACTOR = 50.0  # spectrum grid step d_omega = gamma_tilde / factor
 BAND_FACTOR = 10.0        # unwrap band half-width, in gamma_tilde
 NOISE_FLOOR = 1e-12       # magnitude floor relative to the band peak
 WEAK_RATIO = 0.01         # F0/kappa of the 'weak' baseline
+RESIDUAL_THRESHOLD = 0.05  # fit_alpha: largest rms residual, relative to max |dphi|, in regime
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,9 @@ class SpectralPolicy:
     """Windowing and read-off choices shared by a run and its baseline."""
 
     t_off_factor: float = 3.0      # t_off = t0 + factor * T
-    t_off: float | None = None     # explicit override
     baseline_mode: str = "harmonic"  # 'harmonic' (U = 0) or 'weak' (F0 = WEAK_RATIO*kappa)
 
     def resolve_t_off(self, cfg: SystemConfig) -> float:
-        if self.t_off is not None:
-            return self.t_off
         return cfg.pulse.center + self.t_off_factor * cfg.pulse.duration
 
 
@@ -123,10 +121,18 @@ def fid_window(traj, policy: SpectralPolicy | None = None, source: str = "cavity
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex FID spectrum on the band around the dipole resonance."""
+    """FID spectrum on the band around the dipole resonance, with its phase.
+
+    `mask` marks the contiguous in-band bins where the phase is unwrapped
+    and trustworthy; outside, `phase` holds the raw angle (NaN below the
+    magnitude floor). No silent interpolation across dead bins.
+    """
 
     omega: np.ndarray
     values: np.ndarray
+    phase: np.ndarray
+    magnitude: np.ndarray
+    mask: np.ndarray
     omega0: float
     gamma_tilde: float
     t_off: float
@@ -137,8 +143,8 @@ def fourier(window: FidWindow) -> Spectrum:
     """Discrete approximation of the continuous transform on a padded grid.
 
     Zero-pads until the frequency step is at most gamma_tilde/RESOLUTION_FACTOR,
-    corrects the end points to trapezoid weights and keeps the band within
-    12 gamma_tilde of the first dipole's omega0.
+    corrects the end points to trapezoid weights, keeps the band within
+    12 gamma_tilde of the first dipole's omega0 and unwraps its phase.
     """
     cfg = window.config
     gamma_tilde = effective_decay(cfg)
@@ -166,49 +172,24 @@ def fourier(window: FidWindow) -> Spectrum:
     w = omega[sel]
     trap = rect[sel] - 0.5 * x[0] - 0.5 * x[-1] * np.exp(1j * w * (m - 1) * dt)
     values = (dt / math.sqrt(2.0 * math.pi)) * np.exp(1j * w * window.t[0]) * trap
-    return Spectrum(
-        omega=w,
-        values=values,
-        omega0=omega0,
-        gamma_tilde=gamma_tilde,
-        t_off=window.t_off,
-        source=window.source,
-    )
+    return phase_spectrum(w, values, omega0, gamma_tilde, window.t_off, window.source)
 
 
-@dataclass(frozen=True)
-class PhaseSpectrum:
-    """Unwrapped phase and magnitude of a FID spectrum.
-
-    `mask` marks the contiguous in-band bins where the phase is unwrapped
-    and trustworthy; outside, `phase` holds the raw angle (NaN below the
-    magnitude floor). No silent interpolation across dead bins.
-    """
-
-    omega: np.ndarray
-    values: np.ndarray
-    phase: np.ndarray
-    magnitude: np.ndarray
-    mask: np.ndarray
-    omega0: float
-    gamma_tilde: float
-    t_off: float
-    source: str
-
-
-def phase_spectrum(spec: Spectrum) -> PhaseSpectrum:
-    mag = np.abs(spec.values)
+def phase_spectrum(omega, values, omega0: float, gamma_tilde: float, t_off: float,
+                   source: str) -> Spectrum:
+    """Spectrum of `values` on `omega`, its phase unwrapped around omega0."""
+    mag = np.abs(values)
     peak = float(mag.max())
     if peak == 0.0:
         raise ValidationError("spectrum is identically zero; phase undefined")
     alive = mag > NOISE_FLOOR * peak
-    band = np.abs(spec.omega - spec.omega0) <= BAND_FACTOR * spec.gamma_tilde
+    band = np.abs(omega - omega0) <= BAND_FACTOR * gamma_tilde
     if not band.any():
         raise ValidationError("resonance band not covered by the spectrum grid")
 
-    phase = np.where(alive, np.angle(spec.values), np.nan)
+    phase = np.where(alive, np.angle(values), np.nan)
     # unwrap the contiguous alive run inside the band that contains omega0
-    i0 = int(np.argmin(np.abs(spec.omega - spec.omega0)))
+    i0 = int(np.argmin(np.abs(omega - omega0)))
     if not (alive[i0] and band[i0]):
         raise ValidationError("spectrum magnitude at the resonance is below the noise floor")
     ok = alive & band
@@ -220,25 +201,16 @@ def phase_spectrum(spec: Spectrum) -> PhaseSpectrum:
         hi += 1
     mask = np.zeros_like(ok)
     mask[lo : hi + 1] = True
-    unwrapped = np.unwrap(np.angle(spec.values[mask]))
+    unwrapped = np.unwrap(np.angle(values[mask]))
     # anchor the branch at the resonance bin so the read-off there is the
     # principal four-quadrant angle, not an offset inherited from the band edge
-    anchor = unwrapped[i0 - lo] - np.angle(spec.values[i0])
+    anchor = unwrapped[i0 - lo] - np.angle(values[i0])
     phase[mask] = unwrapped - 2.0 * math.pi * round(anchor / (2.0 * math.pi))
-    return PhaseSpectrum(
-        omega=spec.omega,
-        values=spec.values,
-        phase=phase,
-        magnitude=mag,
-        mask=mask,
-        omega0=spec.omega0,
-        gamma_tilde=spec.gamma_tilde,
-        t_off=spec.t_off,
-        source=spec.source,
-    )
+    return Spectrum(omega=omega, values=values, phase=phase, magnitude=mag, mask=mask,
+                    omega0=omega0, gamma_tilde=gamma_tilde, t_off=t_off, source=source)
 
 
-def phase_at(ps: PhaseSpectrum, omega: float | None = None) -> float:
+def phase_at(ps: Spectrum, omega: float | None = None) -> float:
     """Linear interpolation of the unwrapped phase, by default at omega0."""
     if omega is None:
         omega = ps.omega0
@@ -248,17 +220,8 @@ def phase_at(ps: PhaseSpectrum, omega: float | None = None) -> float:
     return float(np.interp(omega, w, ps.phase[ps.mask]))
 
 
-@dataclass(frozen=True)
-class RelativePhase:
-    omega: np.ndarray
-    dphi: np.ndarray
-    mask: np.ndarray
-    omega0: float
-    dphi_at_resonance: float
-
-
-def relative_phase(run: PhaseSpectrum, base: PhaseSpectrum) -> RelativePhase:
-    """Pointwise Phi_run - Phi_baseline with the shared 2*pi branch removed.
+def relative_phase(run: Spectrum, base: Spectrum) -> float:
+    """Delta Phi(omega0): Phi_run - Phi_baseline with the shared 2*pi branch removed.
 
     Both spectra must come from identically gridded windows; anything else
     is a setup error, not something to resample over.
@@ -270,54 +233,22 @@ def relative_phase(run: PhaseSpectrum, base: PhaseSpectrum) -> RelativePhase:
     if abs(run.t_off - base.t_off) > 1e-12:
         raise GridError("run and baseline use different t_off windows")
     mask = run.mask & base.mask
-    dphi = run.phase - base.phase
-    branch = 2.0 * math.pi * np.round(np.nanmedian(dphi[mask]) / (2.0 * math.pi))
-    dphi = dphi - branch
-    w = run.omega[mask]
-    value = float(np.interp(run.omega0, w, dphi[mask]))
-    return RelativePhase(
-        omega=run.omega, dphi=dphi, mask=mask, omega0=run.omega0, dphi_at_resonance=value
-    )
+    dphi = run.phase[mask] - base.phase[mask]
+    dphi -= 2.0 * math.pi * np.round(np.median(dphi) / (2.0 * math.pi))
+    return float(np.interp(run.omega0, run.omega[mask], dphi))
 
 
-def phase_pipeline(traj, policy: SpectralPolicy | None = None, source: str = "cavity") -> PhaseSpectrum:
-    """fid_window -> fourier -> phase_spectrum with one policy object."""
-    return phase_spectrum(fourier(fid_window(traj, policy, source)))
+def phase_pipeline(traj, policy: SpectralPolicy | None = None, source: str = "cavity") -> Spectrum:
+    """fid_window -> fourier with one policy object."""
+    return fourier(fid_window(traj, policy, source))
 
 
 def nonlinear_phase_shift(
     traj, baseline_traj, policy: SpectralPolicy | None = None, source: str = "cavity"
 ) -> float:
     """Delta Phi(omega0) of a run against its baseline run."""
-    run = phase_pipeline(traj, policy, source)
-    base = phase_pipeline(baseline_traj, policy, source)
-    return relative_phase(run, base).dphi_at_resonance
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Delta Phi(omega0) extracted from the cavity and the dipole coherence."""
-
-    dphi_cavity: float
-    dphi_dipole: float
-    filter_phase: float  # Phi_cavity(omega0) - Phi_dipole(omega0) of the run
-
-    @property
-    def difference(self) -> float:
-        return self.dphi_cavity - self.dphi_dipole
-
-
-def dipole_phase_equivalence(traj, baseline_traj, policy: SpectralPolicy | None = None) -> EquivalenceReport:
-    policy = policy or SpectralPolicy()
-    run_cav = phase_pipeline(traj, policy, "cavity")
-    run_dip = phase_pipeline(traj, policy, "bright")
-    base_cav = phase_pipeline(baseline_traj, policy, "cavity")
-    base_dip = phase_pipeline(baseline_traj, policy, "bright")
-    return EquivalenceReport(
-        dphi_cavity=relative_phase(run_cav, base_cav).dphi_at_resonance,
-        dphi_dipole=relative_phase(run_dip, base_dip).dphi_at_resonance,
-        filter_phase=phase_at(run_cav) - phase_at(run_dip),
-    )
+    return relative_phase(phase_pipeline(traj, policy, source),
+                          phase_pipeline(baseline_traj, policy, source))
 
 
 @dataclass(frozen=True)
@@ -336,24 +267,16 @@ class NonlinearPhaseResult:
     N: int
 
 
-def fit_alpha(
-    points,
-    cfg: SystemConfig,
-    *,
-    fit_range: tuple[float, float] | None = None,
-    residual_threshold: float = 0.05,
-) -> NonlinearPhaseResult:
+def fit_alpha(points, cfg: SystemConfig) -> NonlinearPhaseResult:
     """Least-squares dphi = C*(F0/kappa)^2 and alpha = C*N*gamma_tilde/(2U).
 
-    Needs at least five points inside the fit range; a large residual or a
+    Needs at least five points; a residual above RESIDUAL_THRESHOLD or a
     power-law exponent far from 2 flags the breakdown of the quadratic
     regime rather than silently extrapolating through it.
     """
     pts = sorted((float(r), float(p)) for r, p in points)
-    if fit_range is not None:
-        pts = [(r, p) for r, p in pts if fit_range[0] <= r <= fit_range[1]]
     if len(pts) < 5:
-        raise ValidationError(f"need >= 5 drive points in the fit range, got {len(pts)}")
+        raise ValidationError(f"need >= 5 drive points, got {len(pts)}")
     u = cfg.dipoles[0].anharmonicity
     if any(d.anharmonicity != u for d in cfg.dipoles):
         raise ValidationError("fit_alpha requires a common anharmonicity")
@@ -377,7 +300,7 @@ def fit_alpha(
         exponent=exponent,
         residual=residual,
         fit_range=(float(r[0]), float(r[-1])),
-        in_regime=residual <= residual_threshold,
+        in_regime=residual <= RESIDUAL_THRESHOLD,
         gamma_tilde=gamma_tilde,
         U=u,
         N=cfg.n_wells,
@@ -415,10 +338,9 @@ def time_delay(
     strong: MeanFieldTrajectory,
     weak: MeanFieldTrajectory,
     *,
-    source: str = "bright",
     amp_floor: float = 1e-6,
 ) -> DelaySeries:
-    """Match same-kind extrema of Re of the lab-frame coherence and report
+    """Match same-kind extrema of Re of the lab-frame bright coherence and report
     the signed time offset of the strong trace at each weak extremum.
 
     Extrema are matched to the nearest candidate within half a carrier
@@ -432,8 +354,8 @@ def time_delay(
     if strong.t.shape != weak.t.shape or not np.allclose(strong.t, weak.t, rtol=0, atol=1e-12):
         raise GridError("trajectories must share the time grid")
 
-    xs = np.real(strong.lab_signal(source))
-    xw = np.real(weak.lab_signal(source))
+    xs = np.real(strong.lab_signal("bright"))
+    xw = np.real(weak.lab_signal("bright"))
     ts, ks, _ = _extrema(strong.t, xs)
     tw, kw, vw = _extrema(weak.t, xw)
     floor = amp_floor * np.max(np.abs(xw))
@@ -461,7 +383,7 @@ def time_delay(
     )
 
 
-def write_phase_csv(ps: PhaseSpectrum, path) -> None:
+def write_phase_csv(ps: Spectrum, path) -> None:
     write_table(
         path,
         [f"source: {ps.source}", f"t_off: {ps.t_off!r}", f"convention: {FFT_CONVENTION}"],

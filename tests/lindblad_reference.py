@@ -111,7 +111,7 @@ class SampleRecorder:
 
 
 def reference_evolve(rho0, t_span, cfg, h, *, rtol=1e-9, atol=1e-12, dt=None,
-                     frame=Frame.ROTATING, chunk=256, **recorder_kwargs) -> SampleRecorder:
+                     chunk=256, **recorder_kwargs) -> SampleRecorder:
     rho0 = np.asarray(rho0, dtype=complex)
     d = h.dim
     grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
@@ -122,7 +122,7 @@ def reference_evolve(rho0, t_span, cfg, h, *, rtol=1e-9, atol=1e-12, dt=None,
     for start in range(0, len(grid) - 1, chunk):
         stop = min(start + chunk, len(grid) - 1)
         sol = solve_ivp(
-            lambda t, yy: lindblad_rhs(yy.reshape(d, d), t, cfg, h, frame).reshape(-1),
+            lambda t, yy: lindblad_rhs(yy.reshape(d, d), t, cfg, h, cfg.frame).reshape(-1),
             t_span=(grid[start], grid[stop]),
             y0=y,
             t_eval=grid[start + 1 : stop + 1],

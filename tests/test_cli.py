@@ -10,7 +10,19 @@ import numpy as np
 import pytest
 
 import qwcavity
-from qwcavity import SolverError, format_config, parse_config, purcell_rate, set_config_value
+from qwcavity import (
+    SolverError,
+    SpectralPolicy,
+    baseline_config,
+    fid_time_span,
+    format_config,
+    integrate,
+    load_config,
+    nonlinear_phase_shift,
+    parse_config,
+    purcell_rate,
+    set_config_value,
+)
 import qwcavity.cli as cli
 from qwcavity.cli import PRESET_BASE, PRESET_IDS, _read_table, main, two_well_config
 from qwcavity.model import write_table
@@ -72,6 +84,27 @@ class TestSimulate:
         assert (out / "checkpoints.bin").exists()
         header = json.loads((out / "checkpoints.json").read_text())
         assert header["dtype"] == "complex128"
+
+    def test_lindblad_integrates_in_the_config_frame(self, tmp_path, fast_config_path):
+        # dim 45; the lab frame carries the THz carrier in rho: nfev 8,654 vs 944 here
+        signals = {}
+        for frame in ("rotating", "lab"):
+            out = tmp_path / frame
+            assert main([
+                "simulate", "--config", str(fast_config_path), "--solver", "lindblad",
+                "--n-photon-max", "4", "--override", "pulse.F0=0.6",
+                "--override", f"frame={frame}", "--out", str(out),
+            ]) == 0
+            sidecar = json.loads((out / "lindblad.json").read_text())
+            assert sidecar["frame"] == sidecar["config"]["frame"] == frame
+            cols, rows = _read_table(out / "lindblad.csv")
+            t, re_a, im_a = np.array(rows).T[[cols.index(c) for c in ("t", "re_a", "im_a")]]
+            carrier = sidecar["config"]["pulse"]["omega_d"] if frame == "rotating" else 0.0
+            signals[frame] = (re_a + 1j * im_a) * np.exp(-1j * carrier * t)
+        scale = np.abs(signals["rotating"]).max()
+        assert scale > 0.01
+        # measured 5.0e-9 relative: RK45 at rtol 1e-9 on two different ODEs
+        assert np.abs(signals["lab"] - signals["rotating"]).max() / scale < 1e-8
 
 
 class TestLogging:
@@ -152,6 +185,22 @@ class TestSweepAndReproducibility:
         table = (out1 / "sweep_meanfield.csv").read_text().splitlines()
         assert table[2] == "pulse.F0,dphi_cavity,dphi_dipole"
         assert len(table) == 6
+
+    def test_shared_baselines_give_the_single_run_shift(self, fast_config_path):
+        # two anharmonicities share one harmonic baseline in the sweep
+        policy = SpectralPolicy()
+        cfg = load_config(fast_config_path)
+        points = [((u,), set_config_value(set_config_value(cfg, "dipoles[0].U", u),
+                                          "dipoles[1].U", u)) for u in (0.3, 0.6)]
+        swept = cli.sweep_phase_shifts(points, "meanfield", policy, sources=("cavity", "bright"))
+        assert len({format_config(baseline_config(c, policy)) for _, c in points}) == 1
+        for (_, shifts), (_, point) in zip(swept, points):
+            span = fid_time_span(point, policy)
+            run = integrate(point, span)
+            base = integrate(baseline_config(point, policy), span)
+            for src in ("cavity", "bright"):
+                assert shifts[src] == nonlinear_phase_shift(run, base, policy, src)
+            assert shifts["cavity"] != 0.0
 
     def test_unknown_axis_key_is_config_error(self, tmp_path, fast_config_path):
         rc = main([
@@ -315,6 +364,25 @@ class TestExitCodes:
             "--override", "nonsense", "--out", str(tmp_path / "o"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--config"), ("fit-alpha", "--config"), ("fit-alpha", "--table"),
+        ("compare", "--meanfield"), ("compare", "--lindblad"),
+    ])
+    def test_missing_input_file_is_config_error(self, command, flag, tmp_path, fast_config_path,
+                                                capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("f0_over_kappa,dphi_cavity\n0.1,0.01\n")
+        inputs = {"simulate": {"--config": fast_config_path},
+                  "fit-alpha": {"--config": fast_config_path, "--table": table},
+                  "compare": {"--meanfield": table, "--lindblad": table}}[command]
+        missing = tmp_path / "missing.txt"
+        argv = [command, "--out", str(tmp_path / "o")]
+        for name, path in {**inputs, flag: missing}.items():
+            argv += [name, str(path)]
+        assert main(argv) == 2
+        assert f"config error: cannot read {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_solver_failure_maps_to_three(self, tmp_path, fast_config_path, monkeypatch):
         def boom(*args, **kwargs):

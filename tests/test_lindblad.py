@@ -254,9 +254,9 @@ class TestEvolve:
         # the lab frame drives through both Lx and Ly; measured spread 7.7e-10
         # relative (RK45 at rtol 1e-9 on two different ODEs)
         h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
-        cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.2)
-        rot, lab = (evolve(vacuum_state(h), (0.0, 1.5), cfg, h, dt=0.004, frame=frame)
-                    for frame in (Frame.ROTATING, Frame.LAB))
+        rot, lab = (evolve(vacuum_state(h), (0.0, 1.5), cfg, h, dt=0.004)
+                    for cfg in (standard_config(u_over_gamma=1.0, f0_over_kappa=0.2, frame=frame)
+                                for frame in (Frame.ROTATING, Frame.LAB)))
         scale = np.abs(rot.lab_signal("cavity")).max()
         assert scale > 0.1
         diff = np.abs(rot.lab_signal("cavity") - lab.lab_signal("cavity")).max()
@@ -326,9 +326,9 @@ class TestChunkRecorder:
          (HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2), Frame.LAB, (0.0, 1.5))],
     )
     def test_evolve_matches_sample_reference(self, h, frame, span):
-        cfg = standard_config(u_over_gamma=0.5, f0_over_kappa=0.3)
-        res = evolve(vacuum_state(h), span, cfg, h, dt=0.004, frame=frame)
-        ref = reference_evolve(vacuum_state(h), span, cfg, h, dt=0.004, frame=frame)
+        cfg = standard_config(u_over_gamma=0.5, f0_over_kappa=0.3, frame=frame)
+        res = evolve(vacuum_state(h), span, cfg, h, dt=0.004)
+        ref = reference_evolve(vacuum_state(h), span, cfg, h, dt=0.004)
         # the reference integrates every entry of vec(rho), evolve the upper triangle
         # and its conjugate: the two states differ in rounding only
         assert_same_record(res, res.diagnostics, ref, checkpoint_tol=RECORD_TOL)

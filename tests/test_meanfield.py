@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qwcavity import (
-    Frame,
     GridError,
     PostPulseOracle,
     ValidationError,
@@ -233,7 +232,6 @@ class TestDerivedQuantities:
             t=t,
             a=np.zeros(4, dtype=complex),
             modes=m,
-            frame=Frame.ROTATING,
             config=cfg,
             per_well=False,
         )
