@@ -543,6 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        taken = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+        if not taken.is_dir():  # refused before any work is done
+            raise ConfigError(f"--out {args.out}: {taken} exists and is not a directory")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

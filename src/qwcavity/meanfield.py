@@ -13,12 +13,15 @@ so independent parameter-sweep integrations can run in parallel workers.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
+from scipy.integrate._ivp.common import select_initial_step, validate_tol
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import GridError, SolverError, ValidationError
 from .model import (
@@ -34,6 +37,10 @@ from .model import (
 RTOL_DEFAULT = 1e-9
 ATOL_DEFAULT = 1e-12
 SAMPLES_PER_SCALE = 20
+SCALAR_SUM_MAX = 3  # where dot starts blocking: numpy 2.4.6's OpenBLAS 0.3.31, x86-64
+_A = [row[:s].tolist() for s, row in enumerate(RK45.A)]
+_B, _C, _E = RK45.B.tolist(), RK45.C.tolist(), RK45.E.tolist()
+_ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
 
 
 def _frame_shift(cfg: SystemConfig) -> float:
@@ -157,6 +164,7 @@ class MeanFieldTrajectory(CoherenceSeries):
     modes: np.ndarray  # shape (M, len(t))
     config: SystemConfig
     per_well: bool
+    stats: dict = field(default_factory=dict)  # solver effort: nfev, n_steps, n_rejected
 
     def __post_init__(self):
         steps = np.diff(self.t)
@@ -222,20 +230,78 @@ def integrate(
         raise ValidationError(f"t_span {t_span} does not cover the pulse")
     per_well = not cfg.is_homogeneous
     modes = _modes(cfg, per_well)
-    rhs = _rhs(cfg, modes)
     grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
-    sol = solve_ivp(
-        lambda t, y: np.asarray(rhs(t, y), dtype=complex),
-        t_span=(grid[0], grid[-1]),
-        y0=np.zeros(1 + len(modes), dtype=complex),
-        t_eval=grid,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise SolverError(f"mean-field integration failed: {sol.message}")
-    return MeanFieldTrajectory(t=grid, a=sol.y[0], modes=sol.y[1:], config=cfg, per_well=per_well)
+    samples, stats = _rk45(_rhs(cfg, modes), grid, 1 + len(modes), rtol, atol)
+    return MeanFieldTrajectory(grid, samples[0], samples[1:], cfg, per_well, stats)
+
+
+def _combine(stages, coeffs):
+    """sum_j coeffs[j] * stages[j] per component, with the bits of numpy's
+    dot(K.T, coeffs): sequential sums up to SCALAR_SUM_MAX components, the
+    BLAS product itself above, where its blocked sums round differently."""
+    if len(stages[0]) > SCALAR_SUM_MAX:
+        return np.dot(np.array(stages).T, np.array(coeffs)).tolist()
+    out = []
+    for column in zip(*stages):
+        acc = column[0] * coeffs[0]
+        for k, c in zip(column[1:], coeffs[1:]):
+            acc += k * c
+        out.append(acc)
+    return out
+
+
+def _rk45(rhs, grid, n, rtol, atol):
+    """solve_ivp(method="RK45", t_eval=grid) from y = 0, bit for bit: stages,
+    steps and error estimates on Python complex scalars (_combine); the error
+    norm (array np.abs) and the dense output (a BLAS product) round
+    differently in scalar code, so both stay the numpy expressions of scipy.
+    Tracks scipy 1.17's private RK45 internals; verified on one BLAS (README)."""
+    rtol, atol = validate_tol(rtol, atol, n)
+    fun = lambda t, y: np.asarray(rhs(t, y), dtype=complex)  # noqa: E731
+    t, t_bound, y_arr = float(grid[0]), float(grid[-1]), np.zeros(n, dtype=complex)
+    f_arr = fun(t, y_arr)
+    h_abs = select_initial_step(fun, t, y_arr, t_bound, np.inf, f_arr, 1.0,
+                                RK45.error_estimator_order, rtol, atol)
+    y, f, abs_y, times = y_arr.tolist(), f_arr.tolist(), np.abs(y_arr), grid.tolist()
+    out = np.empty((n, len(grid)), dtype=complex)
+    i_eval = n_steps = n_rejected = 0
+    while t < t_bound:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise SolverError(f"mean-field integration failed: {RK45.TOO_SMALL_STEP}")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            k = [f]
+            for a_s, c_s in zip(_A[1:], _C[1:]):
+                k.append(rhs(t + c_s * h, [yi + d * h for yi, d in zip(y, _combine(k, a_s))]))
+            y_new = [yi + h * d for yi, d in zip(y, _combine(k, _B))]
+            k.append(rhs(t + h, y_new))
+            y_new_arr = np.array(y_new, dtype=complex)
+            abs_new = np.abs(y_new_arr)
+            err = np.array([d * h for d in _combine(k, _E)], dtype=complex)
+            error_norm = float(np.linalg.norm(err / (atol + np.maximum(abs_y, abs_new) * rtol))
+                               / n**0.5)
+            if error_norm < 1:
+                factor = MAX_FACTOR if error_norm == 0 else min(
+                    MAX_FACTOR, SAFETY * error_norm**_ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected, n_rejected = True, n_rejected + 1
+        n_steps += 1
+        i_new = bisect.bisect_right(times, t_new)
+        if i_new > i_eval:  # scipy's RkDenseOutput on (t, t_new]: Q = K^T P, powers of x
+            x = (grid[i_eval:i_new] - t) / (t_new - t)
+            p = np.array([x, x * x, x * x * x, x * x * x * x])  # np.cumprod's products
+            out[:, i_eval:i_new] = ((t_new - t) * np.dot(np.array(k).T.dot(RK45.P), p)
+                                    + y_arr[:, None])
+            i_eval = i_new
+        t, y, y_arr, abs_y, f = t_new, y_new, y_new_arr, abs_new, k[-1]
+    return out, {"nfev": 2 + 6 * (n_steps + n_rejected), "n_steps": n_steps,
+                 "n_rejected": n_rejected}
 
 
 def instantaneous_frequency(traj: MeanFieldTrajectory) -> np.ndarray:

@@ -163,12 +163,13 @@ def fourier(window: FidWindow) -> Spectrum:
     x = window.values
     m = len(x)
     n_fft = next_fast_len(max(m, int(math.ceil(2.0 * math.pi / (resolution * dt)))))
-    rect = np.fft.ifft(x, n_fft) * n_fft  # sum_j x_j exp(+2i pi jk/n)
-    omega = 2.0 * math.pi * np.arange(n_fft) / (n_fft * dt)
-
     lo = max(omega0 - band_halfwidth, 0.0)
     hi = min(omega0 + band_halfwidth, nyquist)
+    d_omega = 2.0 * math.pi / (n_fft * dt)  # bins [k0, k1) hold [lo, hi] and one more each side
+    k0, k1 = max(int(lo / d_omega) - 1, 0), min(int(hi / d_omega) + 2, n_fft)
+    omega = 2.0 * math.pi * np.arange(k0, k1) / (n_fft * dt)
     sel = (omega >= lo) & (omega <= hi)
+    rect = np.fft.ifft(x, n_fft)[k0:k1] * n_fft  # sum_j x_j exp(+2i pi jk/n)
     w = omega[sel]
     trap = rect[sel] - 0.5 * x[0] - 0.5 * x[-1] * np.exp(1j * w * (m - 1) * dt)
     values = (dt / math.sqrt(2.0 * math.pi)) * np.exp(1j * w * window.t[0]) * trap

@@ -11,7 +11,8 @@ Kerr term, mix B0 and B1:
 
 with wbar and dw the mean and half difference of the well frequencies.
 `solve` integrates any such right-hand side on a uniform grid from a given
-start, as `qwcavity.meanfield.integrate` does from vacuum.
+start with scipy's `solve_ivp` RK45, whose bits `qwcavity.meanfield.integrate`
+reproduces from vacuum.
 """
 
 from __future__ import annotations
@@ -54,10 +55,9 @@ def collective_rhs(cfg):
     return rhs
 
 
-def solve(rhs, y0, t_span, cfg, *, dt=None, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
-    """(grid, y) with y[:, i] the state at grid[i], started from y0."""
-    grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
-    sol = solve_ivp(
+def solve_ivp_rk45(rhs, y0, grid, *, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
+    """scipy's solve_ivp RK45 from y0, sampled on grid."""
+    return solve_ivp(
         lambda t, y: np.asarray(rhs(t, y), dtype=complex),
         t_span=(grid[0], grid[-1]),
         y0=np.asarray(y0, dtype=complex),
@@ -66,5 +66,11 @@ def solve(rhs, y0, t_span, cfg, *, dt=None, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT
         rtol=rtol,
         atol=atol,
     )
+
+
+def solve(rhs, y0, t_span, cfg, *, dt=None, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
+    """(grid, y) with y[:, i] the state at grid[i], started from y0."""
+    grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
+    sol = solve_ivp_rk45(rhs, y0, grid, rtol=rtol, atol=atol)
     assert sol.success, sol.message
     return grid, sol.y

@@ -384,6 +384,29 @@ class TestExitCodes:
         assert f"config error: cannot read {missing}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, nested", [
+        ("simulate", False), ("simulate", True), ("fit-alpha", False), ("compare", False),
+    ])
+    def test_out_naming_a_file_is_config_error(self, command, nested, tmp_path, fast_config_path,
+                                               monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("_solve", "fit_alpha", "compare_tables"):
+            monkeypatch.setattr(cli, name, unreachable)
+        table = tmp_path / "table.csv"
+        table.write_text("f0_over_kappa,dphi_cavity\n0.1,0.01\n")
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = taken / "sub" if nested else taken
+        inputs = {"simulate": ["--config", str(fast_config_path)],
+                  "fit-alpha": ["--config", str(fast_config_path), "--table", str(table)],
+                  "compare": ["--meanfield", str(table), "--lindblad", str(table)]}[command]
+        assert main([command, *inputs, "--out", str(out)]) == 2
+        assert f"config error: --out {out}: {taken} exists and is not a directory" in (
+            capsys.readouterr().err)
+        assert taken.read_text() == "keep"
+
     def test_solver_failure_maps_to_three(self, tmp_path, fast_config_path, monkeypatch):
         def boom(*args, **kwargs):
             raise SolverError("stiffness failure")

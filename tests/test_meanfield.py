@@ -1,15 +1,20 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45
 
 from qwcavity import (
+    Frame,
     GridError,
     PostPulseOracle,
+    SolverError,
     ValidationError,
     adiabatic_field,
+    fid_time_span,
     instantaneous_frequency,
     integrate,
     oracle_from_trajectory,
@@ -19,10 +24,11 @@ from qwcavity import (
     stationary_phase,
     to_collective,
 )
-from qwcavity.meanfield import MeanFieldTrajectory, _modes, _rhs
+from qwcavity import meanfield
+from qwcavity.meanfield import MeanFieldTrajectory, _modes, _rhs, default_dt, uniform_grid
 
 from conftest import standard_config
-from meanfield_reference import collective_rhs, solve
+from meanfield_reference import collective_rhs, solve, solve_ivp_rk45
 
 
 def undriven(cfg):
@@ -222,6 +228,74 @@ class TestIntegrate:
         assert np.abs(three.modes[0] - two.modes[0]).max() / scale < 1e-8
         pair = (three.modes[1] + three.modes[2]) / math.sqrt(2.0)
         assert np.abs(pair - two.modes[1]).max() / scale < 1e-8
+
+
+def scipy_run(cfg, t_span, dt=None, **kw):
+    """solve_ivp RK45 on integrate's own model, start and output grid."""
+    modes = _modes(cfg, not cfg.is_homogeneous)
+    grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
+    return solve_ivp_rk45(_rhs(cfg, modes), np.zeros(1 + len(modes)), grid, **kw)
+
+
+def three_wells():
+    cfg = standard_config(n_wells=3, gamma2=0.9)
+    return set_config_value(cfg, "dipoles[2].omega", 39.7)
+
+
+class TestStepperMatchesSolveIvp:
+    """integrate steps RK45 itself; every sample and nfev equal solve_ivp's."""
+
+    @pytest.mark.parametrize("cfg, t_span, kw", [
+        (standard_config(f0_over_kappa=0.5), fid_time_span(standard_config()), {}),
+        (standard_config(gamma2=1.2), (0.0, 6.0), {}),
+        (standard_config(omega2=40.5), (0.0, 6.0), {}),
+        (three_wells(), (0.0, 6.0), {}),
+        (standard_config(frame=Frame.LAB), (0.0, 1.5), {}),
+        (standard_config(), (0.0, 2.0), {"dt": 1e-4}),
+    ], ids=["identical", "gamma2", "omega2", "three_wells", "lab", "dt1e-4"])
+    def test_samples_and_nfev_bit_identical(self, cfg, t_span, kw):
+        ref = scipy_run(cfg, t_span, **kw)
+        traj = integrate(cfg, t_span, **kw)
+        assert ref.success
+        assert np.array_equal(traj.t, ref.t)
+        assert np.array_equal(traj.a, ref.y[0])
+        assert np.array_equal(traj.modes, ref.y[1:])
+        assert traj.stats["nfev"] == ref.nfev
+
+    def test_clamped_rtol_warns_and_matches(self):
+        cfg = standard_config()
+        with pytest.warns(UserWarning, match="rtol") as scipy_warning:
+            ref = scipy_run(cfg, (0.0, 1.5), rtol=1e-15)
+        with pytest.warns(UserWarning, match="rtol") as own_warning:
+            traj = integrate(cfg, (0.0, 1.5), rtol=1e-15)
+        assert str(own_warning[0].message) == str(scipy_warning[0].message)
+        assert np.array_equal(traj.a, ref.y[0]) and np.array_equal(traj.modes, ref.y[1:])
+        assert traj.stats["nfev"] == ref.nfev
+
+    def test_step_count_is_hand_stepped_rk45(self):
+        cfg = standard_config(gamma2=1.2)
+        modes = _modes(cfg, per_well=True)
+        rhs = _rhs(cfg, modes)
+        grid = uniform_grid((0.0, 6.0), default_dt(cfg))
+        solver = RK45(lambda t, y: np.asarray(rhs(t, y), dtype=complex), grid[0],
+                      np.zeros(1 + len(modes), dtype=complex), grid[-1],
+                      rtol=meanfield.RTOL_DEFAULT, atol=meanfield.ATOL_DEFAULT)
+        n_steps = 0
+        while solver.status == "running":
+            solver.step()
+            n_steps += 1
+        stats = integrate(cfg, (0.0, 6.0)).stats
+        assert stats["n_steps"] == n_steps
+        assert stats["nfev"] == solver.nfev == 2 + 6 * (n_steps + stats["n_rejected"])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_drive_raises_solver_error(self, monkeypatch):
+        monkeypatch.setattr(meanfield, "drive_amplitude", lambda t, p, frame: math.nan)
+        cfg = standard_config()
+        ref = scipy_run(cfg, (0.0, 2.0))
+        assert not ref.success
+        with pytest.raises(SolverError, match=re.escape(ref.message)):
+            integrate(cfg, (0.0, 2.0))
 
 
 class TestDerivedQuantities:

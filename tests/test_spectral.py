@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from qwcavity import (
     GridError,
@@ -27,8 +28,10 @@ from qwcavity import (
     stationary_phase,
     time_delay,
 )
+from qwcavity.cli import two_well_config
 from qwcavity.meanfield import MeanFieldTrajectory
-from qwcavity.spectral import FidWindow, write_fit_json, write_phase_csv
+from qwcavity.model import effective_decay
+from qwcavity.spectral import RESOLUTION_FACTOR, FidWindow, write_fit_json, write_phase_csv
 
 from conftest import standard_config
 
@@ -151,6 +154,42 @@ class TestFourier:
         r0 = relative_phase(fourier(base_b), p0)
         r1 = relative_phase(fourier(delayed_b), p1)
         assert r1 == pytest.approx(r0, abs=1e-9)
+
+
+def full_length_fourier(window):
+    """fourier's band (omega, values), with omega, the band selection and the
+    n_fft scaling evaluated on every padded bin before the band is cut."""
+    gamma_tilde = effective_decay(window.config)
+    omega0 = window.config.dipoles[0].omega
+    dt, x = window.dt, window.values
+    m = len(x)
+    resolution = gamma_tilde / RESOLUTION_FACTOR
+    n_fft = next_fast_len(max(m, int(math.ceil(2.0 * math.pi / (resolution * dt)))))
+    rect = np.fft.ifft(x, n_fft) * n_fft
+    omega = 2.0 * math.pi * np.arange(n_fft) / (n_fft * dt)
+    sel = (omega >= max(omega0 - 12.0 * gamma_tilde, 0.0)) & (
+        omega <= min(omega0 + 12.0 * gamma_tilde, math.pi / dt))
+    w = omega[sel]
+    trap = rect[sel] - 0.5 * x[0] - 0.5 * x[-1] * np.exp(1j * w * (m - 1) * dt)
+    return w, (dt / math.sqrt(2.0 * math.pi)) * np.exp(1j * w * window.t[0]) * trap
+
+
+class TestBandOnlyTransform:
+    @pytest.mark.parametrize("gamma, clamped_at_zero", [(0.6, False), (10.0, True)])
+    def test_band_bit_identical_to_full_length_transform(self, gamma, clamped_at_zero):
+        # gamma = 10 is fig2's broad pair: omega0 - 12 gamma_tilde < 0, so
+        # the band starts at the zero-frequency bin
+        cfg = two_well_config(u_over_gamma=1.0, f0_over_kappa=0.2, gamma1=gamma, gamma2=gamma)
+        window = fid_window(integrate(cfg, fid_time_span(cfg)))
+        spec = fourier(window)
+        omega, values = full_length_fourier(window)
+        ref = phase_spectrum(omega, values, spec.omega0, spec.gamma_tilde, window.t_off, "cavity")
+        assert (spec.omega0 - 12.0 * spec.gamma_tilde < 0.0) == clamped_at_zero
+        assert (spec.omega[0] == 0.0) == clamped_at_zero
+        assert np.array_equal(spec.omega, omega)
+        assert np.array_equal(spec.values, values)
+        assert np.array_equal(spec.phase, ref.phase, equal_nan=True)
+        assert np.array_equal(spec.mask, ref.mask)
 
 
 def synthetic_phase_spectrum(phase_value, omega0=40.0):
