@@ -39,7 +39,7 @@ from .model import (
     write_json,
     write_table,
 )
-from .meanfield import integrate
+from .meanfield import integrate, integrate_batch
 from .lindblad import DIM_CAP_DEFAULT, HilbertConfig, evolve, vacuum_state, write_checkpoints
 from .spectral import (
     SpectralPolicy,
@@ -103,33 +103,46 @@ def _solve(cfg: SystemConfig, solver: str, policy: SpectralPolicy, n_photon_max:
 
 
 def _spectra_worker(args):
-    """Integrate one config and return its phase spectra per source."""
-    cfg_text, solver, n_ph, nu_max, policy, sources, dt = args
-    cfg = parse_config(cfg_text)
-    traj = _solve(cfg, solver, policy, n_ph, nu_max, dt=dt)
-    return {src: phase_pipeline(traj, policy, src) for src in sources}
+    """Solve a chunk of configs and return each one's phase spectra per source.
+    A mean-field chunk integrates as one lane batch (meanfield.integrate_batch),
+    each trajectory transformed and dropped as its lane finishes."""
+    cfg_texts, solver, n_ph, nu_max, policy, sources, dt = args
+    cfgs = [parse_config(text) for text in cfg_texts]
+    if solver == "meanfield":
+        trajs = integrate_batch([(cfg, fid_time_span(cfg, policy), dt) for cfg in cfgs])
+    else:
+        trajs = ((i, _solve(cfg, solver, policy, n_ph, nu_max, dt=dt))
+                 for i, cfg in enumerate(cfgs))
+    spectra = [None] * len(cfgs)
+    for i, traj in trajs:
+        spectra[i] = {src: phase_pipeline(traj, policy, src) for src in sources}
+    return spectra
 
 
 def sweep_phase_shifts(points, solver, policy, *, n_photon_max=N_PHOTON_MAX_DEFAULT,
                        nu_max=NU_MAX_DEFAULT, sources=("cavity",), jobs=1, dt=None):
-    """Delta Phi(omega0) for labelled configs, baselines shared and cached."""
-    tasks = {}   # ("run" | "base", config text) -> worker args, each solved once
+    """Delta Phi(omega0) for labelled configs, each distinct run or baseline
+    config solved once. Mean-field configs are split into at most `jobs`
+    lane batches, Lindblad configs run one per task."""
+    texts = {}   # config text of every distinct run and baseline, in first-seen order
     pairs = []
     for label, cfg in points:
-        k_run = ("run", format_config(cfg))
-        k_base = ("base", format_config(baseline_config(cfg, policy)))
-        for key in (k_run, k_base):
-            tasks[key] = (key[1], solver, n_photon_max, nu_max, policy, tuple(sources), dt)
-        pairs.append((label, k_run, k_base))
+        run, base = format_config(cfg), format_config(baseline_config(cfg, policy))
+        texts.update(dict.fromkeys((run, base)))
+        pairs.append((label, run, base))
+    texts = list(texts)
+    n_chunks = max(1, min(jobs, len(texts))) if solver == "meanfield" else len(texts)
+    chunks = [texts[i::n_chunks] for i in range(n_chunks)]
+    tasks = [(chunk, solver, n_photon_max, nu_max, policy, tuple(sources), dt) for chunk in chunks]
     if jobs <= 1 or len(tasks) <= 1:
-        spectra = [_spectra_worker(task) for task in tasks.values()]
+        spectra = [_spectra_worker(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            spectra = list(pool.map(_spectra_worker, tasks.values()))
-    done = dict(zip(tasks, spectra))
+            spectra = list(pool.map(_spectra_worker, tasks))
+    done = {text: spec for chunk, specs in zip(chunks, spectra) for text, spec in zip(chunk, specs)}
     return [
-        (label, {src: relative_phase(done[k_run][src], done[k_base][src]) for src in sources})
-        for label, k_run, k_base in pairs
+        (label, {src: relative_phase(done[run][src], done[base][src]) for src in sources})
+        for label, run, base in pairs
     ]
 
 

@@ -13,10 +13,10 @@ so independent parameter-sweep integrations can run in parallel workers.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 from scipy.integrate import RK45
@@ -29,6 +29,7 @@ from .model import (
     SystemConfig,
     config_to_dict,
     drive_amplitude,
+    format_config,
     purcell_rate,
     write_json,
     write_table,
@@ -38,6 +39,7 @@ RTOL_DEFAULT = 1e-9
 ATOL_DEFAULT = 1e-12
 SAMPLES_PER_SCALE = 20
 SCALAR_SUM_MAX = 3  # where dot starts blocking: numpy 2.4.6's OpenBLAS 0.3.31, x86-64
+LANES_MIN = 4  # fewer lanes step faster one by one on Python scalars
 _A = [row[:s].tolist() for s, row in enumerate(RK45.A)]
 _B, _C, _E = RK45.B.tolist(), RK45.C.tolist(), RK45.E.tolist()
 _ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
@@ -59,26 +61,80 @@ def _modes(cfg: SystemConfig, per_well: bool) -> tuple:
     return ((d.omega, d.anharmonicity / cfg.n_wells, d.gamma, cfg.collective_coupling),)
 
 
-def _rhs(cfg: SystemConfig, modes):
-    """Time derivative of y = (<a>, <b_1>, ..., <b_M>) for the given modes:
+def _lane(values):
+    """Lane vector of per-lane values: the Python scalar itself for one lane,
+    a numpy array for several (see _advance)."""
+    return values[0] if len(values) == 1 else np.array(values)
+
+
+def _factor(values):
+    """Lane constants as _cmul takes them: (re, re) and (-im, im) per lane."""
+    c = np.array(values, dtype=complex)[:, None]
+    return np.concatenate([c.real, c.real], axis=1), np.concatenate([-c.imag, c.imag], axis=1)
+
+
+def _cmul(c, x):
+    """c * x over a contiguous lane vector x, rounded as Python's complex
+    product: numpy's own may fuse a multiply-add, so the products of real
+    and imaginary parts are rounded apart. (A factor with a zero real or
+    imaginary part rounds alike either way.)"""
+    c1, c2 = c
+    xv = x.view(float).reshape(-1, 2)
+    return (xv * c1 + xv[:, ::-1] * c2).view(complex).ravel()
+
+
+def _abs2_scalar(b):
+    return abs(b) ** 2
+
+
+def _abs2(b):
+    """abs(b) ** 2 over a lane vector, through libm's pow: np.power squares by x * x."""
+    return np.array([x**2 for x in np.hypot(b.real, b.imag).tolist()])
+
+
+def _rhs(lanes):
+    """Time derivative of y = (<a>, <b_1>, ..., <b_M>) for lanes [(cfg, modes)]
+    of one mode count M; y and the result are a list of Python complex for
+    one lane, a (components, lanes) array for several:
 
     da/dt   = -(kappa/2 + i dc) a - i sum_n g_n b_n - i F(t)
     db_n/dt = -(gamma_n/2 + i d_n) b_n + 2i U_n |b_n|^2 b_n - i g_n a
     """
-    shift = _frame_shift(cfg)
-    cavity = 0.5 * cfg.cavity.kappa + 1j * (cfg.cavity.omega_c - shift)
-    consts = [(0.5 * gamma + 1j * (omega - shift), 2.0 * u, g) for omega, u, gamma, g in modes]
-    pulse, frame = cfg.pulse, cfg.frame
+    one = len(lanes) == 1
+    shifts = [_frame_shift(cfg) for cfg, _ in lanes]
+    pulses, frames = [cfg.pulse for cfg, _ in lanes], [cfg.frame for cfg, _ in lanes]
+    factor = _lane if one else _factor
+    cavity = factor([-(0.5 * cfg.cavity.kappa + 1j * (cfg.cavity.omega_c - shift))
+                     for (cfg, _), shift in zip(lanes, shifts)])
+    consts = [
+        (factor([-(0.5 * gamma + 1j * (omega - shift))
+                 for (omega, _, gamma, _), shift in zip(mode, shifts)]),
+         _lane([1j * (2.0 * u) for _, u, _, _ in mode]),
+         _lane([g for *_, g in mode]),
+         _lane([1j * g for *_, g in mode]))
+        for mode in zip(*(modes for _, modes in lanes))
+    ]
+    if one:  # Python scalars, whose own rounding is the reference
+        (pulse,), (frame,) = pulses, frames
+        cmul, abs2, pack = mul, _abs2_scalar, list
+
+        def drive(t):
+            return drive_amplitude(t, pulse, frame)
+    else:
+        cmul, abs2, pack = _cmul, _abs2, np.array
+
+        def drive(t):
+            return np.array(list(map(drive_amplitude, t.tolist(), pulses, frames)))
 
     def rhs(t, y):
         a = y[0]
-        field = -cavity * a
+        field = cmul(cavity, a)
         out = [0j]
-        for (rate, kerr, g), b in zip(consts, y[1:]):
+        for (rate, kerr, g, ig), b in zip(consts, y[1:]):
             field -= 1j * (g * b)
-            out.append(-rate * b + 1j * kerr * abs(b) ** 2 * b - 1j * g * a)
-        out[0] = field - 1j * drive_amplitude(t, pulse, frame)
-        return out
+            out.append(cmul(rate, b) + kerr * abs2(b) * b - ig * a)
+        out[0] = field - 1j * drive(t)
+        return pack(out)
 
     return rhs
 
@@ -225,83 +281,213 @@ def integrate(
     (vacuum before the pulse). Solver failures raise SolverError instead of
     returning a silently truncated trajectory.
     """
-    p = cfg.pulse
-    if t_span[0] > p.center - 3 * p.duration or t_span[1] < p.center + 3 * p.duration:
-        raise ValidationError(f"t_span {t_span} does not cover the pulse")
-    per_well = not cfg.is_homogeneous
-    modes = _modes(cfg, per_well)
-    grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
-    samples, stats = _rk45(_rhs(cfg, modes), grid, 1 + len(modes), rtol, atol)
-    return MeanFieldTrajectory(grid, samples[0], samples[1:], cfg, per_well, stats)
+    return next(integrate_batch([(cfg, t_span, dt)], rtol=rtol, atol=atol))[1]
 
 
-def _combine(stages, coeffs):
-    """sum_j coeffs[j] * stages[j] per component, with the bits of numpy's
-    dot(K.T, coeffs): sequential sums up to SCALAR_SUM_MAX components, the
-    BLAS product itself above, where its blocked sums round differently."""
+def integrate_batch(requests, *, rtol: float = RTOL_DEFAULT, atol: float = ATOL_DEFAULT):
+    """integrate() for each (cfg, t_span, dt) request, stepped together as one
+    RK45 lane batch per component count. Yields (request index, trajectory)
+    as lanes finish, so a caller can use and drop each in turn; every
+    trajectory has the bits integrate gives it alone."""
+    lanes = []
+    for cfg, t_span, dt in requests:
+        p = cfg.pulse
+        if t_span[0] > p.center - 3 * p.duration or t_span[1] < p.center + 3 * p.duration:
+            raise ValidationError(f"t_span {t_span} does not cover the pulse")
+        per_well = not cfg.is_homogeneous
+        grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
+        lanes.append((cfg, _modes(cfg, per_well), grid, per_well))
+    batches: dict[int, list[int]] = {}
+    for i, (_, modes, _, _) in enumerate(lanes):
+        batches.setdefault(len(modes), []).append(i)
+    for members in batches.values():
+        for j, samples, stats in _rk45([lanes[i][:3] for i in members], rtol, atol):
+            cfg, _, grid, per_well = lanes[members[j]]
+            traj = MeanFieldTrajectory(grid, samples[0], samples[1:], cfg, per_well, stats)
+            yield members[j], traj
+
+
+def _combine(stages, coeffs, h, y=None):
+    """y + (sum_j coeffs[j] * stages[j]) * h, or without y, with the bits of
+    scipy's np.dot(K.T, coeffs) * h: sequential sums up to SCALAR_SUM_MAX
+    components, above them the BLAS product itself, one lane at a time,
+    whose blocked sums round differently. Stages as _rhs returns them."""
+    block = isinstance(stages[0], np.ndarray)
     if len(stages[0]) > SCALAR_SUM_MAX:
-        return np.dot(np.array(stages).T, np.array(coeffs)).tolist()
-    out = []
-    for column in zip(*stages):
-        acc = column[0] * coeffs[0]
-        for k, c in zip(column[1:], coeffs[1:]):
-            acc += k * c
-        out.append(acc)
-    return out
+        k, c = np.array(stages).reshape(len(stages), len(stages[0]), -1), np.array(coeffs)
+        d = np.array([np.dot(np.ascontiguousarray(k[:, :, i]).T, c) for i in range(k.shape[2])])
+        d = np.ascontiguousarray(d.T) if block else d[0].tolist()
+    elif block:
+        d = stages[0] * coeffs[0]
+        for k, c in zip(stages[1:], coeffs[1:]):
+            d = d + k * c
+    else:
+        d = []
+        for column in zip(*stages):
+            acc = column[0] * coeffs[0]
+            for k, c in zip(column[1:], coeffs[1:]):
+                acc = acc + k * c
+            d.append(acc)
+    if block:
+        return d * h if y is None else y + d * h
+    return [di * h for di in d] if y is None else [yi + di * h for yi, di in zip(y, d)]
 
 
-def _rk45(rhs, grid, n, rtol, atol):
-    """solve_ivp(method="RK45", t_eval=grid) from y = 0, bit for bit: stages,
-    steps and error estimates on Python complex scalars (_combine); the error
-    norm (array np.abs) and the dense output (a BLAS product) round
-    differently in scalar code, so both stay the numpy expressions of scipy.
-    Tracks scipy 1.17's private RK45 internals; verified on one BLAS (README)."""
+def _block(y) -> np.ndarray:
+    """(components, lanes) array of a state as _rhs takes it."""
+    return y if isinstance(y, np.ndarray) else np.array(y, dtype=complex).reshape(-1, 1)
+
+
+@dataclass(slots=True)
+class _LaneState:
+    """One lane's RK45 state, as scipy's RK45 object would hold it."""
+
+    index: int
+    cfg: SystemConfig
+    modes: tuple
+    grid: np.ndarray
+    t: float
+    h_abs: float
+    t_new: float = 0.0
+    min_step: float = 0.0
+    rejected: bool = False
+    fresh: bool = True  # the next attempt starts a new step
+    steps: list = field(default_factory=list)  # (t_old, h, (y, K) of its attempt, lane column)
+    n_steps: int = 0
+    n_rejected: int = 0
+    t_bound: float = field(init=False)
+
+    def __post_init__(self):
+        self.t_bound = float(self.grid[-1])
+
+    def result(self, n: int) -> tuple:
+        """Samples as scipy's RkDenseOutput of each step gives them on its
+        (t_old, t_new]: Q = K^T P of all steps in one product, x and its
+        powers elementwise, one np.dot(Q, p) per step; and solver effort."""
+        t_old, h, attempts, cols = zip(*self.steps)
+        self.steps = []  # an attempt's arrays go once every lane in it has its samples
+        ends = np.searchsorted(self.grid, t_old[1:] + (self.t_bound,), side="right")
+        counts = np.diff(ends, prepend=0)
+        used = np.flatnonzero(counts).tolist()
+        k = np.array([stages if isinstance(stages, list) else stages[:, :, j]
+                      for (_, stages), j in ((attempts[i], cols[i]) for i in used)])
+        q = k.transpose(1, 0, 2).reshape(7, -1).T.dot(RK45.P)
+        counts = counts[used]
+        t0, h = np.repeat(np.take(t_old, used), counts), np.repeat(np.take(h, used), counts)
+        x = (self.grid - t0) / h
+        p = np.array([x, x * x, x * x * x, x * x * x * x])
+        bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        samples = np.empty((n, len(x)), dtype=complex)
+        for qi, a, b in zip(q.reshape(-1, n, 4), bounds, bounds[1:]):
+            samples[:, a:b] = np.dot(qi, p[:, a:b])
+        samples *= h
+        samples += np.repeat(np.array([attempts[i][0][:, cols[i]] for i in used]).T, counts, axis=1)
+        return samples, {"nfev": 2 + 6 * (self.n_steps + self.n_rejected),
+                         "n_steps": self.n_steps, "n_rejected": self.n_rejected}
+
+
+def _rk45(lanes, rtol, atol):
+    """solve_ivp(method="RK45", t_eval=grid) from y = 0, bit for bit, for
+    every lane (cfg, modes, grid) of one component count, stepped together
+    by _advance; yields (lane index, samples, stats) as lanes finish.
+    Tracks scipy 1.17's private RK45 internals; verified on one BLAS (README).
+    """
+    n = 1 + len(lanes[0][1])
     rtol, atol = validate_tol(rtol, atol, n)
-    fun = lambda t, y: np.asarray(rhs(t, y), dtype=complex)  # noqa: E731
-    t, t_bound, y_arr = float(grid[0]), float(grid[-1]), np.zeros(n, dtype=complex)
-    f_arr = fun(t, y_arr)
-    h_abs = select_initial_step(fun, t, y_arr, t_bound, np.inf, f_arr, 1.0,
-                                RK45.error_estimator_order, rtol, atol)
-    y, f, abs_y, times = y_arr.tolist(), f_arr.tolist(), np.abs(y_arr), grid.tolist()
-    out = np.empty((n, len(grid)), dtype=complex)
-    i_eval = n_steps = n_rejected = 0
-    while t < t_bound:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs, rejected = max(h_abs, min_step), False
-        while True:
-            if h_abs < min_step:
+    y0 = np.zeros(n, dtype=complex)
+    live, f = [], []
+    for cfg, modes, grid in lanes:
+        one = _rhs([(cfg, modes)])
+        fun = lambda t, y: np.asarray(one(t, y), dtype=complex)  # noqa: E731
+        t0 = float(grid[0])
+        f0 = fun(t0, y0)
+        h0 = select_initial_step(fun, t0, y0, float(grid[-1]), np.inf, f0, 1.0,
+                                 RK45.error_estimator_order, rtol, atol)
+        live.append(_LaneState(len(live), cfg, modes, grid, t0, float(h0)))
+        f.append(f0)
+    if len(live) == 1:
+        y, f = y0.tolist(), f[0].tolist()
+    else:
+        y, f = np.zeros((n, len(live)), dtype=complex), np.array(f).T.copy()
+    for s in _advance(live, y, f, n, rtol, atol):
+        yield s.index, *s.result(n)
+
+
+def _advance(live, y, f, n, rtol, atol):
+    """Step the lanes `live` from state y with derivative f to their ends,
+    yielding each lane as it finishes.
+
+    Each lane keeps scipy's own t, step size and rejected flag: a rejected
+    step retries that lane alone, and a finished lane leaves the batch.
+    Below LANES_MIN lanes, each goes on alone on Python scalars. Lane arrays
+    round as Python's scalars (_combine, _rhs); the error norm keeps scipy's
+    numpy expressions, and select_initial_step, the step factor's power,
+    the drive's exp and np.dot(Q, p) stay per lane.
+    """
+    if isinstance(y, np.ndarray) and len(live) < LANES_MIN:
+        for j, s in enumerate(live):
+            yield from _advance([s], y[:, j].tolist(), f[:, j].tolist(), n, rtol, atol)
+        return
+    rhs, y_arr = _rhs([(s.cfg, s.modes) for s in live]), _block(y)
+    abs_y = np.abs(y_arr)
+    while True:
+        hs = []
+        for s in live:
+            if s.fresh:
+                s.min_step = 10 * abs(math.nextafter(s.t, math.inf) - s.t)
+                s.h_abs, s.rejected = max(s.h_abs, s.min_step), False
+            elif s.h_abs < s.min_step:
                 raise SolverError(f"mean-field integration failed: {RK45.TOO_SMALL_STEP}")
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = abs(h)
-            k = [f]
-            for a_s, c_s in zip(_A[1:], _C[1:]):
-                k.append(rhs(t + c_s * h, [yi + d * h for yi, d in zip(y, _combine(k, a_s))]))
-            y_new = [yi + h * d for yi, d in zip(y, _combine(k, _B))]
-            k.append(rhs(t + h, y_new))
-            y_new_arr = np.array(y_new, dtype=complex)
-            abs_new = np.abs(y_new_arr)
-            err = np.array([d * h for d in _combine(k, _E)], dtype=complex)
-            error_norm = float(np.linalg.norm(err / (atol + np.maximum(abs_y, abs_new) * rtol))
-                               / n**0.5)
+            s.t_new = min(s.t + s.h_abs, s.t_bound)
+            hs.append(s.t_new - s.t)
+            s.h_abs = abs(hs[-1])
+        t, h = _lane([s.t for s in live]), _lane(hs)
+        k = [f]
+        for a_s, c_s in zip(_A[1:], _C[1:]):
+            k.append(rhs(t + c_s * h, _combine(k, a_s, h, y)))
+        y_new = _combine(k, _B, h, y)
+        k.append(rhs(t + h, y_new))
+        y_new_arr = _block(y_new)
+        abs_new = np.abs(y_new_arr)
+        x = _block(_combine(k, _E, h)) / (atol + np.maximum(abs_y, abs_new) * rtol)
+        parts = x.view(float).reshape(n, -1, 2)  # np.linalg.norm's dots of re and im, per lane
+        norms = [math.sqrt(re + im) / n**0.5 for re, im in np.vecdot(parts, parts, axis=0).tolist()]
+        attempt = (y_arr, k if len(live) == 1 else np.array(k))  # one lane's: stacked at the end
+        accepted = []
+        for j, (s, error_norm) in enumerate(zip(live, norms)):
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(
                     MAX_FACTOR, SAFETY * error_norm**_ERROR_EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**_ERROR_EXPONENT)
-            rejected, n_rejected = True, n_rejected + 1
-        n_steps += 1
-        i_new = bisect.bisect_right(times, t_new)
-        if i_new > i_eval:  # scipy's RkDenseOutput on (t, t_new]: Q = K^T P, powers of x
-            x = (grid[i_eval:i_new] - t) / (t_new - t)
-            p = np.array([x, x * x, x * x * x, x * x * x * x])  # np.cumprod's products
-            out[:, i_eval:i_new] = ((t_new - t) * np.dot(np.array(k).T.dot(RK45.P), p)
-                                    + y_arr[:, None])
-            i_eval = i_new
-        t, y, y_arr, abs_y, f = t_new, y_new, y_new_arr, abs_new, k[-1]
-    return out, {"nfev": 2 + 6 * (n_steps + n_rejected), "n_steps": n_steps,
-                 "n_rejected": n_rejected}
+                s.h_abs *= min(1, factor) if s.rejected else factor
+                s.n_steps += 1
+                s.steps.append((s.t, hs[j], attempt, j))
+                s.t = s.t_new
+            elif not math.isfinite(error_norm):
+                raise SolverError(
+                    f"mean-field integration failed at t = {s.t!r}: error norm {error_norm} "
+                    f"for config {format_config(s.cfg).strip().replace(chr(10), '; ')}")
+            else:
+                s.h_abs *= max(MIN_FACTOR, SAFETY * error_norm**_ERROR_EXPONENT)
+                s.rejected = True
+                s.n_rejected += 1
+            s.fresh = error_norm < 1
+            accepted.append(s.fresh)
+        if all(accepted):
+            y, f, y_arr, abs_y = y_new, k[-1], y_new_arr, abs_new
+        elif any(accepted):
+            mask = np.array(accepted)
+            y, f = np.where(mask, y_new, y), np.where(mask, k[-1], f)
+            y_arr, abs_y = y, np.where(mask, abs_new, abs_y)
+        keep = [j for j, s in enumerate(live) if s.t != s.t_bound]
+        if len(keep) < len(live):
+            yield from (s for s in live if s.t == s.t_bound)
+            if not keep:
+                return
+            if len(keep) < LANES_MIN:
+                yield from _advance([live[j] for j in keep], y[:, keep], f[:, keep], n, rtol, atol)
+                return
+            live, y, f = [live[j] for j in keep], y[:, keep].copy(), f[:, keep].copy()  # C order
+            rhs, y_arr, abs_y = _rhs([(s.cfg, s.modes) for s in live]), y, abs_y[:, keep]
 
 
 def instantaneous_frequency(traj: MeanFieldTrajectory) -> np.ndarray:

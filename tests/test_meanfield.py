@@ -24,8 +24,15 @@ from qwcavity import (
     stationary_phase,
     to_collective,
 )
-from qwcavity import meanfield
-from qwcavity.meanfield import MeanFieldTrajectory, _modes, _rhs, default_dt, uniform_grid
+from qwcavity import baseline_config, drive_amplitude, meanfield
+from qwcavity.meanfield import (
+    MeanFieldTrajectory,
+    _modes,
+    _rhs,
+    default_dt,
+    integrate_batch,
+    uniform_grid,
+)
 
 from conftest import standard_config
 from meanfield_reference import collective_rhs, solve, solve_ivp_rk45
@@ -37,12 +44,12 @@ def undriven(cfg):
 
 def bright_rhs(cfg):
     """(<a>, <B0>) right-hand side of a homogeneous set."""
-    return _rhs(cfg, _modes(cfg, per_well=False))
+    return _rhs([(cfg, _modes(cfg, per_well=False))])
 
 
 def local_rhs(cfg):
     """(<a>, <b_1>, ..., <b_N>) right-hand side, one mode per well."""
-    return _rhs(cfg, _modes(cfg, per_well=True))
+    return _rhs([(cfg, _modes(cfg, per_well=True))])
 
 
 class TestIdenticalRhs:
@@ -234,7 +241,7 @@ def scipy_run(cfg, t_span, dt=None, **kw):
     """solve_ivp RK45 on integrate's own model, start and output grid."""
     modes = _modes(cfg, not cfg.is_homogeneous)
     grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
-    return solve_ivp_rk45(_rhs(cfg, modes), np.zeros(1 + len(modes)), grid, **kw)
+    return solve_ivp_rk45(_rhs([(cfg, modes)]), np.zeros(1 + len(modes)), grid, **kw)
 
 
 def three_wells():
@@ -275,7 +282,7 @@ class TestStepperMatchesSolveIvp:
     def test_step_count_is_hand_stepped_rk45(self):
         cfg = standard_config(gamma2=1.2)
         modes = _modes(cfg, per_well=True)
-        rhs = _rhs(cfg, modes)
+        rhs = _rhs([(cfg, modes)])
         grid = uniform_grid((0.0, 6.0), default_dt(cfg))
         solver = RK45(lambda t, y: np.asarray(rhs(t, y), dtype=complex), grid[0],
                       np.zeros(1 + len(modes), dtype=complex), grid[-1],
@@ -290,12 +297,115 @@ class TestStepperMatchesSolveIvp:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nan_drive_raises_solver_error(self, monkeypatch):
-        monkeypatch.setattr(meanfield, "drive_amplitude", lambda t, p, frame: math.nan)
-        cfg = standard_config()
-        ref = scipy_run(cfg, (0.0, 2.0))
-        assert not ref.success
-        with pytest.raises(SolverError, match=re.escape(ref.message)):
-            integrate(cfg, (0.0, 2.0))
+        calls = []
+
+        def nan_drive(t, pulse, frame):
+            calls.append(t)
+            return math.nan
+
+        monkeypatch.setattr(meanfield, "drive_amplitude", nan_drive)
+        with pytest.raises(SolverError, match=r"at t = 0\.0: error norm nan for config "
+                                              r"cavity\.omega_c = 40\.0; .*; frame = rotating$"):
+            integrate(standard_config(), (0.0, 2.0))
+        # f(t0) and select_initial_step's probe, then the six stages of the first attempt
+        assert len(calls) == 2 + 6
+
+
+def lane_requests():
+    """(cfg, t_span, dt) of a mixed lane batch: every stepper case above, then
+    the U = 0 baselines of the identical pair, the two spreads and the three wells."""
+    pair = standard_config(f0_over_kappa=0.5)
+    runs = [
+        (pair, fid_time_span(pair), None),
+        (standard_config(gamma2=1.2), (0.0, 6.0), None),
+        (standard_config(omega2=40.5), (0.0, 6.0), None),
+        (standard_config(frame=Frame.LAB), (0.0, 1.5), None),
+        (standard_config(), (0.0, 2.0), 1e-4),
+        (three_wells(), (0.0, 6.0), None),
+    ]
+    return runs + [(baseline_config(runs[i][0]), *runs[i][1:]) for i in (0, 1, 2, 5)]
+
+
+def solve_batch(requests):
+    """integrate_batch's trajectories in request order."""
+    out = dict(integrate_batch(requests))
+    return [out[i] for i in range(len(requests))]
+
+
+def trajectory_bytes(traj):
+    return traj.t.tobytes(), traj.a.tobytes(), traj.modes.tobytes(), traj.stats
+
+
+class TestLaneBatch:
+    """Lanes stepped together keep every bit of their one-lane solves."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        return solve_batch(lane_requests())
+
+    def test_batch_mixes_component_counts_and_rejections(self, batch):
+        assert sorted({traj.modes.shape[0] for traj in batch}) == [1, 2, 3]
+        assert len(batch) == 10 and any(traj.stats["n_rejected"] for traj in batch)
+
+    @pytest.mark.parametrize("i", range(10))
+    def test_lane_bytes_equal_solve_ivp_and_integrate(self, batch, i):
+        cfg, t_span, dt = lane_requests()[i]
+        ref = scipy_run(cfg, t_span, dt=dt)
+        assert ref.success
+        assert (batch[i].t.tobytes(), batch[i].a.tobytes(), batch[i].modes.tobytes()) == (
+            ref.t.tobytes(), ref.y[0].tobytes(), ref.y[1:].tobytes())
+        assert batch[i].stats["nfev"] == ref.nfev
+        assert trajectory_bytes(batch[i]) == trajectory_bytes(integrate(cfg, t_span, dt=dt))
+
+    def test_independent_of_batch_order_and_composition(self, batch):
+        requests = lane_requests()
+        want = [trajectory_bytes(traj) for traj in batch]
+        reordered = solve_batch(requests[::-1])[::-1]
+        assert [trajectory_bytes(traj) for traj in reordered] == want
+        for part in (requests[::2], requests[1::2], requests[3:7]):
+            got = solve_batch(part)
+            assert [trajectory_bytes(traj) for traj in got] == [
+                want[requests.index(r)] for r in part]
+
+    def test_lanes_leaving_alone_and_in_groups(self):
+        # four lanes end together, leaving one; then lanes end one by one
+        # while at least LANES_MIN stay stepping together
+        short = [(standard_config(f0_over_kappa=0.2), (0.0, 1.5), None)] * 4
+        long = [(standard_config(f0_over_kappa=0.05 * (i + 1)), (0.0, 1.5 + 0.25 * i), None)
+                for i in range(1, meanfield.LANES_MIN + 3)]
+        for requests in (short + long[-1:], short + long):
+            got = [trajectory_bytes(traj) for traj in solve_batch(requests)]
+            assert got == [trajectory_bytes(integrate(cfg, span)) for cfg, span, _ in requests]
+
+    def test_blas_sums_over_many_lanes(self):
+        # above SCALAR_SUM_MAX components the stage sums are np.dot per lane
+        requests = [(set_config_value(three_wells(), "pulse.F0", 1.2 * (i + 1)),
+                     (0.0, 3.0 + 0.5 * i), None) for i in range(meanfield.LANES_MIN + 1)]
+        assert len(requests[0][0].dipoles) + 1 > meanfield.SCALAR_SUM_MAX
+        batch = solve_batch(requests)
+        got = [trajectory_bytes(traj) for traj in batch]
+        assert got == [trajectory_bytes(integrate(cfg, span)) for cfg, span, _ in requests]
+        ref = scipy_run(*requests[-1][:2])
+        assert (batch[-1].modes.tobytes(), batch[-1].stats["nfev"]) == (
+            ref.y[1:].tobytes(), ref.nfev)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_lane_fails_the_batch_within_its_first_step(self, monkeypatch):
+        good = [standard_config(f0_over_kappa=0.1 * (i + 1)) for i in range(meanfield.LANES_MIN)]
+        bad = standard_config(f0_over_kappa=0.45)
+        calls = {cfg.pulse: 0 for cfg in good + [bad]}
+
+        def drive(t, pulse, frame):
+            calls[pulse] += 1
+            return math.nan if pulse == bad.pulse else drive_amplitude(t, pulse, frame)
+
+        monkeypatch.setattr(meanfield, "drive_amplitude", drive)
+        named = re.escape(f"pulse.F0 = {bad.pulse.amplitude!r};")
+        with pytest.raises(SolverError, match="error norm nan for config .*" + named):
+            solve_batch([(cfg, (0.0, 2.0), None) for cfg in good + [bad]])
+        # f(t0) and select_initial_step's probe, then the six stages of the
+        # one attempt every lane of the batch made
+        assert set(calls.values()) == {2 + 6}
 
 
 class TestDerivedQuantities:
