@@ -14,29 +14,22 @@ from .errors import (
 )
 from .model import (
     CavityParams,
-    CollectiveCoefficients,
     DipoleParams,
     Frame,
     PulseParams,
     SystemConfig,
     drive_amplitude,
     effective_decay,
-    eigenenergy,
     envelope,
     format_config,
-    level_spacing,
     load_config,
     parse_config,
     purcell_rate,
     set_config_value,
-    to_collective,
-    to_local,
 )
 from .meanfield import (
     MeanFieldTrajectory,
     PostPulseOracle,
-    adiabatic_field,
-    instantaneous_frequency,
     integrate,
     oracle_from_trajectory,
     post_pulse_analytic,

@@ -351,12 +351,13 @@ def _read_table(path: Path) -> tuple[list[str], list[list[float]]]:
         raise ConfigError(f"{path}: empty table")
     header, rows = lines[0][1].split(","), []
     for n, line in lines[1:]:
-        row = []
-        for k, cell in enumerate(line.split(",")):
+        cells, row = line.split(","), []
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}, line {n} has {len(cells)} cells, its header {len(header)}")
+        for column, cell in zip(header, cells):
             try:
                 row.append(float(cell))
             except ValueError:
-                column = header[k] if k < len(header) else f"#{k + 1}"
                 raise ConfigError(
                     f"{path}, line {n}, column {column}: {cell!r} is not a number") from None
         rows.append(row)

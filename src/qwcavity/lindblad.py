@@ -32,6 +32,10 @@ from .meanfield import CoherenceSeries, default_dt, uniform_grid
 from .model import Frame, SystemConfig, config_to_dict, drive_amplitude, write_json, write_table
 
 DIM_CAP_DEFAULT = 4096
+N_CHECKPOINTS = 17       # density matrices kept per evolve, spread evenly over the grid
+TOP_LEVEL_TOL = 1e-4     # largest top-photon-level population before TruncationError
+POSITIVITY_TOL = 1e-6    # most negative checkpoint eigenvalue before SolverError
+CHUNK = 256              # grid samples per fresh RK45 run
 
 
 @dataclass(frozen=True)
@@ -412,20 +416,17 @@ def evolve(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     dt: float | None = None,
-    n_checkpoints: int = 17,
-    top_level_tol: float = 1e-4,
-    positivity_tol: float = 1e-6,
-    chunk: int = 256,
 ) -> LindbladResult:
     """Propagate rho0 in cfg.frame and record expectation series on a uniform grid.
 
-    The grid is integrated in chunks of `chunk` samples, each a fresh RK45
+    The grid is integrated in chunks of CHUNK samples, each a fresh RK45
     run on the upper triangle of rho from the previous chunk's end state,
     and every sample is read off the interpolant of the step that covers it.
 
-    Raises TruncationError when the top photon level acquires > 1e-4
-    population (the Fock cutoff is then too low for this drive) and
-    SolverError when positivity degrades beyond `positivity_tol`.
+    Raises TruncationError when the top photon level acquires more than
+    TOP_LEVEL_TOL population (the Fock cutoff is then too low for this
+    drive) and SolverError when a checkpoint eigenvalue falls below
+    -POSITIVITY_TOL.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (h.dim, h.dim):
@@ -433,7 +434,7 @@ def evolve(
     DensityMatrix(matrix=rho0, time=t_span[0]).validate()
     grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
     nt = len(grid)
-    rec = _ChunkRecorder(h, grid, n_checkpoints, top_level_tol, positivity_tol)
+    rec = _ChunkRecorder(h, grid, N_CHECKPOINTS, TOP_LEVEL_TOL, POSITIVITY_TOL)
     tri = rec.tri
     upper_rows = _liouvillian(cfg, h, cfg.frame, rows=tri.upper)
 
@@ -443,8 +444,8 @@ def evolve(
     y = rho0.reshape(-1)[tri.upper]
     rec.record(0, y[None, :], np.ones((1, 1)), lambda j: y)
     nfev = n_steps = n_chunks = 0
-    for start in range(0, nt - 1, chunk):
-        stop = min(start + chunk, nt - 1)
+    for start in range(0, nt - 1, CHUNK):
+        stop = min(start + CHUNK, nt - 1)
         t_eval = grid[start + 1 : stop + 1]
         # what solve_ivp(t_eval=...) runs, without stacking the chunk's states
         solver = _HermitianRK45(rhs, float(grid[start]), y, float(grid[stop]), tri,

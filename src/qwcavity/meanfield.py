@@ -14,7 +14,6 @@ so independent parameter-sweep integrations can run in parallel workers.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -488,35 +487,6 @@ def _advance(live, y, f, n, rtol, atol):
                 return
             live, y, f = [live[j] for j in keep], y[:, keep].copy(), f[:, keep].copy()  # C order
             rhs, y_arr, abs_y = _rhs([(s.cfg, s.modes) for s in live]), y, abs_y[:, keep]
-
-
-def instantaneous_frequency(traj: MeanFieldTrajectory) -> np.ndarray:
-    """Chirped dipole frequency w0 - (2U/N)|<B0>|^2 along the grid."""
-    if traj.per_well:
-        raise ValidationError("instantaneous frequency is defined for identical wells")
-    d = traj.config.dipoles[0]
-    n = traj.config.n_wells
-    return d.omega - (2.0 * d.anharmonicity / n) * np.abs(traj.bright()) ** 2
-
-
-def adiabatic_field(b0, t, cfg: SystemConfig):
-    """Cavity amplitude at time t with the field slaved to the dipoles (bad cavity).
-
-    Warns when the bad-cavity conditions kappa >> gamma and
-    (kappa - gamma)/4 > sqrt(N) g do not hold.
-    """
-    kappa = cfg.cavity.kappa
-    gbar = sum(d.gamma for d in cfg.dipoles) / cfg.n_wells
-    g_n = cfg.collective_coupling
-    if kappa < 10.0 * gbar or (kappa - gbar) / 4.0 <= g_n:
-        warnings.warn(
-            "adiabatic elimination outside its regime: need kappa >> gamma and "
-            f"(kappa-gamma)/4 > sqrt(N)g (kappa={kappa}, gamma={gbar}, sqrtN*g={g_n})",
-            stacklevel=2,
-        )
-    return -1j * (2.0 * g_n / kappa) * np.asarray(b0, dtype=complex) - 1j * (
-        2.0 / kappa
-    ) * drive_amplitude(t, cfg.pulse, cfg.frame)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Physical parameter types, Kerr ladder, pulse envelope, collective modes,
-and the config and data-file formats.
+"""Physical parameter types, the pulse envelope and drive, and the config and
+data-file formats.
 
 Units: angular frequencies and decay rates in rad/ps (equivalently 1/ps),
 times in ps. All parameter containers are frozen dataclasses; every function
@@ -107,21 +107,6 @@ class SystemConfig:
         return math.sqrt(sum(d.coupling**2 for d in self.dipoles))
 
 
-def eigenenergy(nu: int, d: DipoleParams) -> float:
-    """Kerr-ladder eigenvalue omega*nu - U*(nu^2 - nu) for level nu >= 0."""
-    if nu < 0 or nu != int(nu):
-        raise ValidationError(f"level index must be a non-negative integer, got {nu}")
-    nu = int(nu)
-    return d.omega * nu - d.anharmonicity * (nu**2 - nu)
-
-
-def level_spacing(nu: int, d: DipoleParams) -> float:
-    """Transition frequency between levels nu and nu+1: omega - 2*U*nu."""
-    if nu < 0 or nu != int(nu):
-        raise ValidationError(f"level index must be a non-negative integer, got {nu}")
-    return d.omega - 2.0 * d.anharmonicity * int(nu)
-
-
 def purcell_rate(cfg: SystemConfig) -> float:
     """Cavity-enhanced dipole decay rate gamma*(1 + 4*N*g^2/(kappa*gamma)).
 
@@ -161,40 +146,6 @@ def drive_amplitude(t: float, p: PulseParams, frame: Frame):
     return amp if frame is Frame.ROTATING else amp * np.exp(-1j * p.carrier * t)
 
 
-@dataclass(frozen=True)
-class CollectiveCoefficients:
-    """Unitary map between local well amplitudes and collective modes.
-
-    Row alpha holds exp(i*2*pi*alpha*n/N)/sqrt(N); alpha = 0 is the uniform
-    bright mode, the remaining rows span the dark manifold.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("collective transform needs N >= 1")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        alpha = np.arange(self.n)[:, None]
-        wells = np.arange(self.n)[None, :]
-        return np.exp(2j * np.pi * alpha * wells / self.n) / math.sqrt(self.n)
-
-
-def to_collective(local: np.ndarray) -> np.ndarray:
-    """Map local amplitudes b_n to collective modes B_alpha."""
-    local = np.asarray(local, dtype=complex)
-    return CollectiveCoefficients(local.shape[0]).matrix @ local
-
-
-def to_local(collective: np.ndarray) -> np.ndarray:
-    """Inverse of to_collective: b_n = (1/sqrt(N)) sum_a exp(-i2pi a n/N) B_a."""
-    collective = np.asarray(collective, dtype=complex)
-    c = CollectiveCoefficients(collective.shape[0]).matrix
-    return c.conj().T @ collective
-
-
 # --- configuration file format -------------------------------------------
 #
 # Flat "key = value" lines; '#' starts a comment. The file lists the cavity
@@ -212,6 +163,17 @@ _SCALAR_FIELDS = {
 }
 _DIPOLE_FIELDS = {"omega": "omega", "U": "anharmonicity", "gamma": "gamma", "g": "coupling"}
 _DIPOLE_KEY = re.compile(rf"^dipoles\[(\d+)\]\.({'|'.join(_DIPOLE_FIELDS)})$")
+
+
+def _number(key: str, text) -> float:
+    """A config value as a finite float; anything else is a ConfigError naming the key."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"value for {key!r} must be a finite number, got {text!r}")
+    return value
 
 
 def parse_config(text: str) -> SystemConfig:
@@ -245,9 +207,9 @@ def parse_config(text: str) -> SystemConfig:
             frame_value = value
             continue
         try:
-            entry[fld] = float(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: bad numeric value {value!r}") from None
+            entry[fld] = _number(key, value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
 
     missing = [key for key, (part, fld) in _SCALAR_FIELDS.items() if fld not in parts[part]]
     if missing:
@@ -330,11 +292,7 @@ def set_config_value(cfg: SystemConfig, key: str, value) -> SystemConfig:
         except ValueError:
             raise ConfigError(f"frame must be 'lab' or 'rotating', got {value!r}") from None
 
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"value for {key!r} must be numeric, got {value!r}") from None
-
+    value = _number(key, value)
     m = _DIPOLE_KEY.match(key)
     if m:
         idx, fld = int(m.group(1)), m.group(2)

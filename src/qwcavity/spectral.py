@@ -37,6 +37,7 @@ RESOLUTION_FACTOR = 50.0  # spectrum grid step d_omega = gamma_tilde / factor
 BAND_FACTOR = 10.0        # unwrap band half-width, in gamma_tilde
 NOISE_FLOOR = 1e-12       # magnitude floor relative to the band peak
 WEAK_RATIO = 0.01         # F0/kappa of the 'weak' baseline
+AMP_FLOOR = 1e-6          # time_delay: smallest weak extremum kept, relative to the trace peak
 RESIDUAL_THRESHOLD = 0.05  # fit_alpha: largest rms residual, relative to max |dphi|, in regime
 
 
@@ -335,17 +336,12 @@ def _extrema(t: np.ndarray, x: np.ndarray):
     return np.array(times), np.array(kinds), np.array(values)
 
 
-def time_delay(
-    strong: MeanFieldTrajectory,
-    weak: MeanFieldTrajectory,
-    *,
-    amp_floor: float = 1e-6,
-) -> DelaySeries:
+def time_delay(strong: MeanFieldTrajectory, weak: MeanFieldTrajectory) -> DelaySeries:
     """Match same-kind extrema of Re of the lab-frame bright coherence and report
     the signed time offset of the strong trace at each weak extremum.
 
     Extrema are matched to the nearest candidate within half a carrier
-    period; weak extrema below `amp_floor` of the trace peak (signal death)
+    period; weak extrema below AMP_FLOOR of the trace peak (signal death)
     and unmatched ones are dropped.
     """
     cfg_s = set_config_value(strong.config, "pulse.F0", 0.0)
@@ -359,7 +355,7 @@ def time_delay(
     xw = np.real(weak.lab_signal("bright"))
     ts, ks, _ = _extrema(strong.t, xs)
     tw, kw, vw = _extrema(weak.t, xw)
-    floor = amp_floor * np.max(np.abs(xw))
+    floor = AMP_FLOOR * np.max(np.abs(xw))
     half_period = math.pi / strong.config.pulse.carrier
 
     times, delays, kinds = [], [], []

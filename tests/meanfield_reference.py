@@ -55,6 +55,12 @@ def collective_rhs(cfg):
     return rhs
 
 
+def pair_modes(local):
+    """(B0, B1) of a pair's local amplitudes (b1, b2), along the first axis."""
+    b1, b2 = np.asarray(local, dtype=complex)
+    return np.array([b1 + b2, b1 - b2]) / math.sqrt(2.0)
+
+
 def solve_ivp_rk45(rhs, y0, grid, *, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
     """scipy's solve_ivp RK45 from y0, sampled on grid."""
     return solve_ivp(

@@ -279,6 +279,16 @@ class TestReadTable:
         assert f"{table}, line 4, column kind: 'peak' is not a number" in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("command", ["fit-alpha", "compare"])
+    def test_ragged_row_is_config_error(self, command, tmp_path, fast_config_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("f0_over_kappa,dphi_cavity\n0.1,0.01\n0.2\n0.3,0.09\n")
+        inputs = {"fit-alpha": ["--config", str(fast_config_path), "--table", str(table)],
+                  "compare": ["--meanfield", str(table), "--lindblad", str(table)]}[command]
+        assert main([command, *inputs, "--out", str(tmp_path / "o")]) == 2
+        assert f"{table}, line 3 has 1 cells, its header 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_reads_written_table_back_exactly(self, tmp_path):
         rows = [(0.1, 1e-300, -0.0, 3), (2.5, float("nan"), 1e300, np.int64(-4))]
         path = tmp_path / "t.csv"
@@ -364,6 +374,22 @@ class TestExitCodes:
             "--override", "nonsense", "--out", str(tmp_path / "o"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("dipoles[0].gamma", "nan", "file"), ("pulse.T", "inf", "--override"),
+        ("pulse.F0", "nan", "--axis"),
+    ])
+    def test_non_finite_value_is_config_error(self, key, value, where, tmp_path, fast_config_path,
+                                              capsys):
+        config, extra = fast_config_path, [where, f"{key}={value}"]
+        if where == "file":
+            config, extra = tmp_path / "non_finite.txt", []
+            kept = [ln for ln in fast_config_path.read_text().splitlines() if not ln.startswith(key)]
+            config.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+        command = "sweep" if where == "--axis" else "simulate"
+        assert main([command, "--config", str(config), *extra, "--out", str(tmp_path / "o")]) == 2
+        assert f"value for {key!r} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--config"), ("fit-alpha", "--config"), ("fit-alpha", "--table"),

@@ -508,7 +508,7 @@ class TestDensityMatrixType:
     def test_checkpoint_round_trip(self, tmp_path):
         cfg = standard_config(u_over_gamma=0.5, f0_over_kappa=0.05)
         h = HilbertConfig(n_photon_max=2, nu_max=2, n_wells=2)
-        res = evolve(vacuum_state(h), (0.0, 2.0), cfg, h, dt=0.004, n_checkpoints=5)
+        res = evolve(vacuum_state(h), (0.0, 2.0), cfg, h, dt=0.004)
         write_checkpoints(res, tmp_path / "cp")
         loaded = read_checkpoints(tmp_path / "cp")
         assert len(loaded) == len(res.checkpoints)

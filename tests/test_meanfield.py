@@ -13,20 +13,16 @@ from qwcavity import (
     PostPulseOracle,
     SolverError,
     ValidationError,
-    adiabatic_field,
     fid_time_span,
-    instantaneous_frequency,
     integrate,
     oracle_from_trajectory,
     post_pulse_analytic,
     purcell_rate,
     set_config_value,
     stationary_phase,
-    to_collective,
 )
 from qwcavity import baseline_config, drive_amplitude, meanfield
 from qwcavity.meanfield import (
-    MeanFieldTrajectory,
     _modes,
     _rhs,
     default_dt,
@@ -35,7 +31,7 @@ from qwcavity.meanfield import (
 )
 
 from conftest import standard_config
-from meanfield_reference import collective_rhs, solve, solve_ivp_rk45
+from meanfield_reference import collective_rhs, pair_modes, solve, solve_ivp_rk45
 
 
 def undriven(cfg):
@@ -74,15 +70,6 @@ class TestIdenticalRhs:
         assert d2[0] == pytest.approx(2 * d1[0], rel=1e-12)
         assert d2[1] == pytest.approx(2 * d1[1], rel=1e-12)
 
-    def test_rejects_inhomogeneous_config(self):
-        # an inhomogeneous set never collapses onto the bright mode, so the
-        # bright-mode chirp is refused for it
-        cfg = standard_config(gamma2=1.2)
-        traj = integrate(cfg, (0.0, 2.0), dt=0.004)
-        assert traj.per_well and traj.modes.shape[0] == 2
-        with pytest.raises(ValidationError):
-            instantaneous_frequency(traj)
-
 
 class TestTwoWellRhs:
     def test_symmetric_collective_reduces_to_identical(self):
@@ -112,8 +99,8 @@ class TestTwoWellRhs:
             local = rng.normal(0, 0.3, 2) + 1j * rng.normal(0, 0.3, 2)
             t = rng.uniform(0.0, 2.0)
             d_loc = local_rhs(cfg)(t, [a, *local])
-            d_coll = collective_rhs(cfg)(t, [a, *to_collective(local)])
-            expect = to_collective(np.array(d_loc[1:]))
+            d_coll = collective_rhs(cfg)(t, [a, *pair_modes(local)])
+            expect = pair_modes(d_loc[1:])
             assert d_loc[0] == pytest.approx(d_coll[0], abs=1e-12)
             assert np.allclose(expect, np.array(d_coll[1:]), atol=1e-10)
 
@@ -170,7 +157,7 @@ class TestIntegrate:
         loc = integrate(cfg, t_span)
         _, col = solve(collective_rhs(cfg), np.zeros(3), t_span, cfg)
         scale = np.abs(col[1:]).max()
-        mapped = np.stack([to_collective(loc.modes[:, i]) for i in range(loc.modes.shape[1])]).T
+        mapped = pair_modes(loc.modes)
         assert np.abs(mapped - col[1:]).max() / scale < 1e-8
         assert np.abs(loc.a - col[0]).max() / np.abs(col[0]).max() < 1e-8
 
@@ -406,50 +393,6 @@ class TestLaneBatch:
         # f(t0) and select_initial_step's probe, then the six stages of the
         # one attempt every lane of the batch made
         assert set(calls.values()) == {2 + 6}
-
-
-class TestDerivedQuantities:
-    def _tiny_traj(self, cfg, modes):
-        t = np.arange(4) * 1e-3
-        m = np.tile(np.asarray(modes, dtype=complex)[:, None], (1, 4))
-        return MeanFieldTrajectory(
-            t=t,
-            a=np.zeros(4, dtype=complex),
-            modes=m,
-            config=cfg,
-            per_well=False,
-        )
-
-    def test_instantaneous_frequency_vacuum(self):
-        cfg = standard_config(u_over_gamma=1.0)
-        traj = self._tiny_traj(cfg, [0.0])
-        assert np.all(instantaneous_frequency(traj) == 40.0)
-
-    def test_instantaneous_frequency_harmonic(self):
-        cfg = standard_config(u_over_gamma=0.0)
-        traj = self._tiny_traj(cfg, [0.8 + 0.1j])
-        assert np.all(instantaneous_frequency(traj) == 40.0)
-
-    def test_instantaneous_frequency_red_shift(self):
-        cfg = standard_config(u_over_gamma=1.0)  # U = 0.6, N = 2
-        traj = self._tiny_traj(cfg, [1.0])
-        freq = instantaneous_frequency(traj)
-        assert freq[0] == pytest.approx(39.4, rel=1e-12)
-        assert np.all(freq <= 40.0)
-
-    def test_adiabatic_field_values(self):
-        cfg = undriven(standard_config())
-        assert adiabatic_field(0j, 10.0, cfg) == 0
-        assert adiabatic_field(1.0 + 0j, 10.0, cfg) == pytest.approx(-1j / 6.0, rel=1e-12)
-        cfg_driven = standard_config(f0_over_kappa=0.2)
-        # empty cavity at the envelope peak: -2i F0 / kappa
-        value = adiabatic_field(0j, 0.6, cfg_driven)
-        assert value == pytest.approx(-2j * 2.4 / 12.0, rel=1e-12)
-
-    def test_adiabatic_field_warns_outside_bad_cavity(self):
-        cfg = standard_config(gamma=10.0, gamma2=10.0)
-        with pytest.warns(UserWarning):
-            adiabatic_field(0j, 0.0, cfg)
 
 
 class TestPostPulseOracle:

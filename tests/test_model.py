@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qwcavity import (
     CavityParams,
-    CollectiveCoefficients,
     ConfigError,
     DipoleParams,
     Frame,
@@ -16,15 +15,11 @@ from qwcavity import (
     SystemConfig,
     ValidationError,
     drive_amplitude,
-    eigenenergy,
     envelope,
     format_config,
-    level_spacing,
     parse_config,
     purcell_rate,
     set_config_value,
-    to_collective,
-    to_local,
 )
 from qwcavity.model import (
     _DIPOLE_FIELDS,
@@ -36,49 +31,6 @@ from qwcavity.model import (
 )
 
 from conftest import standard_config
-
-REF_DIPOLE = DipoleParams(omega=40.0, anharmonicity=0.6, gamma=0.6, coupling=1.0)
-
-finite_params = st.builds(
-    DipoleParams,
-    omega=st.floats(1.0, 1e3),
-    anharmonicity=st.floats(0.0, 10.0),
-    gamma=st.floats(1e-3, 1e2),
-    coupling=st.floats(0.0, 10.0),
-)
-
-
-class TestKerrLadder:
-    def test_ground_state_energy(self):
-        assert eigenenergy(0, REF_DIPOLE) == 0.0
-
-    def test_first_level(self):
-        assert eigenenergy(1, REF_DIPOLE) == 40.0
-
-    def test_second_level_and_reduced_spacing(self):
-        assert eigenenergy(2, REF_DIPOLE) == pytest.approx(78.8, abs=1e-12)
-        # E2 - E1 drops below the fundamental by twice the anharmonicity
-        assert eigenenergy(2, REF_DIPOLE) - eigenenergy(1, REF_DIPOLE) == pytest.approx(38.8)
-
-    def test_level_spacing_examples(self):
-        assert level_spacing(0, REF_DIPOLE) == 40.0
-        assert level_spacing(1, REF_DIPOLE) == pytest.approx(38.8)
-        harmonic = DipoleParams(omega=40.0, anharmonicity=0.0, gamma=0.6, coupling=1.0)
-        assert level_spacing(1, harmonic) == 40.0
-
-    def test_rejects_negative_level(self):
-        with pytest.raises(ValidationError):
-            eigenenergy(-1, REF_DIPOLE)
-
-    @given(d=finite_params, nu=st.integers(0, 10))
-    def test_spacing_consistent_with_eigenvalues(self, d, nu):
-        diff = eigenenergy(nu + 1, d) - eigenenergy(nu, d)
-        assert level_spacing(nu, d) == pytest.approx(diff, rel=1e-12, abs=1e-12)
-
-    @given(omega=st.floats(1.0, 1e3), nu=st.integers(0, 10))
-    def test_harmonic_ladder_is_equidistant(self, omega, nu):
-        d = DipoleParams(omega=omega, anharmonicity=0.0, gamma=1.0, coupling=0.0)
-        assert level_spacing(nu, d) == level_spacing(0, d)
 
 
 class TestPurcellRate:
@@ -144,38 +96,6 @@ class TestPulse:
         p = PulseParams(amplitude=2.4, carrier=math.pi / 0.6, center=0.6, duration=0.155)
         value = drive_amplitude(0.6, p, Frame.LAB)
         assert value == pytest.approx(-2.4, rel=1e-12)
-
-
-class TestCollectiveTransform:
-    def test_symmetric_pair_is_pure_bright(self):
-        z = 0.3 - 0.7j
-        modes = to_collective(np.array([z, z]))
-        assert modes[0] == pytest.approx(math.sqrt(2) * z)
-        assert abs(modes[1]) < 1e-14
-
-    def test_antisymmetric_pair_is_pure_dark(self):
-        z = 0.5 + 0.2j
-        modes = to_collective(np.array([z, -z]))
-        assert abs(modes[0]) < 1e-14
-        assert abs(modes[1]) == pytest.approx(math.sqrt(2) * abs(z))
-
-    def test_three_well_round_trip(self):
-        rng = np.random.default_rng(7)
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        assert np.linalg.norm(to_local(to_collective(v)) - v) < 1e-12
-
-    def test_bright_row_is_uniform(self):
-        c = CollectiveCoefficients(5).matrix
-        assert np.allclose(c[0], 1.0 / math.sqrt(5))
-
-    @settings(max_examples=40)
-    @given(n=st.integers(1, 8), seed=st.integers(0, 2**31))
-    def test_unitarity(self, n, seed):
-        rng = np.random.default_rng(seed)
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert np.linalg.norm(to_local(to_collective(v)) - v) < 1e-12
-        c = CollectiveCoefficients(n).matrix
-        assert np.linalg.norm(c @ c.conj().T - np.eye(n)) < 1e-12
 
 
 class TestValidation:

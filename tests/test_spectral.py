@@ -369,7 +369,6 @@ class TestTimeDelay:
         delays = time_delay(
             fid_trajectory(base_config, strong, t),
             fid_trajectory(base_config, weak, t),
-            amp_floor=1e-5,
         )
         target = stationary_phase(oracle) / 40.0
         late = delays.delays[-10:]
