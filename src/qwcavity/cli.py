@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
-import logging
 import math
 import os
 import sys
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, GridError, SolverError, TruncationError, ValidationError
+from .errors import ConfigError, GridError, SolverError, ValidationError
 from .model import (
     CavityParams,
     DipoleParams,
@@ -40,7 +39,7 @@ from .model import (
     write_table,
 )
 from .meanfield import integrate, integrate_batch
-from .lindblad import DIM_CAP_DEFAULT, HilbertConfig, evolve, vacuum_state, write_checkpoints
+from .lindblad import HilbertConfig, evolve, vacuum_state, write_checkpoints
 from .spectral import (
     SpectralPolicy,
     baseline_config,
@@ -55,8 +54,6 @@ from .spectral import (
 
 N_PHOTON_MAX_DEFAULT = 8
 NU_MAX_DEFAULT = 2
-
-log = logging.getLogger("qwcavity")
 
 
 # --- manifest ---------------------------------------------------------------
@@ -86,20 +83,8 @@ def _solve(cfg: SystemConfig, solver: str, policy: SpectralPolicy, n_photon_max:
     span = fid_time_span(cfg, policy)
     if solver == "meanfield":
         return integrate(cfg, span, dt=dt)
-    h = HilbertConfig(n_photon_max=n_photon_max, nu_max=nu_max, n_wells=cfg.n_wells)
-    while True:
-        try:
-            return evolve(vacuum_state(h), span, cfg, h, dt=dt)
-        except TruncationError as exc:
-            # raise the Fock cutoff until the drive fits under it
-            try:
-                h = HilbertConfig(h.n_photon_max + 2, h.nu_max, h.n_wells)
-            except ConfigError:
-                raise TruncationError(
-                    f"drive needs n_photon_max > {h.n_photon_max} but the dimension cap "
-                    f"{DIM_CAP_DEFAULT} forbids it"
-                ) from None
-            log.warning("%s; restarting from t=%s with n_photon_max=%d", exc, span[0], h.n_photon_max)
+    h = HilbertConfig(n_photon_max, nu_max, cfg.n_wells)
+    return evolve(vacuum_state(h), span, cfg, h, dt=dt)
 
 
 def _spectra_worker(args):
@@ -375,8 +360,17 @@ def _apply_overrides(cfg: SystemConfig, overrides: list[str]) -> SystemConfig:
     return cfg
 
 
+def _check_truncation(args, n_wells: int, lindblad: bool) -> None:
+    """Build the truncation a Lindblad solve will use: a bad one is refused before any work."""
+    if lindblad:
+        HilbertConfig(args.n_photon_max, args.nu_max, n_wells)
+
+
 def _policy_from_args(args) -> SpectralPolicy:
     """SpectralPolicy with the fields the subcommand has flags for and the user set."""
+    if args.t_off_factor is not None and not math.isfinite(args.t_off_factor):
+        raise ConfigError(
+            f"value for '--t-off-factor' must be a finite number, got {args.t_off_factor}")
     given = {"baseline_mode": getattr(args, "baseline", None), "t_off_factor": args.t_off_factor}
     return SpectralPolicy(**{k: v for k, v in given.items() if v is not None})
 
@@ -384,6 +378,7 @@ def _policy_from_args(args) -> SpectralPolicy:
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args.override)
     policy = _policy_from_args(args)
+    _check_truncation(args, cfg.n_wells, args.solver != "meanfield")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -421,6 +416,7 @@ def _cmd_sweep(args) -> int:
             c = set_config_value(c, key, value)   # an unknown key raises before any file is written
         points.append((values, c))
     policy = _policy_from_args(args)
+    _check_truncation(args, cfg.n_wells, args.solver != "meanfield")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -458,7 +454,9 @@ def _cmd_fit_alpha(args) -> int:
     if drive is None:
         raise ConfigError(f"table {args.table} lacks a drive column (f0_over_kappa or pulse.F0)")
     r_col, scale = cols.index(drive), 1.0 if drive == "f0_over_kappa" else 1.0 / cfg.cavity.kappa
-    d_col = cols.index("dphi_cavity") if "dphi_cavity" in cols else len(cols) - 1
+    if "dphi_cavity" not in cols:
+        raise ConfigError(f"table {args.table} has no dphi_cavity column")
+    d_col = cols.index("dphi_cavity")
     points = [(row[r_col] * scale, row[d_col]) for row in rows]
     result = fit_alpha(points, cfg)
     outdir = Path(args.out)
@@ -490,11 +488,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_preset(args) -> int:
+    policy = _policy_from_args(args)
+    _check_truncation(args, PRESET_BASE.n_wells, args.preset_id in ("fig5a", "fig5b", "fig5c"))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg_path = outdir / f"{args.preset_id}_base_config.txt"
     cfg_path.write_text(format_config(PRESET_BASE))
-    files = PRESETS[args.preset_id](args.preset_id, outdir, _policy_from_args(args), args)
+    files = PRESETS[args.preset_id](args.preset_id, outdir, policy, args)
     _write_manifest(outdir, PRESET_BASE, [cfg_path] + files)
     return 0
 
@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("fit-alpha", _cmd_fit_alpha, ("--config", "--out", "--override"),
                 "quadratic fit of a sweep table")
-    p.add_argument("--table", required=True, help="sweep CSV with a dphi column")
+    p.add_argument("--table", required=True, help="sweep CSV with a dphi_cavity column")
 
     p = command("compare", _cmd_compare, ("--out",), "mean-field vs Lindblad discrepancy report")
     p.add_argument("--meanfield", required=True)
@@ -564,7 +564,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, SolverError) as exc:
+    except SolverError as exc:   # TruncationError included
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except (GridError, ValidationError) as exc:

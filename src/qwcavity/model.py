@@ -30,6 +30,17 @@ class Frame(enum.Enum):
     ROTATING = "rotating"  # co-rotating at the drive carrier
 
 
+def _check_fields(params, positive, nonnegative=()) -> None:
+    """Every field of a parameter type is finite, those named in `positive`
+    are > 0 and those in `nonnegative` >= 0, however the type was built."""
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{type(params).__name__}.{name} must be finite, got {value}")
+        if (name in positive and value <= 0) or (name in nonnegative and value < 0):
+            bound = "> 0" if name in positive else ">= 0"
+            raise ConfigError(f"{type(params).__name__}.{name} must be {bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class DipoleParams:
     """One quantum-well dipole: fundamental frequency, Kerr anharmonicity,
@@ -41,14 +52,7 @@ class DipoleParams:
     coupling: float
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ConfigError(f"dipole omega must be > 0, got {self.omega}")
-        if self.anharmonicity < 0:
-            raise ConfigError(f"anharmonicity must be >= 0, got {self.anharmonicity}")
-        if self.gamma <= 0:
-            raise ConfigError(f"dipole gamma must be > 0, got {self.gamma}")
-        if self.coupling < 0:
-            raise ConfigError(f"coupling must be >= 0, got {self.coupling}")
+        _check_fields(self, positive=("omega", "gamma"), nonnegative=("anharmonicity", "coupling"))
 
 
 @dataclass(frozen=True)
@@ -57,10 +61,7 @@ class CavityParams:
     kappa: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ConfigError(f"kappa must be > 0, got {self.kappa}")
-        if self.omega_c <= 0:
-            raise ConfigError(f"omega_c must be > 0, got {self.omega_c}")
+        _check_fields(self, positive=("omega_c", "kappa"))
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,7 @@ class PulseParams:
     duration: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ConfigError(f"pulse duration must be > 0, got {self.duration}")
-        if self.amplitude < 0:
-            raise ConfigError(f"pulse amplitude must be >= 0, got {self.amplitude}")
+        _check_fields(self, positive=("duration",), nonnegative=("amplitude",))
 
 
 @dataclass(frozen=True)

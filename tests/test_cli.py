@@ -1,5 +1,4 @@
 import json
-import logging
 import multiprocessing
 import os
 import subprocess
@@ -107,39 +106,49 @@ class TestSimulate:
         assert np.abs(signals["lab"] - signals["rotating"]).max() / scale < 1e-8
 
 
-class TestLogging:
-    def test_fock_escalation_logged_at_warning(self, tmp_path, fast_config_path, caplog):
-        args = ["simulate", "--config", str(fast_config_path), "--solver", "lindblad",
-                "--n-photon-max", "1", "--nu-max", "1", "--out", str(tmp_path / "run")]
-        with caplog.at_level(logging.WARNING, logger="qwcavity"):
-            assert main(args) == 0
-        escalations = [r for r in caplog.records if r.name == "qwcavity"]
-        assert escalations and all(r.levelno == logging.WARNING for r in escalations)
-        assert "n_photon_max=3" in escalations[0].getMessage()
+def run_pooled(method, argv):
+    """`qwcavity` in a fresh interpreter whose pool workers start by `method`."""
+    script = ("import multiprocessing, sys; multiprocessing.set_start_method(sys.argv[1]); "
+              "from qwcavity.cli import main; sys.exit(main(sys.argv[2:]))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(qwcavity.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", script, method, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_pooled_escalations_reach_stderr(self, tmp_path, fast_config_path, caplog, method):
-        """Pool workers have no handler of their own; logging's last resort prints there too."""
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+class TestPooledMatchesSerial:
+    """A --jobs 2 Lindblad sweep against the same sweep at --jobs 1."""
+
+    def sweep_args(self, config, n_photon_max):
+        return ["sweep", "--config", str(config), "--solver", "lindblad", "--n-photon-max",
+                str(n_photon_max), "--nu-max", "1", "--axis", "pulse.F0=1.2,2.4"]
+
+    def test_pooled_sweep_writes_the_serial_data(self, method, tmp_path, fast_config_path):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
-        args = ["sweep", "--config", str(fast_config_path), "--solver", "lindblad",
-                "--n-photon-max", "1", "--nu-max", "1", "--axis", "pulse.F0=1.2,2.4"]
-        with caplog.at_level(logging.WARNING, logger="qwcavity"):
-            assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
-        expected = sorted(r.getMessage() for r in caplog.records if r.name == "qwcavity")
-        assert expected
-        script = ("import multiprocessing, sys; multiprocessing.set_start_method(sys.argv[1]); "
-                  "from qwcavity.cli import main; sys.exit(main(sys.argv[2:]))")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(Path(qwcavity.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, method, *args, "--jobs", "2",
-             "--out", str(tmp_path / "pooled")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        args = self.sweep_args(fast_config_path, 4)   # top level stays below TOP_LEVEL_TOL
+        assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+        proc = run_pooled(method, args + ["--jobs", "2", "--out", str(tmp_path / "pooled")])
         assert proc.returncode == 0, proc.stderr
-        assert sorted(proc.stderr.splitlines()) == expected
+        assert proc.stderr == ""
         assert read_data_files(tmp_path / "pooled") == read_data_files(tmp_path / "serial")
+        assert list(read_data_files(tmp_path / "serial")) == ["sweep_lindblad.csv"]
+
+    def test_truncation_failure_is_the_serial_one(self, method, tmp_path, fast_config_path,
+                                                  capsys):
+        """The cutoff given is the cutoff solved at: pooled or serial, the same exit 3."""
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        args = self.sweep_args(fast_config_path, 1)
+        assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 3
+        serial = capsys.readouterr().err
+        assert serial.startswith("solver failure: ") and serial.count("\n") == 1
+        assert "(n_photon_max=1 too low for this drive)" in serial
+        proc = run_pooled(method, args + ["--jobs", "2", "--out", str(tmp_path / "pooled")])
+        assert (proc.returncode, proc.stderr) == (3, serial)
+        for out in ("serial", "pooled"):
+            assert not any((tmp_path / out).iterdir())
 
 
 class TestRunSpec:
@@ -242,6 +251,18 @@ class TestFitAlphaCommand:
         assert rc == 0
         payload = json.loads((out / "alpha_fit.json").read_text())
         assert payload["alpha"] == pytest.approx(3.5, rel=1e-9)
+
+    def test_table_without_dphi_cavity_is_config_error(self, tmp_path, fast_config_path, capsys):
+        """A fig5a/fig5b table has no dphi_cavity column; no other column stands in for it."""
+        table = tmp_path / "fig5a_phase_shifts.csv"
+        write_table(table, ["U = 0.5 gamma1; mean-field vs Lindblad"],
+                    ["f0_over_kappa", "dphi_meanfield", "dphi_lindblad"],
+                    [(r, r * r, 0.8 * r * r) for r in (0.05, 0.125, 0.2, 0.275, 0.35)])
+        rc = main(["fit-alpha", "--config", str(fast_config_path),
+                   "--table", str(table), "--out", str(tmp_path / "fit")])
+        assert rc == 2
+        assert f"config error: table {table} has no dphi_cavity column" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
 
     def test_too_few_points_is_validation_error(self, tmp_path, fast_config_path):
         table = tmp_path / "table.csv"
@@ -377,17 +398,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value, where", [
         ("dipoles[0].gamma", "nan", "file"), ("pulse.T", "inf", "--override"),
-        ("pulse.F0", "nan", "--axis"),
+        ("pulse.F0", "nan", "--axis"), ("--t-off-factor", "nan", "spectrum"),
+        ("--t-off-factor", "inf", "preset"),
     ])
     def test_non_finite_value_is_config_error(self, key, value, where, tmp_path, fast_config_path,
                                               capsys):
-        config, extra = fast_config_path, [where, f"{key}={value}"]
+        config = fast_config_path
         if where == "file":
-            config, extra = tmp_path / "non_finite.txt", []
+            config = tmp_path / "non_finite.txt"
             kept = [ln for ln in fast_config_path.read_text().splitlines() if not ln.startswith(key)]
             config.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
-        command = "sweep" if where == "--axis" else "simulate"
-        assert main([command, "--config", str(config), *extra, "--out", str(tmp_path / "o")]) == 2
+        inputs = ["--config", str(config)]
+        argv = {"file": ["simulate", *inputs],
+                "--override": ["simulate", *inputs, where, f"{key}={value}"],
+                "--axis": ["sweep", *inputs, where, f"{key}={value}"],
+                "spectrum": ["spectrum", *inputs, key, value],
+                "preset": ["preset", "fig5c", key, value]}[where]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         assert f"value for {key!r} must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -432,6 +459,28 @@ class TestExitCodes:
         assert f"config error: --out {out}: {taken} exists and is not a directory" in (
             capsys.readouterr().err)
         assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("command, n_photon_max, error", [
+        ("simulate", 0, "n_photon_max, nu_max and n_wells must all be >= 1"),
+        ("sweep", 500, "total dimension 4509 exceeds the cap"),
+        ("preset", 500, "total dimension 4509 exceeds the cap"),
+    ])
+    def test_bad_truncation_is_refused_before_any_work(self, command, n_photon_max, error,
+                                                       tmp_path, fast_config_path, monkeypatch,
+                                                       capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a solve started before the truncation was checked")
+
+        for name in ("integrate", "integrate_batch", "evolve"):
+            monkeypatch.setattr(cli, name, unreachable)
+        run = ["--config", str(fast_config_path), "--solver", "both"]
+        argv = {"simulate": ["simulate", *run],
+                "sweep": ["sweep", *run, "--axis", "pulse.F0=1.2,2.4", "--jobs", "1"],
+                "preset": ["preset", "fig5a", "--jobs", "1"]}[command]
+        rc = main([*argv, "--n-photon-max", str(n_photon_max), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"config error: {error}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_solver_failure_maps_to_three(self, tmp_path, fast_config_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -499,14 +548,15 @@ class TestPresets:
         manifest = json.loads((out / "manifest.json").read_text())
         assert any(e["path"] == "fig5c_p2.csv" for e in manifest["files"])
 
-    def test_fig5c_escalates_a_low_fock_cutoff(self, tmp_path, caplog):
+    def test_fig5c_fails_at_a_low_fock_cutoff(self, tmp_path, capsys):
+        """No retry at a raised cutoff: the first overflow ends the preset."""
         out = tmp_path / "fig5c"
-        with caplog.at_level(logging.WARNING, logger="qwcavity"):
-            rc = main(["preset", "fig5c", "--out", str(out), "--n-photon-max", "2", "--jobs", "1"])
-        assert rc == 0
-        escalations = [r.getMessage() for r in caplog.records if r.name == "qwcavity"]
-        assert any("n_photon_max=4" in m for m in escalations)
-        assert (out / "fig5c_p2.csv").exists()
+        rc = main(["preset", "fig5c", "--out", str(out), "--n-photon-max", "2", "--jobs", "1"])
+        assert rc == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver failure: ")
+        assert "(n_photon_max=2 too low for this drive)" in lines[0]
+        assert not (out / "fig5c_p2.csv").exists()
 
     @pytest.mark.parametrize("preset_id", PRESET_IDS)
     def test_preset_writes_its_files(self, preset_id, tmp_path, monkeypatch):
@@ -526,6 +576,12 @@ class TestPresets:
             else:
                 lines = [ln for ln in (out / name).read_text().splitlines() if not ln.startswith("#")]
                 assert (lines[0], len(lines) - 1) == (header, n_rows)
+
+    def test_two_well_config_rejects_non_finite_ratios(self):
+        with pytest.raises(qwcavity.ConfigError, match="anharmonicity must be finite"):
+            two_well_config(u_over_gamma=float("nan"), f0_over_kappa=0.2)
+        with pytest.raises(qwcavity.ConfigError, match="amplitude must be finite"):
+            two_well_config(u_over_gamma=1.0, f0_over_kappa=float("inf"))
 
     def test_two_well_config_shape(self):
         cfg = two_well_config(u_over_gamma=0.5, f0_over_kappa=0.3, gamma2=0.9, omega2=41.6)

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -114,6 +115,19 @@ class TestValidation:
     def test_duration_positive(self):
         with pytest.raises(ConfigError):
             PulseParams(amplitude=1.0, carrier=40.0, center=0.0, duration=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("params, name", [
+        pytest.param(p, f.name, id=f"{type(p).__name__}.{f.name}")
+        for p in (DipoleParams(omega=40.0, anharmonicity=0.6, gamma=0.6, coupling=1.0),
+                  CavityParams(omega_c=40.0, kappa=12.0),
+                  PulseParams(amplitude=1.0, carrier=40.0, center=0.6, duration=0.155))
+        for f in fields(p)
+    ])
+    def test_non_finite_field_rejected(self, params, name, value):
+        """Built through the API, not parsed from text: each type checks its own fields."""
+        with pytest.raises(ConfigError, match=rf"^{type(params).__name__}\.{name} must be finite"):
+            replace(params, **{name: value})
 
     def test_needs_a_dipole(self):
         with pytest.raises(ConfigError):
