@@ -24,7 +24,6 @@ from .model import (
     format_config,
     load_config,
     parse_config,
-    purcell_rate,
     set_config_value,
 )
 from .meanfield import (
@@ -43,7 +42,6 @@ from .lindblad import (
     build_operators,
     evolve,
     lindblad_rhs,
-    read_checkpoints,
     vacuum_state,
     write_checkpoints,
 )
@@ -59,7 +57,6 @@ from .spectral import (
     fit_alpha,
     fourier,
     nonlinear_phase_shift,
-    phase_at,
     phase_pipeline,
     phase_spectrum,
     relative_phase,

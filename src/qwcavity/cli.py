@@ -122,7 +122,7 @@ def sweep_phase_shifts(points, solver, policy, *, n_photon_max=N_PHOTON_MAX_DEFA
     if jobs <= 1 or len(tasks) <= 1:
         spectra = [_spectra_worker(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             spectra = list(pool.map(_spectra_worker, tasks))
     done = {text: spec for chunk, specs in zip(chunks, spectra) for text, spec in zip(chunk, specs)}
     return [
@@ -409,6 +409,10 @@ def _parse_axis(spec: str) -> tuple[str, tuple]:
 def _cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args.override)
     axes = [_parse_axis(a) for a in args.axis]
+    keys = [key for key, _ in axes]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ConfigError(f"axis key {key!r} is given more than once")
     points = []
     for values in itertools.product(*(vals for _, vals in axes)):
         c = cfg
@@ -488,13 +492,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    policy = _policy_from_args(args)
     _check_truncation(args, PRESET_BASE.n_wells, args.preset_id in ("fig5a", "fig5b", "fig5c"))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg_path = outdir / f"{args.preset_id}_base_config.txt"
     cfg_path.write_text(format_config(PRESET_BASE))
-    files = PRESETS[args.preset_id](args.preset_id, outdir, policy, args)
+    files = PRESETS[args.preset_id](args.preset_id, outdir, SpectralPolicy(), args)
     _write_manifest(outdir, PRESET_BASE, [cfg_path] + files)
     return 0
 
@@ -511,8 +514,7 @@ _FLAGS = {
     "--n-photon-max": dict(type=int, default=N_PHOTON_MAX_DEFAULT),
     "--nu-max": dict(type=int, default=NU_MAX_DEFAULT),
 }
-_RUN_FLAGS = ("--config", "--solver", "--out", "--override", "--t-off-factor", "--n-photon-max",
-              "--nu-max")
+_RUN_FLAGS = ("--config", "--out", "--override", "--t-off-factor", "--n-photon-max", "--nu-max")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,14 +532,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    p = command("simulate", _cmd_simulate, _RUN_FLAGS, "single run, trajectory CSV + sidecar")
+    p = command("simulate", _cmd_simulate, ("--solver",) + _RUN_FLAGS,
+                "single run, trajectory CSV + sidecar")
     p.add_argument("--checkpoints", action="store_true", help="dump density-matrix checkpoints")
 
-    p = command("sweep", _cmd_sweep, _RUN_FLAGS + ("--jobs", "--baseline"),
+    p = command("sweep", _cmd_sweep, ("--solver",) + _RUN_FLAGS + ("--jobs", "--baseline"),
                 "phase shifts over one or more parameter axes")
     p.add_argument("--axis", action="append", required=True, metavar="key=v1,v2,...")
 
     p = command("spectrum", _cmd_spectrum, _RUN_FLAGS, "FID phase spectrum of one run")
+    p.add_argument("--solver", default="meanfield", choices=["meanfield", "lindblad"])
     p.add_argument("--source", default="cavity", choices=["cavity", "bright"])
 
     p = command("fit-alpha", _cmd_fit_alpha, ("--config", "--out", "--override"),
@@ -548,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meanfield", required=True)
     p.add_argument("--lindblad", required=True)
 
-    p = command("preset", _cmd_preset, ("--jobs", "--out", "--baseline", "--t-off-factor",
-                                        "--n-photon-max", "--nu-max"), "run a frozen figure preset")
+    p = command("preset", _cmd_preset, ("--jobs", "--out", "--n-photon-max", "--nu-max"),
+                "run a frozen figure preset")
     p.add_argument("preset_id", choices=list(PRESET_IDS))
     return parser
 
@@ -560,6 +564,8 @@ def main(argv=None) -> int:
         taken = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
         if not taken.is_dir():  # refused before any work is done
             raise ConfigError(f"--out {args.out}: {taken} exists and is not a directory")
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ states in between. Off the diagonal rho is Hermitian by construction, so
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -502,14 +501,3 @@ def write_checkpoints(result: LindbladResult, path_base) -> None:
         "layout": "row-major",
     })
 
-
-def read_checkpoints(path_base) -> list[DensityMatrix]:
-    base = Path(path_base)
-    header = json.loads(base.with_suffix(".json").read_text())
-    d = header["dim"]
-    raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<c16")
-    out = []
-    for k, t in enumerate(header["times"]):
-        block = raw[k * d * d : (k + 1) * d * d].reshape(d, d).astype(complex)
-        out.append(DensityMatrix(matrix=block, time=float(t)))
-    return out

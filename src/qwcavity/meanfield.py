@@ -28,8 +28,8 @@ from .model import (
     SystemConfig,
     config_to_dict,
     drive_amplitude,
+    effective_decay,
     format_config,
-    purcell_rate,
     write_json,
     write_table,
 )
@@ -546,7 +546,7 @@ def oracle_from_trajectory(traj: MeanFieldTrajectory, t_off: float) -> PostPulse
         B_off=float(np.interp(t_off, traj.t, np.abs(b))),
         phi_off=float(np.interp(t_off, tail, phase)),
         t_off=float(t_off),
-        gamma_tilde=purcell_rate(traj.config),
+        gamma_tilde=effective_decay(traj.config),
         U=d.anharmonicity,
         N=traj.config.n_wells,
     )

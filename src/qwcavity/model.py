@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 
 
 class Frame(enum.Enum):
@@ -105,42 +105,26 @@ class SystemConfig:
         return math.sqrt(sum(d.coupling**2 for d in self.dipoles))
 
 
-def purcell_rate(cfg: SystemConfig) -> float:
+def effective_decay(cfg: SystemConfig) -> float:
     """Cavity-enhanced dipole decay rate gamma*(1 + 4*N*g^2/(kappa*gamma)).
 
-    Only defined for wells with identical gamma and g; for other sets
-    effective_decay gives the same formula on the mean gamma.
-    """
-    if len({d.gamma for d in cfg.dipoles}) != 1 or len({d.coupling for d in cfg.dipoles}) != 1:
-        raise ValidationError(
-            "purcell_rate requires identical dipole gamma and g; "
-            "use effective_decay for inhomogeneous sets"
-        )
-    return effective_decay(cfg)
-
-
-def effective_decay(cfg: SystemConfig) -> float:
-    """Purcell-style effective decay built from mean gamma and sum g^2.
-
-    Equals purcell_rate for homogeneous configs; for inhomogeneous sets it
-    sets window lengths and spectral resolutions.
+    Built from the mean gamma and sum g^2, so for inhomogeneous wells it is
+    the rate that sets window lengths and spectral resolutions.
     """
     gamma = sum(d.gamma for d in cfg.dipoles) / len(cfg.dipoles)
     ng2 = cfg.collective_coupling**2
     return gamma * (1.0 + 4.0 * ng2 / (cfg.cavity.kappa * gamma))
 
 
-def envelope(t, p: PulseParams):
-    """Gaussian envelope exp(-(t-t0)^2/(2 T^2)), peak value 1 at t = t0."""
-    t = np.asarray(t, dtype=float)
-    out = np.exp(-((t - p.center) ** 2) / (2.0 * p.duration**2))
-    return out if out.ndim else float(out)
+def envelope(t: float, p: PulseParams) -> float:
+    """Gaussian envelope exp(-(t-t0)^2/(2 T^2)) at one time t, peak value 1 at t = t0."""
+    return math.exp(-((t - p.center) ** 2) / (2.0 * p.duration**2))
 
 
 def drive_amplitude(t: float, p: PulseParams, frame: Frame):
     """Complex drive F0*phi(t)*exp(-i w_d t) at one time t; the carrier phase
     is dropped in the rotating frame, where the value is a real float."""
-    amp = p.amplitude * math.exp(-((t - p.center) ** 2) / (2.0 * p.duration**2))
+    amp = p.amplitude * envelope(t, p)
     return amp if frame is Frame.ROTATING else amp * np.exp(-1j * p.carrier * t)
 
 

@@ -20,7 +20,6 @@ from .model import (
     SystemConfig,
     effective_decay,
     envelope,
-    purcell_rate,
     set_config_value,
     write_json,
     write_table,
@@ -85,7 +84,9 @@ class FidWindow:
     def __post_init__(self):
         if self.t[0] < self.t_off - 1e-9:
             raise ValidationError("window must start at t_off")
-        residual = float(np.max(envelope(self.t, self.config.pulse)))
+        # the envelope peaks at the window point nearest the pulse centre
+        p = self.config.pulse
+        residual = envelope(min(max(p.center, self.t[0]), self.t[-1]), p)
         if residual >= ENVELOPE_OFF_THRESHOLD:
             raise ValidationError(
                 f"pulse envelope still at {residual:.2e} inside the FID window"
@@ -212,16 +213,6 @@ def phase_spectrum(omega, values, omega0: float, gamma_tilde: float, t_off: floa
                     omega0=omega0, gamma_tilde=gamma_tilde, t_off=t_off, source=source)
 
 
-def phase_at(ps: Spectrum, omega: float | None = None) -> float:
-    """Linear interpolation of the unwrapped phase, by default at omega0."""
-    if omega is None:
-        omega = ps.omega0
-    w = ps.omega[ps.mask]
-    if not w[0] <= omega <= w[-1]:
-        raise ValidationError(f"omega {omega} outside the unwrapped band [{w[0]}, {w[-1]}]")
-    return float(np.interp(omega, w, ps.phase[ps.mask]))
-
-
 def relative_phase(run: Spectrum, base: Spectrum) -> float:
     """Delta Phi(omega0): Phi_run - Phi_baseline with the shared 2*pi branch removed.
 
@@ -279,12 +270,12 @@ def fit_alpha(points, cfg: SystemConfig) -> NonlinearPhaseResult:
     pts = sorted((float(r), float(p)) for r, p in points)
     if len(pts) < 5:
         raise ValidationError(f"need >= 5 drive points, got {len(pts)}")
+    if len({(d.anharmonicity, d.gamma, d.coupling) for d in cfg.dipoles}) != 1:
+        raise ValidationError("fit_alpha requires one U, gamma and g shared by every well")
     u = cfg.dipoles[0].anharmonicity
-    if any(d.anharmonicity != u for d in cfg.dipoles):
-        raise ValidationError("fit_alpha requires a common anharmonicity")
     if u <= 0:
         raise ValidationError("alpha is undefined for harmonic wells (U = 0)")
-    gamma_tilde = purcell_rate(cfg)
+    gamma_tilde = effective_decay(cfg)
 
     r = np.array([p[0] for p in pts])
     dphi = np.array([p[1] for p in pts])

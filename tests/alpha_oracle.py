@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy.special import erfc, wofz
 
-from qwcavity import Frame, SystemConfig, purcell_rate, set_config_value
+from qwcavity import Frame, SystemConfig, effective_decay, set_config_value
 
 
 def gaussian_response(lam: complex, tau, width: float) -> np.ndarray:
@@ -115,4 +115,4 @@ def first_order_alpha(
             - np.exp(lam[:, None] * (lo - s) + 1j * delta * lo)
         ) / mu[:, None]
         s1 = s1 + np.sum(ws * (v[0, :, None] * kernel * q).sum(axis=0))
-    return float((s1 / s0).imag) * purcell_rate(cfg)
+    return float((s1 / s0).imag) * effective_decay(cfg)

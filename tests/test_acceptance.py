@@ -16,6 +16,7 @@ from qwcavity import (
     HilbertConfig,
     SpectralPolicy,
     baseline_config,
+    effective_decay,
     evolve,
     fid_time_span,
     fid_window,
@@ -24,7 +25,6 @@ from qwcavity import (
     nonlinear_phase_shift,
     oracle_from_trajectory,
     post_pulse_analytic,
-    purcell_rate,
     relative_phase,
     set_config_value,
     stationary_phase,
@@ -185,7 +185,7 @@ def _delay_summary(gamma, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
     """
     cfg_s = standard_config(u_over_gamma=1.0, f0_over_kappa=0.2, gamma=gamma, gamma2=gamma)
     cfg_w = set_config_value(cfg_s, "pulse.F0", 0.01 * KAPPA)
-    gamma_tilde = purcell_rate(cfg_s)
+    gamma_tilde = effective_decay(cfg_s)
     lo, hi = (PULSE_END + w / gamma_tilde for w in PLATEAU_WINDOW)
     t_end = max(fid_time_span(cfg_s, POLICY)[1], hi + 1.0 / gamma_tilde)
     strong = integrate(cfg_s, (0.0, t_end), dt=1e-4, rtol=rtol, atol=atol)
@@ -217,7 +217,7 @@ def test_criterion_3_time_delay_persistence():
     def regime(gamma):
         cfg = standard_config(u_over_gamma=1.0, gamma=gamma, gamma2=gamma)
         u = cfg.dipoles[0].anharmonicity
-        return f"U/gamma={u / gamma:.2f}, gamma_tilde={purcell_rate(cfg):.3f}"
+        return f"U/gamma={u / gamma:.2f}, gamma_tilde={effective_decay(cfg):.3f}"
 
     detail = (
         f"plateau = median |delay| over [{PLATEAU_WINDOW[0]:g}, {PLATEAU_WINDOW[1]:g}]/gamma_tilde "
@@ -253,7 +253,7 @@ def test_criterion_3_plateau_converged_in_tolerances():
 
 def test_criterion_4_analytic_oracle_agreement():
     cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.2)
-    gamma_tilde = purcell_rate(cfg)
+    gamma_tilde = effective_decay(cfg)
     t_off = ORACLE_POLICY.resolve_t_off(cfg)
     traj = integrate(cfg, (0.0, t_off + 13.0 / gamma_tilde), dt=0.002)
     oracle = oracle_from_trajectory(traj, t_off)

@@ -10,9 +10,9 @@ PUBLIC = [
     "baseline_config", "build_hamiltonian", "build_operators", "drive_amplitude",
     "effective_decay", "envelope", "evolve", "fid_time_span", "fid_window", "fit_alpha",
     "format_config", "fourier", "integrate", "lindblad_rhs", "load_config",
-    "nonlinear_phase_shift", "oracle_from_trajectory", "parse_config", "phase_at",
-    "phase_pipeline", "phase_spectrum", "post_pulse_analytic", "purcell_rate",
-    "read_checkpoints", "relative_phase", "set_config_value", "stationary_phase", "time_delay",
+    "nonlinear_phase_shift", "oracle_from_trajectory", "parse_config", "phase_pipeline",
+    "phase_spectrum", "post_pulse_analytic", "relative_phase", "set_config_value",
+    "stationary_phase", "time_delay",
     "vacuum_state", "write_checkpoints",
     # the submodules
     "errors", "lindblad", "meanfield", "model", "spectral",

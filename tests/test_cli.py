@@ -13,13 +13,13 @@ from qwcavity import (
     SolverError,
     SpectralPolicy,
     baseline_config,
+    effective_decay,
     fid_time_span,
     format_config,
     integrate,
     load_config,
     nonlinear_phase_shift,
     parse_config,
-    purcell_rate,
     set_config_value,
 )
 import qwcavity.cli as cli
@@ -211,6 +211,42 @@ class TestSweepAndReproducibility:
                 assert shifts[src] == nonlinear_phase_shift(run, base, policy, src)
             assert shifts["cavity"] != 0.0
 
+    def test_repeated_axis_key_is_config_error(self, tmp_path, fast_config_path, capsys):
+        """The last axis would win in every config, so the first axis's labels would lie."""
+        rc = main([
+            "sweep", "--config", str(fast_config_path), "--axis", "pulse.F0=0.6",
+            "--axis", "pulse.F0=1.2,2.4", "--jobs", "1", "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        assert "config error: axis key 'pulse.F0' is given more than once" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
+    def test_pool_is_no_larger_than_its_tasks(self, tmp_path, fast_config_path, monkeypatch):
+        """A one-point sweep is two solves (run and baseline): --jobs 5000 asks for two
+        workers. The pool is a stand-in that runs the tasks in this process."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        args = ["sweep", "--config", str(fast_config_path), "--axis", "pulse.F0=1.2"]
+        assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        assert main(args + ["--jobs", "5000", "--out", str(tmp_path / "pooled")]) == 0
+        assert sizes == [2]
+        assert read_data_files(tmp_path / "pooled") == read_data_files(tmp_path / "serial")
+
     def test_unknown_axis_key_is_config_error(self, tmp_path, fast_config_path):
         rc = main([
             "sweep", "--config", str(fast_config_path),
@@ -232,11 +268,19 @@ class TestSpectrumCommand:
         assert lines[3] == "omega,re,im,magnitude,phase_unwrapped"
         assert len(lines) > 100
 
+    def test_solver_both_is_usage_error(self, tmp_path, fast_config_path):
+        # a spectrum is of one run: meanfield or lindblad
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--config", str(fast_config_path), "--solver", "both",
+                  "--out", str(tmp_path / "spec")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "spec").exists()
+
 
 class TestFitAlphaCommand:
     def test_fit_from_synthetic_table(self, tmp_path, fast_config_path):
         cfg = parse_config(fast_config_path.read_text())
-        gamma_tilde = purcell_rate(cfg)
+        gamma_tilde = effective_decay(cfg)
         u, n = cfg.dipoles[0].anharmonicity, 2
         rows = ["f0_over_kappa,dphi_cavity"]
         for r in np.linspace(0.02, 0.2, 7):
@@ -399,7 +443,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value, where", [
         ("dipoles[0].gamma", "nan", "file"), ("pulse.T", "inf", "--override"),
         ("pulse.F0", "nan", "--axis"), ("--t-off-factor", "nan", "spectrum"),
-        ("--t-off-factor", "inf", "preset"),
     ])
     def test_non_finite_value_is_config_error(self, key, value, where, tmp_path, fast_config_path,
                                               capsys):
@@ -412,8 +455,7 @@ class TestExitCodes:
         argv = {"file": ["simulate", *inputs],
                 "--override": ["simulate", *inputs, where, f"{key}={value}"],
                 "--axis": ["sweep", *inputs, where, f"{key}={value}"],
-                "spectrum": ["spectrum", *inputs, key, value],
-                "preset": ["preset", "fig5c", key, value]}[where]
+                "spectrum": ["spectrum", *inputs, key, value]}[where]
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         assert f"value for {key!r} must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -482,6 +524,14 @@ class TestExitCodes:
         assert f"config error: {error}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "preset"])
+    def test_jobs_below_one_is_config_error(self, command, tmp_path, fast_config_path, capsys):
+        argv = {"sweep": ["sweep", "--config", str(fast_config_path), "--axis", "pulse.F0=1.2"],
+                "preset": ["preset", "fig3"]}[command]
+        assert main([*argv, "--jobs", "0", "--out", str(tmp_path / "o")]) == 2
+        assert "config error: --jobs must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_solver_failure_maps_to_three(self, tmp_path, fast_config_path, monkeypatch):
         def boom(*args, **kwargs):
             raise SolverError("stiffness failure")
@@ -538,6 +588,15 @@ class TestPresets:
                 "--override", "pulse.F0=1.0",
             ])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--t-off-factor", "5"), ("--baseline", "weak")])
+    def test_policy_flags_are_usage_errors(self, flag, value, tmp_path):
+        # presets run at the default SpectralPolicy, so their manifests' config
+        # digest names everything that shaped the data
+        with pytest.raises(SystemExit) as exc:
+            main(["preset", "fig3", flag, value, "--out", str(tmp_path / "p")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "p").exists()
 
     def test_fig5c_preset_runs(self, tmp_path):
         out = tmp_path / "fig5c"

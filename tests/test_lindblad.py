@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -19,7 +20,6 @@ from qwcavity import (
     build_operators,
     evolve,
     lindblad_rhs,
-    read_checkpoints,
     set_config_value,
     vacuum_state,
     write_checkpoints,
@@ -510,11 +510,17 @@ class TestDensityMatrixType:
         h = HilbertConfig(n_photon_max=2, nu_max=2, n_wells=2)
         res = evolve(vacuum_state(h), (0.0, 2.0), cfg, h, dt=0.004)
         write_checkpoints(res, tmp_path / "cp")
-        loaded = read_checkpoints(tmp_path / "cp")
-        assert len(loaded) == len(res.checkpoints)
-        for got, want in zip(loaded, res.checkpoints):
-            assert got.time == want.time
-            assert np.array_equal(got.matrix, want.matrix)
+        # decode the published format: the header names dtype, byte order and layout
+        header = json.loads((tmp_path / "cp.json").read_text())
+        assert (header["file"], header["dtype"], header["byte_order"], header["layout"]) == (
+            "cp.bin", "complex128", "little", "row-major")
+        d, count = header["dim"], header["count"]
+        raw = np.frombuffer((tmp_path / "cp.bin").read_bytes(), dtype="<c16")
+        assert raw.size == count * d * d and count == len(res.checkpoints)
+        matrices = raw.reshape(count, d, d)
+        for t, got, want in zip(header["times"], matrices, res.checkpoints):
+            assert t == want.time
+            assert np.array_equal(got, want.matrix)
 
 
 class TestExports:

@@ -13,11 +13,11 @@ from qwcavity import (
     PostPulseOracle,
     SolverError,
     ValidationError,
+    effective_decay,
     fid_time_span,
     integrate,
     oracle_from_trajectory,
     post_pulse_analytic,
-    purcell_rate,
     set_config_value,
     stationary_phase,
 )
@@ -140,7 +140,7 @@ class TestIntegrate:
         # A*exp(-gamma_tilde/2 * (t - t_off)) with gamma_tilde from the
         # Purcell formula
         cfg = standard_config(u_over_gamma=0.0, f0_over_kappa=0.05)
-        gamma_tilde = purcell_rate(cfg)
+        gamma_tilde = effective_decay(cfg)
         t_off = 0.6 + 5 * 0.155
         traj = integrate(cfg, (0.0, t_off + 2.2 / gamma_tilde))
         sel = (traj.t >= t_off) & (traj.t <= t_off + 2.0 / gamma_tilde)
@@ -434,7 +434,7 @@ class TestPostPulseOracle:
         # strongest in-scope drive, window starting after the fast cavity
         # transient has died out
         cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.2)
-        gamma_tilde = purcell_rate(cfg)
+        gamma_tilde = effective_decay(cfg)
         t_off = 0.6 + 5 * 0.155
         traj = integrate(cfg, (0.0, t_off + 3.3 / gamma_tilde), dt=0.002)
         oracle = oracle_from_trajectory(traj, t_off)

@@ -8,29 +8,30 @@ from scipy.fft import next_fast_len
 
 from qwcavity import (
     GridError,
+    HilbertConfig,
     PostPulseOracle,
     SpectralPolicy,
     ValidationError,
     baseline_config,
+    effective_decay,
+    evolve,
     fid_time_span,
     fid_window,
     fit_alpha,
     fourier,
     integrate,
     nonlinear_phase_shift,
-    phase_at,
     phase_pipeline,
     phase_spectrum,
     post_pulse_analytic,
-    purcell_rate,
     relative_phase,
     set_config_value,
     stationary_phase,
     time_delay,
+    vacuum_state,
 )
 from qwcavity.cli import two_well_config
-from qwcavity.meanfield import MeanFieldTrajectory
-from qwcavity.model import effective_decay
+from qwcavity.meanfield import ATOL_DEFAULT, RTOL_DEFAULT, MeanFieldTrajectory, default_dt
 from qwcavity.spectral import RESOLUTION_FACTOR, FidWindow, write_fit_json, write_phase_csv
 
 from conftest import standard_config
@@ -46,6 +47,11 @@ def tone_window(phi0=0.0, t_start=T_OFF_DEFAULT, dt=0.002, decay=GAMMA_TILDE, om
     t = t_start + dt * np.arange(int(tail / decay / dt))
     values = np.exp(1j * phi0) * np.exp(-0.5 * decay * (t - t_start)) * np.exp(-1j * omega * t)
     return FidWindow(t=t, values=values, t_off=t_start, source="cavity", config=cfg)
+
+
+def phase_at(ps):
+    """Unwrapped phase of a spectrum at its resonance omega0."""
+    return float(np.interp(ps.omega0, ps.omega[ps.mask], ps.phase[ps.mask]))
 
 
 class TestFidWindow:
@@ -80,6 +86,12 @@ class TestFidWindow:
         traj = integrate(base_config, fid_time_span(base_config))
         with pytest.raises(ValidationError):
             fid_window(traj, policy=SpectralPolicy(t_off_factor=0.5))
+
+    def test_window_around_pulse_centre_rejected(self, base_config):
+        # t_off before the pulse centre: the window holds the envelope peak
+        traj = integrate(base_config, fid_time_span(base_config))
+        with pytest.raises(ValidationError, match="envelope still at 1.00e"):
+            fid_window(traj, policy=SpectralPolicy(t_off_factor=-1.0))
 
 
 class TestFourier:
@@ -265,6 +277,52 @@ class TestRelativePhase:
         assert abs(dphi) < 1e-3
 
 
+def converged_shifts(solve, cfg, dt, rtol, atol):
+    """dPhi(omega0) of `solve(cfg, span, dt=, rtol=, atol=)` and its baseline: as
+    given, with rtol and atol both tightened 100x, and with dt halved."""
+    policy = SpectralPolicy()
+    span = fid_time_span(cfg, policy)
+    base = baseline_config(cfg, policy)
+    return [nonlinear_phase_shift(solve(cfg, span, **kw), solve(base, span, **kw), policy)
+            for kw in (dict(dt=dt, rtol=rtol, atol=atol),
+                       dict(dt=dt, rtol=rtol / 100, atol=atol / 100),
+                       dict(dt=dt / 2, rtol=rtol, atol=atol))]
+
+
+class TestPhaseShiftConvergence:
+    """dPhi(omega0) at the standard point (U = gamma, F0 = 0.2 kappa) moves by
+    less than a bound set from the measured change when rtol and atol are
+    tightened 100x, or when dt is halved.
+
+    The dt change comes from the read-off, not from the ODE. The FID window
+    starts at the first grid sample at or after t_off, and dPhi moves in
+    proportion to how late that is. At default_dt / 4 and / 8 the window
+    starts at the same time, 1.0e-4 ps late, and the mean-field dPhi of the
+    two agrees to 2.4e-7 relative.
+    """
+
+    def test_meanfield(self, base_config):
+        """Measured: 3.0e-9 relative for the tolerances (bound 1e-8). For dt,
+        default_dt (2.08e-3 ps) against half of it, 2.1e-3 relative (bound
+        3e-3): the window starts 1.7e-3 ps late, then 6.3e-4 ps."""
+        ref, tight, half = converged_shifts(integrate, base_config, default_dt(base_config),
+                                            RTOL_DEFAULT, ATOL_DEFAULT)
+        assert abs(tight / ref - 1.0) < 1e-8
+        assert abs(half / ref - 1.0) < 3e-3
+
+    def test_lindblad(self, base_config):
+        """n_photon_max 4, nu_max 2 (dim 45), dt 0.004 as in the fig5 presets.
+        Measured: 1.6e-10 relative for the tolerances (bound 1e-9). For dt,
+        4.1e-3 relative (bound 6e-3): the window starts 3e-3 ps late, then
+        1e-3 ps. nu_max 1 would test nothing: a two-level well has no Kerr
+        term, so the run equals its harmonic baseline and dPhi is exactly 0."""
+        h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
+        solve = lambda cfg, span, **kw: evolve(vacuum_state(h), span, cfg, h, **kw)
+        ref, tight, half = converged_shifts(solve, base_config, 0.004, 1e-9, 1e-12)
+        assert abs(tight / ref - 1.0) < 1e-9
+        assert abs(half / ref - 1.0) < 6e-3
+
+
 class TestDipoleCavityEquivalence:
     def test_harmonic_run_gives_null_shifts(self):
         cfg = standard_config(u_over_gamma=0.0, f0_over_kappa=0.2)
@@ -292,7 +350,7 @@ class TestDipoleCavityEquivalence:
 
 class TestFitAlpha:
     def test_exact_quadratic_recovery(self, base_config):
-        gamma_tilde = purcell_rate(base_config)
+        gamma_tilde = effective_decay(base_config)
         u, n = 0.6, 2
         ratios = np.linspace(0.02, 0.2, 7)
         points = [(r, 3.5 * (2 * u / (n * gamma_tilde)) * r**2) for r in ratios]
@@ -309,6 +367,13 @@ class TestFitAlpha:
     def test_harmonic_config_rejected(self):
         cfg = standard_config(u_over_gamma=0.0)
         with pytest.raises(ValidationError):
+            fit_alpha([(r, r**2) for r in (0.02, 0.05, 0.1, 0.15, 0.2)], cfg)
+
+    @pytest.mark.parametrize("key, value", [("dipoles[1].gamma", 1.2), ("dipoles[1].g", 0.9),
+                                            ("dipoles[1].U", 0.3)], ids=["gamma", "g", "U"])
+    def test_rejects_inhomogeneous_wells(self, base_config, key, value):
+        cfg = set_config_value(base_config, key, value)
+        with pytest.raises(ValidationError, match="one U, gamma and g shared by every well"):
             fit_alpha([(r, r**2) for r in (0.02, 0.05, 0.1, 0.15, 0.2)], cfg)
 
     def test_cubic_data_flagged_out_of_regime(self, base_config):
