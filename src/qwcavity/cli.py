@@ -360,10 +360,14 @@ def _apply_overrides(cfg: SystemConfig, overrides: list[str]) -> SystemConfig:
     return cfg
 
 
-def _check_truncation(args, n_wells: int, lindblad: bool) -> None:
-    """Build the truncation a Lindblad solve will use: a bad one is refused before any work."""
+def _check_truncation(args, n_wells: int, lindblad: bool, kerr: bool = True) -> None:
+    """Build the truncation a Lindblad solve will use: a bad one is refused before any work.
+    With `kerr` the result needs a second well level (Delta Phi, p2), so nu_max 1 is refused."""
     if lindblad:
         HilbertConfig(args.n_photon_max, args.nu_max, n_wells)
+        if kerr and args.nu_max < 2:
+            raise ConfigError(f"--nu-max {args.nu_max} leaves each well without a second level, "
+                              "so no Kerr term: Delta Phi and p2 are exactly 0 (use --nu-max >= 2)")
 
 
 def _policy_from_args(args) -> SpectralPolicy:
@@ -378,7 +382,7 @@ def _policy_from_args(args) -> SpectralPolicy:
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args.override)
     policy = _policy_from_args(args)
-    _check_truncation(args, cfg.n_wells, args.solver != "meanfield")
+    _check_truncation(args, cfg.n_wells, args.solver != "meanfield", kerr=False)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     files = []

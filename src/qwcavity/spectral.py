@@ -141,13 +141,22 @@ class Spectrum:
     source: str
 
 
+_workspace = np.empty(0, complex)  # fourier's padded transform; grows, never shrinks
+
+
 def fourier(window: FidWindow) -> Spectrum:
     """Discrete approximation of the continuous transform on a padded grid.
 
     Zero-pads until the frequency step is at most gamma_tilde/RESOLUTION_FACTOR,
     corrects the end points to trapezoid weights, keeps the band within
     12 gamma_tilde of the first dipole's omega0 and unwraps its phase.
+
+    The padded transform (2-3 MB in a sweep) is written into one reused
+    per-process workspace, so a sweep does not map and zero-fill fresh
+    pages for every spectrum; the band is copied out of it. Not re-entrant
+    across threads (the package starts none); pool workers each own theirs.
     """
+    global _workspace
     cfg = window.config
     gamma_tilde = effective_decay(cfg)
     omega0 = cfg.dipoles[0].omega
@@ -171,7 +180,10 @@ def fourier(window: FidWindow) -> Spectrum:
     k0, k1 = max(int(lo / d_omega) - 1, 0), min(int(hi / d_omega) + 2, n_fft)
     omega = 2.0 * math.pi * np.arange(k0, k1) / (n_fft * dt)
     sel = (omega >= lo) & (omega <= hi)
-    rect = np.fft.ifft(x, n_fft)[k0:k1] * n_fft  # sum_j x_j exp(+2i pi jk/n)
+    if len(_workspace) < n_fft:
+        _workspace = np.empty(n_fft, complex)
+    # sum_j x_j exp(+2i pi jk/n); the product copies the band out of the workspace
+    rect = np.fft.ifft(x, n_fft, out=_workspace[:n_fft])[k0:k1] * n_fft
     w = omega[sel]
     trap = rect[sel] - 0.5 * x[0] - 0.5 * x[-1] * np.exp(1j * w * (m - 1) * dt)
     values = (dt / math.sqrt(2.0 * math.pi)) * np.exp(1j * w * window.t[0]) * trap

@@ -122,18 +122,20 @@ class TestPooledMatchesSerial:
 
     def sweep_args(self, config, n_photon_max):
         return ["sweep", "--config", str(config), "--solver", "lindblad", "--n-photon-max",
-                str(n_photon_max), "--nu-max", "1", "--axis", "pulse.F0=1.2,2.4"]
+                str(n_photon_max), "--nu-max", "2", "--axis", "pulse.F0=0.3,0.6"]
 
     def test_pooled_sweep_writes_the_serial_data(self, method, tmp_path, fast_config_path):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
-        args = self.sweep_args(fast_config_path, 4)   # top level stays below TOP_LEVEL_TOL
+        args = self.sweep_args(fast_config_path, 2)   # dim 27; at 1 the top level overflows
         assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
         proc = run_pooled(method, args + ["--jobs", "2", "--out", str(tmp_path / "pooled")])
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert read_data_files(tmp_path / "pooled") == read_data_files(tmp_path / "serial")
         assert list(read_data_files(tmp_path / "serial")) == ["sweep_lindblad.csv"]
+        cols, rows = _read_table(tmp_path / "serial" / "sweep_lindblad.csv")
+        assert all(row[cols.index("dphi_cavity")] != 0.0 for row in rows)
 
     def test_truncation_failure_is_the_serial_one(self, method, tmp_path, fast_config_path,
                                                   capsys):
@@ -523,6 +525,27 @@ class TestExitCodes:
         assert rc == 2
         assert f"config error: {error}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--solver", "lindblad"], ["sweep", "--solver", "both"],
+        ["preset", "fig5a"], ["preset", "fig5b"], ["preset", "fig5c"],
+    ])
+    def test_two_level_wells_refused_where_the_kerr_level_is_read(self, argv, tmp_path,
+                                                                   fast_config_path, capsys):
+        """At --nu-max 1 a Lindblad Delta Phi, or fig5c's p2, is exactly 0."""
+        if argv[0] == "sweep":
+            argv = [*argv, "--config", str(fast_config_path), "--axis", "pulse.F0=1.2"]
+        rc = main([*argv, "--nu-max", "1", "--jobs", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config error: --nu-max 1 leaves each well without a second level" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "spectrum"])
+    def test_two_level_wells_accepted_for_one_trajectory(self, command, tmp_path,
+                                                         fast_config_path):
+        assert main([command, "--config", str(fast_config_path), "--solver", "lindblad",
+                     "--n-photon-max", "4", "--nu-max", "1", "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command", ["sweep", "preset"])
     def test_jobs_below_one_is_config_error(self, command, tmp_path, fast_config_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qwcavity import (
     time_delay,
     vacuum_state,
 )
+from qwcavity import spectral
 from qwcavity.cli import two_well_config
 from qwcavity.meanfield import ATOL_DEFAULT, RTOL_DEFAULT, MeanFieldTrajectory, default_dt
 from qwcavity.spectral import RESOLUTION_FACTOR, FidWindow, write_fit_json, write_phase_csv
@@ -202,6 +204,48 @@ class TestBandOnlyTransform:
         assert np.array_equal(spec.values, values)
         assert np.array_equal(spec.phase, ref.phase, equal_nan=True)
         assert np.array_equal(spec.mask, ref.mask)
+
+
+class TestTransformWorkspace:
+    """fourier pads into one reused, grow-only workspace per process."""
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        """n_fft 84,375 (dt 0.004), 14,641 (gamma = 10) and 161,700 (default dt)."""
+        out = []
+        for gamma, dt in ((0.6, 0.004), (10.0, None), (0.6, None)):
+            cfg = two_well_config(u_over_gamma=1.0, f0_over_kappa=0.2, gamma1=gamma, gamma2=gamma)
+            out.append(fid_window(integrate(cfg, fid_time_span(cfg), dt=dt)))
+        return out
+
+    def test_bits_and_no_aliasing_as_the_workspace_grows_and_shrinks(self, windows, monkeypatch):
+        monkeypatch.setattr(spectral, "_workspace", np.empty(0, complex))
+        small, broad, standard = windows
+        kept, sizes = [], []
+        for window in (small, broad, standard, broad):   # grows, shrinks, grows again, shrinks
+            spec = fourier(window)
+            omega, values = full_length_fourier(window)
+            assert np.array_equal(spec.omega, omega)
+            assert np.array_equal(spec.values, values)
+            kept.append((spec, spec.values.copy(), spec.phase.copy()))
+            sizes.append(len(spectral._workspace))
+        assert sizes == [84375, 84375, 161700, 161700]
+        for spec, values, phase in kept:   # no spectrum reads the reused workspace
+            assert np.array_equal(spec.values, values)
+            assert np.array_equal(spec.phase, phase, equal_nan=True)
+
+    def test_second_call_allocates_no_padded_array(self, windows):
+        """Measured tracemalloc peak of the second call: 0.16 MB here, 2.62 MB
+        when each call allocated its own padded transform (n_fft = 161,700)."""
+        standard = windows[2]
+        fourier(standard)
+        tracemalloc.start()
+        try:
+            fourier(standard)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 161700 * 16 / 2
 
 
 def synthetic_phase_spectrum(phase_value, omega0=40.0):
