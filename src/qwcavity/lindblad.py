@@ -20,15 +20,28 @@ from __future__ import annotations
 import functools
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.integrate import RK45
-from scipy.integrate._ivp.common import norm, select_initial_step
 
 from .errors import ConfigError, SolverError, TruncationError, ValidationError
-from .meanfield import CoherenceSeries, default_dt, uniform_grid
+from .meanfield import (
+    ERROR_EXPONENT,
+    MAX_FACTOR,
+    MIN_FACTOR,
+    RK45,
+    SAFETY,
+    CoherenceSeries,
+    default_dt,
+    norm,
+    select_initial_step,
+    uniform_grid,
+    validate_tol,
+)
 from .model import Frame, SystemConfig, config_to_dict, drive_amplitude, write_json, write_table
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DIM_CAP_DEFAULT = 4096
 N_CHECKPOINTS = 17       # density matrices kept per evolve, spread evenly over the grid
@@ -59,11 +72,19 @@ class HilbertConfig:
         return (self.n_photon_max + 1) * (self.nu_max + 1) ** self.n_wells
 
 
+# scipy.sparse is imported where the operators are built, so that a process
+# that never builds one (every mean-field run) does not pay for its import.
+
+
 def _destroy(dim: int) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     return sp.diags(np.sqrt(np.arange(1, dim)), 1, format="csr", dtype=complex)
 
 
 def _embed(factors) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     out = factors[0]
     for f in factors[1:]:
         out = sp.kron(out, f, format="csr")
@@ -72,6 +93,8 @@ def _embed(factors) -> sp.csr_matrix:
 
 def build_operators(h: HilbertConfig) -> tuple[sp.csr_matrix, tuple]:
     """CSR annihilators (a, (b_1, ..., b_N)) embedded with identities on the other factors."""
+    import scipy.sparse as sp
+
     d_ph = h.n_photon_max + 1
     d_w = h.nu_max + 1
     eye_ph = sp.identity(d_ph, format="csr", dtype=complex)
@@ -108,11 +131,15 @@ def build_hamiltonian(cfg: SystemConfig, h: HilbertConfig, frame: Frame = Frame.
 
 def _spre(op: sp.csr_matrix) -> sp.csr_matrix:
     """vec(op @ rho) = _spre(op) @ vec(rho) for row-major vec."""
+    import scipy.sparse as sp
+
     return sp.kron(op, sp.identity(op.shape[0], dtype=complex), format="csr")
 
 
 def _spost(op: sp.csr_matrix) -> sp.csr_matrix:
     """vec(rho @ op) = _spost(op) @ vec(rho) for row-major vec."""
+    import scipy.sparse as sp
+
     return sp.kron(sp.identity(op.shape[0], dtype=complex), op.T, format="csr")
 
 
@@ -125,6 +152,8 @@ def _liouvillian(cfg: SystemConfig, h: HilbertConfig, frame: Frame, rows=None):
     A zero coefficient (Im c in the rotating frame, all of c once the Gaussian
     underflows) skips its matvec. `rows` keeps only those rows of dvec(rho)/dt.
     """
+    import scipy.sparse as sp
+
     a, wells = build_operators(h)
     jumps = [(cfg.cavity.kappa, a)] + [(d.gamma, b) for d, b in zip(cfg.dipoles, wells)]
     a0 = -1j * build_hamiltonian(cfg, h, frame) - sum(
@@ -370,40 +399,113 @@ class _ChunkRecorder:
         }
 
 
-def _interpolant(dense, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(coeffs, powers) with powers @ coeffs = dense(t).T on one RK step.
+class _Step(NamedTuple):
+    """One accepted RK45 step as scipy's RkDenseOutput holds it: Q = K^T P."""
 
-    scipy's RkDenseOutput is y_old + h Q [x, x^2, ...] with x = (t - t_old) / h,
+    t_old: float
+    h: float
+    y_old: np.ndarray
+    Q: np.ndarray
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """The states at the times t, as columns: RkDenseOutput's numpy calls."""
+        x = (t - self.t_old) / self.h
+        p = np.tile(x, (self.Q.shape[1], 1))
+        p = np.cumprod(p, axis=0)
+        y = self.h * np.dot(self.Q, p)
+        y += self.y_old[:, None]
+        return y
+
+
+def _interpolant(step: _Step, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coeffs, powers) with powers @ coeffs = step(t).T.
+
+    The step's interpolant is y_old + h Q [x, x^2, ...] with x = (t - t_old) / h,
     so coeffs has rows y_old and h Q^T (each row a contiguous vec, cheap to
     gather from) and powers has a row [1, x, x^2, ...] per sample.
     """
-    coeffs = np.empty((dense.Q.shape[1] + 1, len(dense.y_old)), dtype=complex)
-    coeffs[0] = dense.y_old
-    np.multiply(dense.Q.T, dense.h, out=coeffs[1:])
-    return coeffs, np.vander((t - dense.t_old) / dense.h, len(coeffs), increasing=True)
+    coeffs = np.empty((step.Q.shape[1] + 1, len(step.y_old)), dtype=complex)
+    coeffs[0] = step.y_old
+    np.multiply(step.Q.T, step.h, out=coeffs[1:])
+    return coeffs, np.vander((t - step.t_old) / step.h, len(coeffs), increasing=True)
 
 
-class _HermitianRK45(RK45):
-    """scipy's RK45 on the half vector of `_UpperTriangle`, with its step control on vec(rho).
+class _HermitianRK45:
+    """RK45 on the half vector of `_UpperTriangle`, with its step control on vec(rho).
 
-    The initial step and every error norm are scipy's own, evaluated on the
-    expanded vectors, so each step is accepted or rejected as RK45 on the
-    full vec(rho) would.
+    The steps are scipy 1.17.1's (OdeSolver.step, RungeKutta._step_impl,
+    rk_step), with the same numpy calls and nfev count, so every state keeps
+    solve_ivp's bits. The initial step and every error norm are evaluated on
+    the expanded vectors, so each step is accepted or rejected as RK45 on
+    the full vec(rho) would.
     """
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, tri: _UpperTriangle,
                  *, rtol: float, atol: float):
-        self._expand = tri.expand
-        # a placeholder first step, so that scipy's own choice is made only once, below;
-        # its one RHS call counts in nfev as it does in RK45
-        super().__init__(fun, t0, y0, t_bound, rtol=rtol, atol=atol, first_step=t_bound - t0)
+        self._rhs, self._expand = fun, tri.expand
+        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.direction = np.sign(t_bound - t0)
+        self.finished = False
+        self.nfev = 0
+        self.rtol, self.atol = validate_tol(rtol, atol, len(y0))
+        self.f = self.fun(t0, y0)
         self.h_abs = select_initial_step(
-            lambda t, y: tri.expand(self.fun(t, y[tri.upper])), self.t, tri.expand(self.y),
-            t_bound, self.max_step, tri.expand(self.f), self.direction,
-            self.error_estimator_order, self.rtol, self.atol)
+            lambda t, y: tri.expand(self.fun(t, y[tri.upper])), t0, tri.expand(y0),
+            t_bound, np.inf, tri.expand(self.f), self.direction,
+            RK45.error_estimator_order, self.rtol, self.atol)
+        self.K = np.empty((RK45.n_stages + 1, len(y0)), dtype=complex)
 
-    def _estimate_error_norm(self, K, h, scale):
-        return norm(self._expand(self._estimate_error(K, h) / scale))
+    def fun(self, t, y):
+        self.nfev += 1
+        return self._rhs(t, y)
+
+    def error_norm(self, K, h, scale):
+        return norm(self._expand(np.dot(K.T, RK45.E) * h / scale))
+
+    def step(self) -> None:
+        """Take one accepted step; raises SolverError where RK45 fails."""
+        t, y = self.t, self.y
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        h_abs = min_step if self.h_abs < min_step else self.h_abs
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise SolverError(f"Lindblad integration failed: {RK45.TOO_SMALL_STEP}")
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            K = self.K
+            K[0] = self.f
+            for s, (a, c) in enumerate(zip(RK45.A[1:], RK45.C[1:]), start=1):
+                dy = np.dot(K[:s].T, a[:s]) * h
+                K[s] = self.fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, RK45.B)
+            f_new = self.fun(t + h, y_new)
+            K[-1] = f_new
+
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self.error_norm(K, h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        self.t_old, self.y_old, self.t, self.y = t, y, t_new, y_new
+        self.h_abs, self.f = h_abs, f_new
+        self.finished = self.direction * (self.t - self.t_bound) >= 0
+
+    def dense_output(self) -> _Step:
+        return _Step(self.t_old, self.t - self.t_old, self.y_old, self.K.T.dot(RK45.P))
 
 
 def evolve(
@@ -450,24 +552,19 @@ def evolve(
         solver = _HermitianRK45(rhs, float(grid[start]), y, float(grid[stop]), tri,
                                 rtol=rtol, atol=atol)
         done = 0   # samples of t_eval recorded so far
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise SolverError(f"Lindblad integration failed: {message}")
+        while not solver.finished:
+            solver.step()
             n_steps += 1
             covered = int(np.searchsorted(t_eval, solver.t, side="right"))
             if covered > done:
-                dense, t_step = solver.dense_output(), t_eval[done:covered]
+                step, t_step = solver.dense_output(), t_eval[done:covered]
                 # checkpoint states evaluate the whole step as solve_ivp does, bit for bit
-                coeffs, powers = _interpolant(dense, t_step)
-                rec.record(start + 1 + done, coeffs, powers, lambda j: dense(t_step)[:, j])
+                coeffs, powers = _interpolant(step, t_step)
+                rec.record(start + 1 + done, coeffs, powers, lambda j: step(t_step)[:, j])
                 done = covered
         nfev += solver.nfev
         n_chunks += 1
-        # scipy's solver references itself through these closures; without the
-        # cycle its arrays are freed here instead of at some later gc pass
-        solver.fun = solver.fun_vectorized = None
-        y = dense(t_step)[:, -1]   # the last step ends on the chunk end
+        y = step(t_step)[:, -1]   # the last step ends on the chunk end
 
     return LindbladResult(
         t=grid,

@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import mul
+from warnings import warn
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.integrate._ivp.common import select_initial_step, validate_tol
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 
 from .errors import GridError, SolverError, ValidationError
 from .model import (
@@ -39,9 +37,114 @@ ATOL_DEFAULT = 1e-12
 SAMPLES_PER_SCALE = 20
 SCALAR_SUM_MAX = 3  # where dot starts blocking: numpy 2.4.6's OpenBLAS 0.3.31, x86-64
 LANES_MIN = 4  # fewer lanes step faster one by one on Python scalars
+
+
+# --- RK45 (Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980)) --------
+#
+# The tableau, step-size constants, tolerance check, RMS norm and initial
+# step of scipy 1.17.1 (scipy/integrate/_ivp/rk.py and common.py; BSD-3-Clause,
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers), copied
+# expression for expression: both solvers keep solve_ivp's bits without
+# importing scipy.integrate.
+
+SAFETY = 0.9
+MIN_FACTOR = 0.2  # Minimum allowed decrease in a step size.
+MAX_FACTOR = 10  # Maximum allowed increase in a step size.
+EPS = np.finfo(float).eps
+
+
+class RK45:
+    """Class attributes of scipy's RK45 that the steppers read."""
+
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+    error_estimator_order = 4
+    n_stages = 6
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+    ])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+    # Corresponds to the optimum value of c_6 (Shampine, Math. Comp. 46, 135 (1986)).
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608,
+         -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933,
+         87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304,
+         -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def validate_tol(rtol, atol, n):
+    """Validate tolerance values."""
+
+    if np.any(rtol < 100 * EPS):
+        warn("At least one element of `rtol` is too small. "
+             f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
+             stacklevel=3)
+        rtol = np.maximum(rtol, 100 * EPS)
+
+    atol = np.asarray(atol)
+    if atol.ndim > 0 and atol.shape != (n,):
+        raise ValueError("`atol` has wrong shape.")
+
+    if np.any(atol < 0):
+        raise ValueError("`atol` must be positive.")
+
+    return rtol, atol
+
+
+def norm(x):
+    """Compute RMS norm."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def select_initial_step(fun, t0, y0, t_bound,
+                        max_step, f0, direction, order, rtol, atol):
+    """Empirically select a good initial step (Hairer, Norsett & Wanner,
+    Solving Ordinary Differential Equations I, Sec. II.4)."""
+    if y0.size == 0:
+        return np.inf
+
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+
+    scale = atol + np.abs(y0) * rtol
+    d0 = norm(y0 / scale)
+    d1 = norm(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    # Check t0+h0*direction doesn't take us beyond t_bound
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = norm((f1 - f0) / scale) / h0
+
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+
+    return min(100 * h0, h1, interval_length, max_step)
+
+
 _A = [row[:s].tolist() for s, row in enumerate(RK45.A)]
 _B, _C, _E = RK45.B.tolist(), RK45.C.tolist(), RK45.E.tolist()
-_ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
 
 
 def _frame_shift(cfg: SystemConfig) -> float:
@@ -389,7 +492,7 @@ def _rk45(lanes, rtol, atol):
     """solve_ivp(method="RK45", t_eval=grid) from y = 0, bit for bit, for
     every lane (cfg, modes, grid) of one component count, stepped together
     by _advance; yields (lane index, samples, stats) as lanes finish.
-    Tracks scipy 1.17's private RK45 internals; verified on one BLAS (README).
+    Follows scipy 1.17.1's RK45 (copied above); verified on one BLAS (README).
     """
     n = 1 + len(lanes[0][1])
     rtol, atol = validate_tol(rtol, atol, n)
@@ -456,7 +559,7 @@ def _advance(live, y, f, n, rtol, atol):
         for j, (s, error_norm) in enumerate(zip(live, norms)):
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(
-                    MAX_FACTOR, SAFETY * error_norm**_ERROR_EXPONENT)
+                    MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
                 s.h_abs *= min(1, factor) if s.rejected else factor
                 s.n_steps += 1
                 s.steps.append((s.t, hs[j], attempt, j))
@@ -466,7 +569,7 @@ def _advance(live, y, f, n, rtol, atol):
                     f"mean-field integration failed at t = {s.t!r}: error norm {error_norm} "
                     f"for config {format_config(s.cfg).strip().replace(chr(10), '; ')}")
             else:
-                s.h_abs *= max(MIN_FACTOR, SAFETY * error_norm**_ERROR_EXPONENT)
+                s.h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
                 s.rejected = True
                 s.n_rejected += 1
             s.fresh = error_norm < 1

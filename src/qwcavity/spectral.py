@@ -9,11 +9,12 @@ parallel safely.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import GridError, ValidationError
 from .model import (
@@ -139,6 +140,27 @@ class Spectrum:
     gamma_tilde: float
     t_off: float
     source: str
+
+
+@functools.lru_cache(maxsize=None)
+def _smooth_lengths(limit: int) -> tuple[int, ...]:
+    """Every 2^a 3^b 5^c 7^d 11^e up to limit, sorted."""
+    out = [1]
+    for p in (2, 3, 5, 7, 11):
+        grown = []
+        for m in out:
+            while m <= limit:
+                grown.append(m)
+                m *= p
+        out = grown
+    return tuple(sorted(out))
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n, the lengths pocketfft transforms
+    fastest: scipy.fft.next_fast_len(n) for complex input."""
+    table = _smooth_lengths(1 << (n - 1).bit_length())   # the power of two >= n is in it
+    return table[bisect.bisect_left(table, n)]
 
 
 _workspace = np.empty(0, complex)  # fourier's padded transform; grows, never shrinks

@@ -10,7 +10,8 @@ density matrix at a time, in the order a sample-by-sample pass checks it:
 top photon level, trace and Hermiticity maxima, then the eigenvalue
 checkpoint. `reference_evolve` runs the same chunked integration as
 `qwcavity.lindblad.evolve`, on the public `lindblad_rhs`, with that
-per-sample recorder.
+per-sample recorder. `ScipyHalfRK45` is evolve's half-vector step control
+built on scipy's own RK45 solver class.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
+from scipy.integrate._ivp.common import norm, select_initial_step
 
 from qwcavity import DensityMatrix, Frame, TruncationError, build_hamiltonian, build_operators, lindblad_rhs
 from qwcavity.errors import SolverError
@@ -138,3 +140,22 @@ def reference_evolve(rho0, t_span, cfg, h, *, rtol=1e-9, atol=1e-12, dt=None,
         rec.record_chunk(start + 1, sol.y)
         y = sol.y[:, -1]
     return rec
+
+
+class ScipyHalfRK45(RK45):
+    """scipy's RK45 on the half vector of `qwcavity.lindblad._UpperTriangle`,
+    with its initial step and every error norm taken on the expanded vec(rho):
+    what `evolve`'s in-package stepper does, on scipy's OdeSolver machinery."""
+
+    def __init__(self, fun, t0, y0, t_bound, tri, *, rtol, atol):
+        self._expand = tri.expand
+        # a placeholder first step, so that scipy's own choice is made only once, below;
+        # its one RHS call counts in nfev as it does in RK45
+        super().__init__(fun, t0, y0, t_bound, rtol=rtol, atol=atol, first_step=t_bound - t0)
+        self.h_abs = select_initial_step(
+            lambda t, y: tri.expand(self.fun(t, y[tri.upper])), self.t, tri.expand(self.y),
+            t_bound, self.max_step, tri.expand(self.f), self.direction,
+            self.error_estimator_order, self.rtol, self.atol)
+
+    def _estimate_error_norm(self, K, h, scale):
+        return norm(self._expand(self._estimate_error(K, h) / scale))

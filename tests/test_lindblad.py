@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import RK45
 from scipy.integrate._ivp.common import norm, select_initial_step
+from scipy.integrate._ivp.rk import RkDenseOutput
 
 from qwcavity import (
     ConfigError,
@@ -30,7 +31,7 @@ from qwcavity.lindblad import _ChunkRecorder, _HermitianRK45, _interpolant, _lio
 from qwcavity.spectral import SpectralPolicy
 
 from conftest import standard_config
-from lindblad_reference import SampleRecorder, dense_rhs, drive_coefficient, reference_evolve
+from lindblad_reference import ScipyHalfRK45, SampleRecorder, dense_rhs, drive_coefficient, reference_evolve
 
 H_SMALL = HilbertConfig(n_photon_max=1, nu_max=1, n_wells=1)
 H_PAIR = HilbertConfig(n_photon_max=8, nu_max=2, n_wells=2)
@@ -346,27 +347,32 @@ class TestChunkRecorder:
         assert ref.n_steps > ref.n_chunks
 
     def test_interpolant_matches_scipy_dense_output(self):
-        # pins the RkDenseOutput fields (t_old, h, y_old, Q) the recorder reads
+        # pins the RkDenseOutput fields (t_old, h, y_old, Q) the recorder reads, and
+        # the stepper's own evaluation of a step to RkDenseOutput's, bit for bit
         h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
         cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35)
-        rhs = _liouvillian(cfg, h, Frame.ROTATING)
-        solver = RK45(rhs, 0.0, vacuum_state(h).reshape(-1), 1.5, rtol=1e-9, atol=1e-12)
+        tri = _UpperTriangle(h.dim)
+        upper_rows = _liouvillian(cfg, h, Frame.ROTATING, rows=tri.upper)
+        solver = _HermitianRK45(lambda t, v: upper_rows(t, tri.expand(v)), 0.0,
+                                vacuum_state(h).reshape(-1)[tri.upper], 1.5, tri,
+                                rtol=1e-9, atol=1e-12)
         n_steps = 0
-        while solver.status == "running":
+        while not solver.finished:
             solver.step()
             n_steps += 1
-            dense = solver.dense_output()
+            step = solver.dense_output()
+            dense = RkDenseOutput(solver.t_old, solver.t, solver.y_old, solver.K.T.dot(RK45.P))
             t = np.linspace(solver.t_old, solver.t, 7)
-            coeffs, powers = _interpolant(dense, t)
-            assert coeffs.shape == (5, h.dim**2) and powers.shape == (7, 5)
+            assert np.array_equal(step(t), dense(t))
+            coeffs, powers = _interpolant(step, t)
+            assert coeffs.shape == (5, h.dim * (h.dim + 1) // 2) and powers.shape == (7, 5)
             assert np.abs(powers @ coeffs - dense(t).T).max() <= 1e-15
         assert n_steps > 10
 
     @pytest.mark.parametrize("frame", [Frame.ROTATING, Frame.LAB])
     def test_step_control_is_scipy_rk45_on_the_full_vector(self, frame):
-        # the half-vector solver takes its initial step and every error norm through
-        # scipy's select_initial_step and norm on the expanded vec(rho); a scipy
-        # change to either internal, or to where RK45 calls them, fails here
+        # the half-vector solver takes its initial step and every error norm as
+        # scipy's select_initial_step and norm would on the expanded vec(rho)
         h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
         cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35)
         tri = _UpperTriangle(h.dim)
@@ -386,12 +392,12 @@ class TestChunkRecorder:
             1e-9, 1e-12)
         assert half.nfev == full.nfev == 2
         half_times, full_times = [], []
-        while half.status == "running":
+        while not half.finished:
             half.step()
             step = half.t - half.t_old
             scale = 1e-12 + np.maximum(np.abs(half.y_old), np.abs(half.y)) * 1e-9
-            err = tri.expand(half._estimate_error(half.K, step)) / tri.expand(scale)
-            assert half._estimate_error_norm(half.K, step, scale) == norm(err)
+            err = tri.expand(RK45._estimate_error(full, half.K, step)) / tri.expand(scale)
+            assert half.error_norm(half.K, step, scale) == norm(err)
             # scipy's own error norm of the expanded stages is that same formula
             k_full, scale_full = tri.expand(half.K), tri.expand(scale)
             assert RK45._estimate_error_norm(full, k_full, step, scale_full) == norm(
@@ -405,6 +411,51 @@ class TestChunkRecorder:
         # step times agree to 1.5e-12 (measured), a step apart would be ~1e-2
         assert len(half_times) == len(full_times) > 20 and half.nfev == full.nfev
         assert np.abs(np.subtract(half_times, full_times)).max() <= 1e-10
+
+    def test_rejected_step_is_scipy_rk45_step_by_step(self):
+        # from a random pure state the first attempt is rejected; every attempt's
+        # (t, h, error norm, nfev) and every accepted state equal those of the same
+        # step control built on scipy's RK45 class, bit for bit
+        h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
+        cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35)
+        tri = _UpperTriangle(h.dim)
+        upper_rows = _liouvillian(cfg, h, Frame.ROTATING, rows=tri.upper)
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
+        y0 = (np.outer(psi, psi.conj()) / np.vdot(psi, psi).real).reshape(-1)[tri.upper]
+
+        def half_rhs(t, v):
+            return upper_rows(t, tri.expand(v))
+
+        own = _HermitianRK45(half_rhs, 0.5, y0, 0.6, tri, rtol=1e-9, atol=1e-12)
+        ref = ScipyHalfRK45(half_rhs, 0.5, y0, 0.6, tri, rtol=1e-9, atol=1e-12)
+        attempts = ([], [])
+
+        def logged(solver, error_norm, log):
+            def wrapped(K, step, scale):
+                log.append((solver.t, step, error_norm(K, step, scale), solver.nfev))
+                return log[-1][2]
+            return wrapped
+
+        own.error_norm = logged(own, own.error_norm, attempts[0])
+        ref._estimate_error_norm = logged(ref, ref._estimate_error_norm, attempts[1])
+        assert own.h_abs == ref.h_abs and own.nfev == ref.nfev == 2
+        n_steps = 0
+        while not own.finished:
+            own.step()
+            ref.step()
+            n_steps += 1
+            assert (own.t, own.h_abs, own.nfev) == (ref.t, ref.h_abs, ref.nfev)
+            assert np.array_equal(own.y, ref.y)
+            assert np.array_equal(own.dense_output().Q, ref.dense_output().Q)
+        assert ref.status == "finished"
+        assert attempts[0] == attempts[1]
+        rejected = [a for a in attempts[0] if a[2] >= 1]
+        assert rejected and len(attempts[0]) == n_steps + len(rejected)
+        # the retry's error norm is below SAFETY**5, so only RK45's cap on the
+        # growth factor after a rejection keeps the next step from growing
+        assert attempts[0][attempts[0].index(rejected[0]) + 1][2] < 0.9**5
+        assert own.nfev == 2 + 6 * len(attempts[0])
 
     def test_checkpoints_hermitian_off_the_diagonal(self):
         h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import RK45
+from scipy.integrate._ivp import common as scipy_common
+from scipy.integrate._ivp import rk as scipy_rk
 
 from qwcavity import (
     Frame,
@@ -234,6 +236,41 @@ def scipy_run(cfg, t_span, dt=None, **kw):
 def three_wells():
     cfg = standard_config(n_wells=3, gamma2=0.9)
     return set_config_value(cfg, "dipoles[2].omega", 39.7)
+
+
+class TestRK45Copies:
+    """The tableau and helpers meanfield copies from scipy 1.17.1 keep its bits."""
+
+    def test_tableau_and_step_constants(self):
+        for name in ("A", "B", "C", "E", "P"):
+            ours, theirs = getattr(meanfield.RK45, name), getattr(RK45, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+        assert meanfield.RK45.error_estimator_order == RK45.error_estimator_order
+        assert meanfield.RK45.n_stages == RK45.n_stages
+        assert meanfield.RK45.TOO_SMALL_STEP == RK45.TOO_SMALL_STEP
+        for name in ("SAFETY", "MIN_FACTOR", "MAX_FACTOR"):
+            assert getattr(meanfield, name) == getattr(scipy_rk, name), name
+
+    @pytest.mark.parametrize("n", [2, 5, 3321])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_select_initial_step_and_norm(self, n, dtype):
+        rng = np.random.default_rng(n)
+
+        def draw(scale=1.0):
+            x = scale * rng.standard_normal(n)
+            return x + 1j * scale * rng.standard_normal(n) if dtype is complex else x
+
+        y0, f0, m = draw(), draw(40.0), draw(0.3)
+
+        def fun(t, y):
+            return m * y + np.cos(t)
+
+        for rtol, atol in ((1e-9, 1e-12), (1e-3, 1e-6)):
+            args = (fun, 0.25, y0, 2.0, np.inf, f0, 1.0, 4, rtol, atol)
+            ours, theirs = meanfield.select_initial_step(*args), scipy_common.select_initial_step(*args)
+            assert ours == theirs and type(ours) is type(theirs)
+        x = draw() / (1e-12 + np.abs(y0) * 1e-9)
+        assert meanfield.norm(x) == scipy_common.norm(x)
 
 
 class TestStepperMatchesSolveIvp:

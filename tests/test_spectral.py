@@ -188,6 +188,11 @@ def full_length_fourier(window):
     return w, (dt / math.sqrt(2.0 * math.pi)) * np.exp(1j * w * window.t[0]) * trap
 
 
+def test_next_fast_len_is_scipy_complex_next_fast_len():
+    ns = range(1, 2**18 + 1)
+    assert [spectral.next_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
+
+
 class TestBandOnlyTransform:
     @pytest.mark.parametrize("gamma, clamped_at_zero", [(0.6, False), (10.0, True)])
     def test_band_bit_identical_to_full_length_transform(self, gamma, clamped_at_zero):
