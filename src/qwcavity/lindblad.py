@@ -9,7 +9,8 @@ rest being their conjugates. Its right-hand side expands that half vector to
 vec(rho) and applies the upper-triangle rows of the generator. Every norm the
 RK45 step control takes (initial step, error estimate) is taken over the
 expanded vector, so the accepted steps are those of RK45 on vec(rho), with the
-same adaptive pair and tolerances as the mean-field solver. Observables are
+same adaptive pair, tolerances, initial step, step-size rule and nfev count as
+the mean-field solver, whose RK45 helpers `_HermitianRK45` calls. Observables are
 read off each RK step's interpolant coefficients, without materialising the
 states in between. Off the diagonal rho is Hermitian by construction, so
 `max_herm_dev` is 2 max |Im rho_ii|.
@@ -26,14 +27,14 @@ import numpy as np
 
 from .errors import ConfigError, SolverError, TruncationError, ValidationError
 from .meanfield import (
-    ERROR_EXPONENT,
-    MAX_FACTOR,
-    MIN_FACTOR,
     RK45,
-    SAFETY,
     CoherenceSeries,
     default_dt,
+    dense_powers,
+    min_step,
     norm,
+    rescale,
+    rk45_nfev,
     select_initial_step,
     uniform_grid,
     validate_tol,
@@ -409,10 +410,7 @@ class _Step(NamedTuple):
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """The states at the times t, as columns: RkDenseOutput's numpy calls."""
-        x = (t - self.t_old) / self.h
-        p = np.tile(x, (self.Q.shape[1], 1))
-        p = np.cumprod(p, axis=0)
-        y = self.h * np.dot(self.Q, p)
+        y = self.h * np.dot(self.Q, dense_powers((t - self.t_old) / self.h))
         y += self.y_old[:, None]
         return y
 
@@ -434,30 +432,29 @@ class _HermitianRK45:
     """RK45 on the half vector of `_UpperTriangle`, with its step control on vec(rho).
 
     The steps are scipy 1.17.1's (OdeSolver.step, RungeKutta._step_impl,
-    rk_step), with the same numpy calls and nfev count, so every state keeps
-    solve_ivp's bits. The initial step and every error norm are evaluated on
-    the expanded vectors, so each step is accepted or rejected as RK45 on
-    the full vec(rho) would.
+    rk_step), with the same numpy calls, and take their initial step, step
+    sizes and nfev from the mean-field module's RK45 helpers, so every state
+    keeps solve_ivp's bits. The initial step and every error norm are
+    evaluated on the expanded vectors, so each step is accepted or rejected
+    as RK45 on the full vec(rho) would. Runs forward, t0 < t_bound.
     """
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, tri: _UpperTriangle,
                  *, rtol: float, atol: float):
-        self._rhs, self._expand = fun, tri.expand
+        self.fun, self._expand = fun, tri.expand
         self.t, self.y, self.t_bound = t0, y0, t_bound
-        self.direction = np.sign(t_bound - t0)
         self.finished = False
-        self.nfev = 0
-        self.rtol, self.atol = validate_tol(rtol, atol, len(y0))
-        self.f = self.fun(t0, y0)
+        self.attempts = 0
+        self.rtol, self.atol = validate_tol(rtol, atol)
+        self.f = fun(t0, y0)
         self.h_abs = select_initial_step(
-            lambda t, y: tri.expand(self.fun(t, y[tri.upper])), t0, tri.expand(y0),
-            t_bound, np.inf, tri.expand(self.f), self.direction,
-            RK45.error_estimator_order, self.rtol, self.atol)
+            lambda t, y: tri.expand(fun(t, y[tri.upper])), t0, tri.expand(y0),
+            t_bound, tri.expand(self.f), self.rtol, self.atol)
         self.K = np.empty((RK45.n_stages + 1, len(y0)), dtype=complex)
 
-    def fun(self, t, y):
-        self.nfev += 1
-        return self._rhs(t, y)
+    @property
+    def nfev(self) -> int:
+        return rk45_nfev(self.attempts)
 
     def error_norm(self, K, h, scale):
         return norm(self._expand(np.dot(K.T, RK45.E) * h / scale))
@@ -465,16 +462,12 @@ class _HermitianRK45:
     def step(self) -> None:
         """Take one accepted step; raises SolverError where RK45 fails."""
         t, y = self.t, self.y
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
-        h_abs = min_step if self.h_abs < min_step else self.h_abs
-        rejected = False
+        floor = min_step(t)
+        h_abs, rejected = max(self.h_abs, floor), False
         while True:
-            if h_abs < min_step:
+            if h_abs < floor:
                 raise SolverError(f"Lindblad integration failed: {RK45.TOO_SMALL_STEP}")
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
+            t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             h_abs = np.abs(h)
 
@@ -486,23 +479,17 @@ class _HermitianRK45:
             y_new = y + h * np.dot(K[:-1].T, RK45.B)
             f_new = self.fun(t + h, y_new)
             K[-1] = f_new
+            self.attempts += 1
 
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             error_norm = self.error_norm(K, h, scale)
+            h_abs = rescale(h_abs, error_norm, rejected)
             if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
         self.t_old, self.y_old, self.t, self.y = t, y, t_new, y_new
         self.h_abs, self.f = h_abs, f_new
-        self.finished = self.direction * (self.t - self.t_bound) >= 0
+        self.finished = self.t >= self.t_bound
 
     def dense_output(self) -> _Step:
         return _Step(self.t_old, self.t - self.t_old, self.y_old, self.K.T.dot(RK45.P))

@@ -41,11 +41,13 @@ LANES_MIN = 4  # fewer lanes step faster one by one on Python scalars
 
 # --- RK45 (Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980)) --------
 #
-# The tableau, step-size constants, tolerance check, RMS norm and initial
-# step of scipy 1.17.1 (scipy/integrate/_ivp/rk.py and common.py; BSD-3-Clause,
+# The tableau, step-size rule, tolerance check, RMS norm and initial step of
+# scipy 1.17.1 (scipy/integrate/_ivp/rk.py and common.py; BSD-3-Clause,
 # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers), copied
-# expression for expression: both solvers keep solve_ivp's bits without
-# importing scipy.integrate.
+# expression for expression and cut to the calls made here: scalar
+# tolerances, grids that run forward. Both solvers step through these alone
+# (_advance and lindblad's _HermitianRK45), so both keep solve_ivp's bits
+# without importing scipy.integrate.
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2  # Minimum allowed decrease in a step size.
@@ -86,22 +88,20 @@ class RK45:
         [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
 
-def validate_tol(rtol, atol, n):
-    """Validate tolerance values."""
+ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
 
-    if np.any(rtol < 100 * EPS):
+
+def validate_tol(rtol, atol):
+    """Scalar tolerances, rtol raised to scipy's floor with scipy's warning."""
+    if np.ndim(rtol) or np.ndim(atol):
+        raise ValidationError("rtol and atol must be scalars")
+    if rtol < 100 * EPS:
         warn("At least one element of `rtol` is too small. "
              f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
              stacklevel=3)
-        rtol = np.maximum(rtol, 100 * EPS)
-
-    atol = np.asarray(atol)
-    if atol.ndim > 0 and atol.shape != (n,):
-        raise ValueError("`atol` has wrong shape.")
-
-    if np.any(atol < 0):
-        raise ValueError("`atol` must be positive.")
-
+        rtol = 100 * EPS
+    if not (rtol >= 0 and atol >= 0):  # a NaN step size would never fall below min_step
+        raise ValidationError(f"rtol and atol must be >= 0, got {rtol} and {atol}")
     return rtol, atol
 
 
@@ -110,41 +110,52 @@ def norm(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def select_initial_step(fun, t0, y0, t_bound,
-                        max_step, f0, direction, order, rtol, atol):
-    """Empirically select a good initial step (Hairer, Norsett & Wanner,
-    Solving Ordinary Differential Equations I, Sec. II.4)."""
-    if y0.size == 0:
-        return np.inf
-
-    interval_length = abs(t_bound - t0)
-    if interval_length == 0.0:
-        return 0.0
-
+def select_initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
+    """Empirically select a good initial step from t0 towards t_bound > t0
+    (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.4)."""
+    interval_length = t_bound - t0
     scale = atol + np.abs(y0) * rtol
     d0 = norm(y0 / scale)
     d1 = norm(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    # Check t0+h0*direction doesn't take us beyond t_bound
-    h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
     d2 = norm((f1 - f0) / scale) / h0
-
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+        h1 = (0.01 / max(d1, d2)) ** -ERROR_EXPONENT
+    return min(100 * h0, h1, interval_length)
 
-    return min(100 * h0, h1, interval_length, max_step)
+
+def min_step(t):
+    """Smallest step RK45 attempts from t: ten float spacings at t."""
+    return 10 * abs(math.nextafter(t, math.inf) - t)
+
+
+def rescale(h_abs, error_norm, rejected):
+    """Step size after an attempt of h_abs with this error norm: below 1 the
+    step is accepted and the size grows, by no more than 1 if an earlier
+    attempt of the same step was `rejected`; otherwise it shrinks."""
+    if error_norm < 1:
+        factor = MAX_FACTOR if error_norm == 0 else min(
+            MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+        return h_abs * (min(1, factor) if rejected else factor)
+    return h_abs * max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+
+
+def rk45_nfev(attempts: int) -> int:
+    """RHS calls of an RK45 run: f(t0), the initial step's probe, six per attempt."""
+    return 2 + 6 * attempts
+
+
+def dense_powers(x):
+    """Rows x, x^2, x^3, x^4 of the dense output at x = (t - t_old) / h,
+    multiplied as scipy's RkDenseOutput multiplies them."""
+    return np.cumprod(np.tile(x, (RK45.P.shape[1], 1)), axis=0)
 
 
 _A = [row[:s].tolist() for s, row in enumerate(RK45.A)]
 _B, _C, _E = RK45.B.tolist(), RK45.C.tolist(), RK45.E.tolist()
-ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
 
 
 def _frame_shift(cfg: SystemConfig) -> float:
@@ -264,8 +275,10 @@ def default_dt(cfg: SystemConfig) -> float:
 
 def uniform_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
     t0, t1 = t_span
-    if t1 <= t0:
-        raise GridError(f"empty time span {t_span}")
+    if not 0 < t1 - t0 < math.inf:  # NaN fails too
+        raise GridError(f"time span {t_span} is empty or unbounded")
+    if not 0 < dt <= t1 - t0:
+        raise GridError(f"time step {dt} must be > 0 and at most the span {t1 - t0}")
     n = int(round((t1 - t0) / dt))
     return t0 + dt * np.arange(n + 1)
 
@@ -451,7 +464,6 @@ class _LaneState:
     t: float
     h_abs: float
     t_new: float = 0.0
-    min_step: float = 0.0
     rejected: bool = False
     fresh: bool = True  # the next attempt starts a new step
     steps: list = field(default_factory=list)  # (t_old, h, (y, K) of its attempt, lane column)
@@ -476,15 +488,14 @@ class _LaneState:
         q = k.transpose(1, 0, 2).reshape(7, -1).T.dot(RK45.P)
         counts = counts[used]
         t0, h = np.repeat(np.take(t_old, used), counts), np.repeat(np.take(h, used), counts)
-        x = (self.grid - t0) / h
-        p = np.array([x, x * x, x * x * x, x * x * x * x])
+        p = dense_powers((self.grid - t0) / h)
         bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
-        samples = np.empty((n, len(x)), dtype=complex)
+        samples = np.empty((n, p.shape[1]), dtype=complex)
         for qi, a, b in zip(q.reshape(-1, n, 4), bounds, bounds[1:]):
             samples[:, a:b] = np.dot(qi, p[:, a:b])
         samples *= h
         samples += np.repeat(np.array([attempts[i][0][:, cols[i]] for i in used]).T, counts, axis=1)
-        return samples, {"nfev": 2 + 6 * (self.n_steps + self.n_rejected),
+        return samples, {"nfev": rk45_nfev(self.n_steps + self.n_rejected),
                          "n_steps": self.n_steps, "n_rejected": self.n_rejected}
 
 
@@ -495,7 +506,7 @@ def _rk45(lanes, rtol, atol):
     Follows scipy 1.17.1's RK45 (copied above); verified on one BLAS (README).
     """
     n = 1 + len(lanes[0][1])
-    rtol, atol = validate_tol(rtol, atol, n)
+    rtol, atol = validate_tol(rtol, atol)
     y0 = np.zeros(n, dtype=complex)
     live, f = [], []
     for cfg, modes, grid in lanes:
@@ -503,8 +514,7 @@ def _rk45(lanes, rtol, atol):
         fun = lambda t, y: np.asarray(one(t, y), dtype=complex)  # noqa: E731
         t0 = float(grid[0])
         f0 = fun(t0, y0)
-        h0 = select_initial_step(fun, t0, y0, float(grid[-1]), np.inf, f0, 1.0,
-                                 RK45.error_estimator_order, rtol, atol)
+        h0 = select_initial_step(fun, t0, y0, float(grid[-1]), f0, rtol, atol)
         live.append(_LaneState(len(live), cfg, modes, grid, t0, float(h0)))
         f.append(f0)
     if len(live) == 1:
@@ -535,10 +545,10 @@ def _advance(live, y, f, n, rtol, atol):
     while True:
         hs = []
         for s in live:
+            floor = min_step(s.t)
             if s.fresh:
-                s.min_step = 10 * abs(math.nextafter(s.t, math.inf) - s.t)
-                s.h_abs, s.rejected = max(s.h_abs, s.min_step), False
-            elif s.h_abs < s.min_step:
+                s.h_abs, s.rejected = max(s.h_abs, floor), False
+            elif s.h_abs < floor:
                 raise SolverError(f"mean-field integration failed: {RK45.TOO_SMALL_STEP}")
             s.t_new = min(s.t + s.h_abs, s.t_bound)
             hs.append(s.t_new - s.t)
@@ -557,22 +567,19 @@ def _advance(live, y, f, n, rtol, atol):
         attempt = (y_arr, k if len(live) == 1 else np.array(k))  # one lane's: stacked at the end
         accepted = []
         for j, (s, error_norm) in enumerate(zip(live, norms)):
-            if error_norm < 1:
-                factor = MAX_FACTOR if error_norm == 0 else min(
-                    MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-                s.h_abs *= min(1, factor) if s.rejected else factor
-                s.n_steps += 1
-                s.steps.append((s.t, hs[j], attempt, j))
-                s.t = s.t_new
-            elif not math.isfinite(error_norm):
+            if not math.isfinite(error_norm):
                 raise SolverError(
                     f"mean-field integration failed at t = {s.t!r}: error norm {error_norm} "
                     f"for config {format_config(s.cfg).strip().replace(chr(10), '; ')}")
+            s.h_abs = rescale(s.h_abs, error_norm, s.rejected)
+            s.fresh = error_norm < 1
+            if s.fresh:
+                s.n_steps += 1
+                s.steps.append((s.t, hs[j], attempt, j))
+                s.t = s.t_new
             else:
-                s.h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
                 s.rejected = True
                 s.n_rejected += 1
-            s.fresh = error_norm < 1
             accepted.append(s.fresh)
         if all(accepted):
             y, f, y_arr, abs_y = y_new, k[-1], y_new_arr, abs_new

@@ -52,16 +52,14 @@ class SpectralPolicy:
         return cfg.pulse.center + self.t_off_factor * cfg.pulse.duration
 
 
-def fid_time_span(cfg: SystemConfig, policy: SpectralPolicy | None = None) -> tuple[float, float]:
+def fid_time_span(cfg: SystemConfig, policy: SpectralPolicy = SpectralPolicy()) -> tuple[float, float]:
     """Integration span that leaves WINDOW_TAIL decay lengths of FID."""
-    policy = policy or SpectralPolicy()
     t_off = policy.resolve_t_off(cfg)
     return (0.0, t_off + WINDOW_TAIL / effective_decay(cfg))
 
 
-def baseline_config(cfg: SystemConfig, policy: SpectralPolicy | None = None) -> SystemConfig:
+def baseline_config(cfg: SystemConfig, policy: SpectralPolicy = SpectralPolicy()) -> SystemConfig:
     """Reference configuration whose phase defines Phi_harm."""
-    policy = policy or SpectralPolicy()
     if policy.baseline_mode == "harmonic":
         out = cfg
         for n in range(cfg.n_wells):
@@ -98,12 +96,11 @@ class FidWindow:
         return float(self.t[1] - self.t[0])
 
 
-def fid_window(traj, policy: SpectralPolicy | None = None, source: str = "cavity") -> FidWindow:
+def fid_window(traj, policy: SpectralPolicy = SpectralPolicy(), source: str = "cavity") -> FidWindow:
     """Cut the post-pulse FID segment out of a trajectory.
 
     `traj` is any result with .t, .config and .lab_signal(source).
     """
-    policy = policy or SpectralPolicy()
     cfg = traj.config
     t_off = policy.resolve_t_off(cfg)
     gamma_tilde = effective_decay(cfg)
@@ -265,13 +262,13 @@ def relative_phase(run: Spectrum, base: Spectrum) -> float:
     return float(np.interp(run.omega0, run.omega[mask], dphi))
 
 
-def phase_pipeline(traj, policy: SpectralPolicy | None = None, source: str = "cavity") -> Spectrum:
+def phase_pipeline(traj, policy: SpectralPolicy = SpectralPolicy(), source: str = "cavity") -> Spectrum:
     """fid_window -> fourier with one policy object."""
     return fourier(fid_window(traj, policy, source))
 
 
 def nonlinear_phase_shift(
-    traj, baseline_traj, policy: SpectralPolicy | None = None, source: str = "cavity"
+    traj, baseline_traj, policy: SpectralPolicy = SpectralPolicy(), source: str = "cavity"
 ) -> float:
     """Delta Phi(omega0) of a run against its baseline run."""
     return relative_phase(phase_pipeline(traj, policy, source),
@@ -297,13 +294,18 @@ class NonlinearPhaseResult:
 def fit_alpha(points, cfg: SystemConfig) -> NonlinearPhaseResult:
     """Least-squares dphi = C*(F0/kappa)^2 and alpha = C*N*gamma_tilde/(2U).
 
-    Needs at least five points; a residual above RESIDUAL_THRESHOLD or a
-    power-law exponent far from 2 flags the breakdown of the quadratic
-    regime rather than silently extrapolating through it.
+    Needs at least five points, every F0/kappa > 0 and some dphi != 0; a
+    residual above RESIDUAL_THRESHOLD or a power-law exponent far from 2
+    flags the breakdown of the quadratic regime rather than silently
+    extrapolating through it.
     """
     pts = sorted((float(r), float(p)) for r, p in points)
     if len(pts) < 5:
         raise ValidationError(f"need >= 5 drive points, got {len(pts)}")
+    if pts[0][0] <= 0:
+        raise ValidationError(f"drive ratios F0/kappa must be > 0, got {pts[0][0]}")
+    if all(p == 0 for _, p in pts):
+        raise ValidationError("dphi is zero at every drive point: no quadratic to fit")
     if len({(d.anharmonicity, d.gamma, d.coupling) for d in cfg.dipoles}) != 1:
         raise ValidationError("fit_alpha requires one U, gamma and g shared by every well")
     u = cfg.dipoles[0].anharmonicity

@@ -310,6 +310,22 @@ class TestFitAlphaCommand:
         assert f"config error: table {table} has no dphi_cavity column" in capsys.readouterr().err
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        ("-0.1,0.01\n0.1,0.01\n0.2,0.04\n0.3,0.09\n0.4,0.16\n",
+         "drive ratios F0/kappa must be > 0, got -0.1"),
+        ("0,0\n0,0\n0,0\n0,0\n0,0\n", "drive ratios F0/kappa must be > 0, got 0.0"),
+        ("0.1,0\n0.2,0\n0.3,0\n0.4,0\n0.5,0\n", "dphi is zero at every drive point"),
+    ], ids=["negative_ratio", "zeros", "all_zero_dphi"])
+    def test_degenerate_table_is_validation_error(self, tmp_path, fast_config_path, capsys,
+                                                  rows, message):
+        table = tmp_path / "table.csv"
+        table.write_text("f0_over_kappa,dphi_cavity\n" + rows)
+        rc = main(["fit-alpha", "--config", str(fast_config_path),
+                   "--table", str(table), "--out", str(tmp_path / "fit")])
+        assert rc == 4
+        assert f"validation failure: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
     def test_too_few_points_is_validation_error(self, tmp_path, fast_config_path):
         table = tmp_path / "table.csv"
         table.write_text("f0_over_kappa,dphi_cavity\n0.1,0.01\n0.2,0.04\n")

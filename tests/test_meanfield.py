@@ -12,18 +12,21 @@ from scipy.integrate._ivp import rk as scipy_rk
 from qwcavity import (
     Frame,
     GridError,
+    HilbertConfig,
     PostPulseOracle,
     SolverError,
     ValidationError,
     effective_decay,
+    evolve,
     fid_time_span,
     integrate,
     oracle_from_trajectory,
     post_pulse_analytic,
     set_config_value,
     stationary_phase,
+    vacuum_state,
 )
-from qwcavity import baseline_config, drive_amplitude, meanfield
+from qwcavity import baseline_config, drive_amplitude, lindblad, meanfield
 from qwcavity.meanfield import (
     _modes,
     _rhs,
@@ -226,6 +229,63 @@ class TestIntegrate:
         assert np.abs(pair - two.modes[1]).max() / scale < 1e-8
 
 
+def solve_on(solver, cfg, t_span, **kw):
+    """integrate, or evolve from the vacuum of a small two-well truncation."""
+    if solver == "meanfield":
+        return integrate(cfg, t_span, **kw)
+    h = HilbertConfig(n_photon_max=2, nu_max=1, n_wells=2)
+    return evolve(vacuum_state(h), t_span, cfg, h, **kw)
+
+
+@pytest.fixture
+def drive_calls(monkeypatch):
+    """Times at which either solver evaluates the drive, i.e. calls its RHS."""
+    calls = []
+
+    def drive(t, pulse, frame):
+        calls.append(t)
+        return drive_amplitude(t, pulse, frame)
+
+    monkeypatch.setattr(meanfield, "drive_amplitude", drive)
+    monkeypatch.setattr(lindblad, "drive_amplitude", drive)
+    return calls
+
+
+@pytest.mark.parametrize("solver", ["meanfield", "lindblad"])
+class TestSolverInputs:
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf, 2.5],
+                             ids=["zero", "negative", "nan", "inf", "longer_than_span"])
+    def test_unusable_dt_is_grid_error(self, solver, dt, drive_calls):
+        with pytest.raises(GridError, match=r"time step .* must be > 0 and at most the span 2\.0"):
+            solve_on(solver, standard_config(), (0.0, 2.0), dt=dt)
+        assert drive_calls == []
+
+    @pytest.mark.parametrize("t_span", [(0.0, math.inf), (-math.inf, 2.0), (0.0, math.nan)],
+                             ids=["inf_end", "inf_start", "nan_end"])
+    def test_unbounded_span_is_grid_error(self, solver, t_span, drive_calls):
+        with pytest.raises(GridError, match="is empty or unbounded"):
+            solve_on(solver, standard_config(), t_span)
+        assert drive_calls == []
+
+    @pytest.mark.parametrize("tol, match", [
+        ({"atol": [1e-12, 1e-7]}, "must be scalars"),
+        ({"rtol": np.full(2, 1e-9)}, "must be scalars"),
+        ({"rtol": math.nan}, "must be >= 0, got nan and 1e-12"),
+        ({"atol": math.nan}, "must be >= 0, got 1e-09 and nan"),
+        ({"atol": -1e-12}, "must be >= 0, got 1e-09 and -1e-12"),
+    ], ids=["array_atol", "array_rtol", "nan_rtol", "nan_atol", "negative_atol"])
+    def test_unusable_tolerance_is_validation_error(self, solver, tol, match, drive_calls):
+        with pytest.raises(ValidationError, match="rtol and atol " + match):
+            solve_on(solver, standard_config(), (0.0, 2.0), **tol)
+        assert drive_calls == []
+
+
+def test_array_tolerance_fails_a_lane_batch():
+    requests = [(standard_config(f0_over_kappa=0.1 * (i + 1)), (0.0, 2.0), None) for i in range(5)]
+    with pytest.raises(ValidationError, match="rtol and atol must be scalars"):
+        dict(integrate_batch(requests, atol=[1e-12, 1e-7]))
+
+
 def scipy_run(cfg, t_span, dt=None, **kw):
     """solve_ivp RK45 on integrate's own model, start and output grid."""
     modes = _modes(cfg, not cfg.is_homogeneous)
@@ -266,8 +326,10 @@ class TestRK45Copies:
             return m * y + np.cos(t)
 
         for rtol, atol in ((1e-9, 1e-12), (1e-3, 1e-6)):
-            args = (fun, 0.25, y0, 2.0, np.inf, f0, 1.0, 4, rtol, atol)
-            ours, theirs = meanfield.select_initial_step(*args), scipy_common.select_initial_step(*args)
+            # the copy runs forward at order 4 without a max_step: scipy's defaults
+            ours = meanfield.select_initial_step(fun, 0.25, y0, 2.0, f0, rtol, atol)
+            theirs = scipy_common.select_initial_step(fun, 0.25, y0, 2.0, np.inf, f0, 1.0, 4,
+                                                      rtol, atol)
             assert ours == theirs and type(ours) is type(theirs)
         x = draw() / (1e-12 + np.abs(y0) * 1e-9)
         assert meanfield.norm(x) == scipy_common.norm(x)

@@ -425,6 +425,15 @@ class TestFitAlpha:
         with pytest.raises(ValidationError, match="one U, gamma and g shared by every well"):
             fit_alpha([(r, r**2) for r in (0.02, 0.05, 0.1, 0.15, 0.2)], cfg)
 
+    @pytest.mark.parametrize("points, match", [
+        ([(-0.1, 1e-2)] + [(r, r**2) for r in (0.05, 0.1, 0.15, 0.2)], r"must be > 0, got -0\.1"),
+        ([(0.0, 0.0)] + [(r, r**2) for r in (0.05, 0.1, 0.15, 0.2)], r"must be > 0, got 0\.0"),
+        ([(r, 0.0) for r in (0.02, 0.05, 0.1, 0.15, 0.2)], "dphi is zero at every drive point"),
+    ], ids=["negative_ratio", "zero_ratio", "all_zero_dphi"])
+    def test_degenerate_points_rejected(self, base_config, points, match):
+        with pytest.raises(ValidationError, match=match):
+            fit_alpha(points, base_config)
+
     def test_cubic_data_flagged_out_of_regime(self, base_config):
         points = [(r, 0.1 * r**3) for r in np.linspace(0.05, 0.5, 7)]
         result = fit_alpha(points, base_config)
