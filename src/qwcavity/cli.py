@@ -59,21 +59,14 @@ NU_MAX_DEFAULT = 2
 # --- manifest ---------------------------------------------------------------
 
 def _write_manifest(outdir: Path, cfg: SystemConfig, files: list[Path]) -> None:
-    entries = []
-    for f in sorted(files):
-        data = f.read_bytes()
-        entries.append(
-            {"path": f.name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-        )
-    write_json(
-        outdir / "manifest.json",
-        {
-            "files": entries,
-            "config_digest": config_digest(cfg),
-            "created": datetime.now(timezone.utc).isoformat(),
-            "tool": f"qwcavity {__version__}",
-        },
-    )
+    entries = [{"path": f.name, "sha256": hashlib.sha256(f.read_bytes()).hexdigest(),
+                "bytes": f.stat().st_size} for f in sorted(files)]
+    write_json(outdir / "manifest.json", {
+        "files": entries,
+        "config_digest": config_digest(cfg),
+        "created": datetime.now(timezone.utc).isoformat(),
+        "tool": f"qwcavity {__version__}",
+    })
 
 
 # --- solver plumbing --------------------------------------------------------
@@ -199,8 +192,7 @@ def _preset_fig2(preset_id: str, outdir: Path, policy: SpectralPolicy, opts) -> 
             # extrema above the matching amplitude floor
             span = (0.0, max(fid_time_span(cfg, policy)[1], BASE_T0 + 2 * BASE_T + 3.0))
             # dense grid so extremum offsets of a few 1e-4 ps stay resolved
-            traj = integrate(cfg, span, dt=1e-4)
-            trajs[tag] = traj
+            trajs[tag] = traj = integrate(cfg, span, dt=1e-4)
             path = outdir / f"fig2_trace_gamma{gamma}_{tag}.csv"
             traj.write_csv(path)
             files.append(path)
@@ -341,10 +333,14 @@ def _read_table(path: Path) -> tuple[list[str], list[list[float]]]:
             raise ConfigError(f"{path}, line {n} has {len(cells)} cells, its header {len(header)}")
         for column, cell in zip(header, cells):
             try:
-                row.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ConfigError(
                     f"{path}, line {n}, column {column}: {cell!r} is not a number") from None
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{path}, line {n}, column {column}: {cell!r} is not a finite number")
+            row.append(value)
         rows.append(row)
     return header, rows
 

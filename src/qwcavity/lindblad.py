@@ -86,10 +86,7 @@ def _destroy(dim: int) -> sp.csr_matrix:
 def _embed(factors) -> sp.csr_matrix:
     import scipy.sparse as sp
 
-    out = factors[0]
-    for f in factors[1:]:
-        out = sp.kron(out, f, format="csr")
-    return out
+    return functools.reduce(lambda out, f: sp.kron(out, f, format="csr"), factors)
 
 
 def build_operators(h: HilbertConfig) -> tuple[sp.csr_matrix, tuple]:
@@ -113,7 +110,8 @@ def build_hamiltonian(cfg: SystemConfig, h: HilbertConfig, frame: Frame = Frame.
     """Static CSR Hamiltonian: cavity + Kerr ladders + co-rotating coupling.
 
     In the rotating frame the drive carrier is subtracted from every mode
-    frequency; the Kerr and coupling terms are invariant.
+    frequency; the Kerr and coupling terms are invariant. `frame` defaults
+    to the lab frame whatever `cfg.frame` says; `evolve` passes `cfg.frame`.
     """
     if h.n_wells != cfg.n_wells:
         raise ConfigError(
@@ -192,6 +190,8 @@ def lindblad_rhs(
     """Master-equation right-hand side for one density matrix.
 
     Traceless by construction and Hermiticity-preserving for Hermitian rho.
+    `frame` defaults to the lab frame whatever `cfg.frame` says; `evolve`
+    integrates in `cfg.frame`.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (h.dim, h.dim):
@@ -571,10 +571,8 @@ def write_checkpoints(result: LindbladResult, path_base) -> None:
     """Dump checkpoints as raw row-major little-endian complex128 pairs."""
     base = Path(path_base)
     bin_path = base.with_suffix(".bin")
-    payload = b"".join(
-        np.ascontiguousarray(cp.matrix).astype("<c16").tobytes() for cp in result.checkpoints
-    )
-    bin_path.write_bytes(payload)
+    bin_path.write_bytes(b"".join(
+        np.ascontiguousarray(cp.matrix).astype("<c16").tobytes() for cp in result.checkpoints))
     write_json(base.with_suffix(".json"), {
         "file": bin_path.name,
         "dim": result.hilbert.dim,

@@ -196,10 +196,6 @@ def _cmul(c, x):
     return (xv * c1 + xv[:, ::-1] * c2).view(complex).ravel()
 
 
-def _abs2_scalar(b):
-    return abs(b) ** 2
-
-
 def _abs2(b):
     """abs(b) ** 2 over a lane vector, through libm's pow: np.power squares by x * x."""
     return np.array([x**2 for x in np.hypot(b.real, b.imag).tolist()])
@@ -229,7 +225,7 @@ def _rhs(lanes):
     ]
     if one:  # Python scalars, whose own rounding is the reference
         (pulse,), (frame,) = pulses, frames
-        cmul, abs2, pack = mul, _abs2_scalar, list
+        cmul, abs2, pack = mul, lambda b: abs(b) ** 2, list
 
         def drive(t):
             return drive_amplitude(t, pulse, frame)
@@ -267,6 +263,14 @@ def resolution_limit(cfg: SystemConfig) -> float:
     scales += [1.0 / d.gamma for d in cfg.dipoles]
     scales += [2.0 * math.pi / w for w in _stored_frequencies(cfg) if w > 1e-12]
     return min(scales) / SAMPLES_PER_SCALE
+
+
+def check_resolution(cfg: SystemConfig, dt: float) -> None:
+    """GridError unless a grid spacing dt is within resolution_limit(cfg)."""
+    limit = resolution_limit(cfg)
+    if dt > limit * (1 + 1e-9):
+        raise GridError(f"grid spacing {dt:.3e} does not resolve the stored-frame "
+                        f"carrier/decay scales (limit {limit:.3e})")
 
 
 def default_dt(cfg: SystemConfig) -> float:
@@ -343,11 +347,7 @@ class MeanFieldTrajectory(CoherenceSeries):
             raise GridError("trajectory grid must be strictly increasing")
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise GridError("trajectory grid must be uniform")
-        if steps[0] > resolution_limit(self.config) * (1 + 1e-9):
-            raise GridError(
-                f"grid spacing {steps[0]:.3e} does not resolve the stored-frame "
-                f"carrier/decay scales (limit {resolution_limit(self.config):.3e})"
-            )
+        check_resolution(self.config, steps[0])
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.modes))):
             raise ValidationError("trajectory contains non-finite samples")
 
@@ -401,25 +401,24 @@ def integrate(
 
 def integrate_batch(requests, *, rtol: float = RTOL_DEFAULT, atol: float = ATOL_DEFAULT):
     """integrate() for each (cfg, t_span, dt) request, stepped together as one
-    RK45 lane batch per component count. Yields (request index, trajectory)
-    as lanes finish, so a caller can use and drop each in turn; every
-    trajectory has the bits integrate gives it alone."""
-    lanes = []
-    for cfg, t_span, dt in requests:
+    RK45 lane batch per component count. Every request is checked before any
+    RHS call. Yields (request index, trajectory) as lanes finish, so a caller
+    can use and drop each in turn; every trajectory has the bits integrate
+    gives it alone."""
+    batches: dict[int, list[_LaneState]] = {}
+    for i, (cfg, t_span, dt) in enumerate(requests):
         p = cfg.pulse
         if t_span[0] > p.center - 3 * p.duration or t_span[1] < p.center + 3 * p.duration:
             raise ValidationError(f"t_span {t_span} does not cover the pulse")
-        per_well = not cfg.is_homogeneous
-        grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
-        lanes.append((cfg, _modes(cfg, per_well), grid, per_well))
-    batches: dict[int, list[int]] = {}
-    for i, (_, modes, _, _) in enumerate(lanes):
-        batches.setdefault(len(modes), []).append(i)
-    for members in batches.values():
-        for j, samples, stats in _rk45([lanes[i][:3] for i in members], rtol, atol):
-            cfg, _, grid, per_well = lanes[members[j]]
-            traj = MeanFieldTrajectory(grid, samples[0], samples[1:], cfg, per_well, stats)
-            yield members[j], traj
+        lane = _LaneState(i, cfg, uniform_grid(t_span, dt if dt is not None else default_dt(cfg)))
+        check_resolution(cfg, lane.grid[1] - lane.grid[0])
+        batches.setdefault(len(lane.modes), []).append(lane)
+    rtol, atol = validate_tol(rtol, atol)
+    for lanes in batches.values():
+        for s in _rk45(lanes, rtol, atol):
+            samples, stats = s.result()
+            yield s.index, MeanFieldTrajectory(s.grid, samples[0], samples[1:], s.cfg,
+                                               s.per_well, stats)
 
 
 def _combine(stages, coeffs, h, y=None):
@@ -455,74 +454,74 @@ def _block(y) -> np.ndarray:
 
 @dataclass(slots=True)
 class _LaneState:
-    """One lane's RK45 state, as scipy's RK45 object would hold it."""
+    """One request from validation to trajectory: its index in the requests,
+    config, modes and output grid; then the RK45 state scipy's RK45 object
+    would hold, and each accepted step's (t_old, h, y_old, K) of this lane."""
 
     index: int
     cfg: SystemConfig
-    modes: tuple
     grid: np.ndarray
-    t: float
-    h_abs: float
+    per_well: bool = field(init=False)
+    modes: tuple = field(init=False)
+    t: float = 0.0
+    t_bound: float = 0.0
+    h_abs: float = 0.0
     t_new: float = 0.0
     rejected: bool = False
     fresh: bool = True  # the next attempt starts a new step
-    steps: list = field(default_factory=list)  # (t_old, h, (y, K) of its attempt, lane column)
+    steps: list = field(default_factory=list)
     n_steps: int = 0
     n_rejected: int = 0
-    t_bound: float = field(init=False)
 
     def __post_init__(self):
-        self.t_bound = float(self.grid[-1])
+        self.per_well = not self.cfg.is_homogeneous
+        self.modes = _modes(self.cfg, self.per_well)
 
-    def result(self, n: int) -> tuple:
+    def result(self) -> tuple:
         """Samples as scipy's RkDenseOutput of each step gives them on its
         (t_old, t_new]: Q = K^T P of all steps in one product, x and its
         powers elementwise, one np.dot(Q, p) per step; and solver effort."""
-        t_old, h, attempts, cols = zip(*self.steps)
-        self.steps = []  # an attempt's arrays go once every lane in it has its samples
+        t_old, h, y_old, k = zip(*self.steps)
+        self.steps = []  # freed now: the batch holds a finished lane until it steps on
         ends = np.searchsorted(self.grid, t_old[1:] + (self.t_bound,), side="right")
         counts = np.diff(ends, prepend=0)
         used = np.flatnonzero(counts).tolist()
-        k = np.array([stages if isinstance(stages, list) else stages[:, :, j]
-                      for (_, stages), j in ((attempts[i], cols[i]) for i in used)])
-        q = k.transpose(1, 0, 2).reshape(7, -1).T.dot(RK45.P)
+        n = 1 + len(self.modes)
+        q = np.array([k[i] for i in used]).transpose(1, 0, 2)
+        q = q.reshape(RK45.n_stages + 1, -1).T.dot(RK45.P)
         counts = counts[used]
         t0, h = np.repeat(np.take(t_old, used), counts), np.repeat(np.take(h, used), counts)
         p = dense_powers((self.grid - t0) / h)
         bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
         samples = np.empty((n, p.shape[1]), dtype=complex)
-        for qi, a, b in zip(q.reshape(-1, n, 4), bounds, bounds[1:]):
+        for qi, a, b in zip(q.reshape(len(used), n, -1), bounds, bounds[1:]):
             samples[:, a:b] = np.dot(qi, p[:, a:b])
         samples *= h
-        samples += np.repeat(np.array([attempts[i][0][:, cols[i]] for i in used]).T, counts, axis=1)
+        samples += np.repeat(np.array([y_old[i] for i in used]).T, counts, axis=1)
         return samples, {"nfev": rk45_nfev(self.n_steps + self.n_rejected),
                          "n_steps": self.n_steps, "n_rejected": self.n_rejected}
 
 
 def _rk45(lanes, rtol, atol):
     """solve_ivp(method="RK45", t_eval=grid) from y = 0, bit for bit, for
-    every lane (cfg, modes, grid) of one component count, stepped together
-    by _advance; yields (lane index, samples, stats) as lanes finish.
+    _LaneStates of one component count at tolerances validate_tol returned,
+    stepped together by _advance; yields each lane as it finishes.
     Follows scipy 1.17.1's RK45 (copied above); verified on one BLAS (README).
     """
-    n = 1 + len(lanes[0][1])
-    rtol, atol = validate_tol(rtol, atol)
+    n = 1 + len(lanes[0].modes)
     y0 = np.zeros(n, dtype=complex)
-    live, f = [], []
-    for cfg, modes, grid in lanes:
-        one = _rhs([(cfg, modes)])
+    f = []
+    for s in lanes:
+        one = _rhs([(s.cfg, s.modes)])
         fun = lambda t, y: np.asarray(one(t, y), dtype=complex)  # noqa: E731
-        t0 = float(grid[0])
-        f0 = fun(t0, y0)
-        h0 = select_initial_step(fun, t0, y0, float(grid[-1]), f0, rtol, atol)
-        live.append(_LaneState(len(live), cfg, modes, grid, t0, float(h0)))
-        f.append(f0)
-    if len(live) == 1:
+        s.t, s.t_bound = float(s.grid[0]), float(s.grid[-1])
+        f.append(fun(s.t, y0))
+        s.h_abs = float(select_initial_step(fun, s.t, y0, s.t_bound, f[-1], rtol, atol))
+    if len(lanes) == 1:
         y, f = y0.tolist(), f[0].tolist()
     else:
-        y, f = np.zeros((n, len(live)), dtype=complex), np.array(f).T.copy()
-    for s in _advance(live, y, f, n, rtol, atol):
-        yield s.index, *s.result(n)
+        y, f = np.zeros((n, len(lanes)), dtype=complex), np.array(f).T.copy()
+    return _advance(lanes, y, f, n, rtol, atol)
 
 
 def _advance(live, y, f, n, rtol, atol):
@@ -564,7 +563,7 @@ def _advance(live, y, f, n, rtol, atol):
         x = _block(_combine(k, _E, h)) / (atol + np.maximum(abs_y, abs_new) * rtol)
         parts = x.view(float).reshape(n, -1, 2)  # np.linalg.norm's dots of re and im, per lane
         norms = [math.sqrt(re + im) / n**0.5 for re, im in np.vecdot(parts, parts, axis=0).tolist()]
-        attempt = (y_arr, k if len(live) == 1 else np.array(k))  # one lane's: stacked at the end
+        stages = None if len(live) == 1 else np.array(k)
         accepted = []
         for j, (s, error_norm) in enumerate(zip(live, norms)):
             if not math.isfinite(error_norm):
@@ -575,7 +574,8 @@ def _advance(live, y, f, n, rtol, atol):
             s.fresh = error_norm < 1
             if s.fresh:
                 s.n_steps += 1
-                s.steps.append((s.t, hs[j], attempt, j))
+                s.steps.append((s.t, hs[j], y, k) if stages is None else
+                               (s.t, hs[j], y[:, j].copy(), stages[:, :, j].copy()))
                 s.t = s.t_new
             else:
                 s.rejected = True

@@ -294,7 +294,7 @@ class NonlinearPhaseResult:
 def fit_alpha(points, cfg: SystemConfig) -> NonlinearPhaseResult:
     """Least-squares dphi = C*(F0/kappa)^2 and alpha = C*N*gamma_tilde/(2U).
 
-    Needs at least five points, every F0/kappa > 0 and some dphi != 0; a
+    Needs at least five finite points, every F0/kappa > 0 and some dphi != 0; a
     residual above RESIDUAL_THRESHOLD or a power-law exponent far from 2
     flags the breakdown of the quadratic regime rather than silently
     extrapolating through it.
@@ -302,6 +302,9 @@ def fit_alpha(points, cfg: SystemConfig) -> NonlinearPhaseResult:
     pts = sorted((float(r), float(p)) for r, p in points)
     if len(pts) < 5:
         raise ValidationError(f"need >= 5 drive points, got {len(pts)}")
+    bad = [pt for pt in pts if not (math.isfinite(pt[0]) and math.isfinite(pt[1]))]
+    if bad:
+        raise ValidationError(f"drive points must be finite, got {bad[0]}")
     if pts[0][0] <= 0:
         raise ValidationError(f"drive ratios F0/kappa must be > 0, got {pts[0][0]}")
     if all(p == 0 for _, p in pts):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qwcavity
 
 # The package's public names. Adding or removing one is an API change: update
@@ -50,6 +52,7 @@ print(json.dumps(snapshots))
 """
 
 
+@pytest.mark.bitexact
 def test_import_footprint():
     env = dict(os.environ, PYTHONPATH=str(Path(qwcavity.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, capture_output=True,

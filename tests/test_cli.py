@@ -372,8 +372,27 @@ class TestReadTable:
         assert f"{table}, line 3 has 1 cells, its header 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, table_text, line, column, cell", [
+        ("fit-alpha", "f0_over_kappa,dphi_cavity\n0.1,0.01\n0.2,nan\n0.3,0.09\n0.4,0.16\n"
+         "0.5,0.25\n", 3, "dphi_cavity", "nan"),
+        ("fit-alpha", "f0_over_kappa,dphi_cavity\n0.1,0.01\n0.2,0.04\n0.3,0.09\n0.4,0.16\n"
+         "inf,0.25\n", 6, "f0_over_kappa", "inf"),
+        ("compare", "f0_over_kappa,dphi_cavity\n0.1,0.01\n0.2,-inf\n", 3, "dphi_cavity", "-inf"),
+        ("compare", "f0_over_kappa,dphi_cavity\n0.1,0.01\nnan,nan\n", 3, "f0_over_kappa", "nan"),
+    ], ids=["fit_alpha_nan_dphi", "fit_alpha_inf_drive", "compare_inf", "compare_nan_row"])
+    def test_non_finite_cell_is_config_error(self, command, table_text, line, column, cell,
+                                             tmp_path, fast_config_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text(table_text)
+        inputs = {"fit-alpha": ["--config", str(fast_config_path), "--table", str(table)],
+                  "compare": ["--meanfield", str(table), "--lindblad", str(table)]}[command]
+        assert main([command, *inputs, "--out", str(tmp_path / "o")]) == 2
+        assert (f"{table}, line {line}, column {column}: {cell!r} is not a finite number"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_reads_written_table_back_exactly(self, tmp_path):
-        rows = [(0.1, 1e-300, -0.0, 3), (2.5, float("nan"), 1e300, np.int64(-4))]
+        rows = [(0.1, 1e-300, -0.0, 3), (2.5, 5e-324, 1e300, np.int64(-4))]
         path = tmp_path / "t.csv"
         write_table(path, ["solver: meanfield", "baseline: harmonic"], ["a", "b", "c", "d"], rows)
         cols, got = _read_table(path)

@@ -321,6 +321,7 @@ def error_head(exc: Exception) -> str:
 
 
 class TestChunkRecorder:
+    @pytest.mark.bitexact
     @pytest.mark.parametrize(
         "h, frame, span",
         [(H_PAIR, Frame.ROTATING, (0.0, 3.0)),
@@ -338,6 +339,7 @@ class TestChunkRecorder:
         assert res.diagnostics["n_chunks"] == ref.n_chunks == math.ceil((len(res.t) - 1) / 256)
         assert res.diagnostics["dim"] == h.dim
 
+    @pytest.mark.bitexact
     def test_n_steps_counts_accepted_steps(self):
         h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
         cfg = standard_config(u_over_gamma=0.5, f0_over_kappa=0.3)
@@ -346,6 +348,7 @@ class TestChunkRecorder:
         assert runs[0].diagnostics["n_steps"] == runs[1].diagnostics["n_steps"] == ref.n_steps
         assert ref.n_steps > ref.n_chunks
 
+    @pytest.mark.bitexact
     def test_interpolant_matches_scipy_dense_output(self):
         # pins the RkDenseOutput fields (t_old, h, y_old, Q) the recorder reads, and
         # the stepper's own evaluation of a step to RkDenseOutput's, bit for bit
@@ -369,6 +372,7 @@ class TestChunkRecorder:
             assert np.abs(powers @ coeffs - dense(t).T).max() <= 1e-15
         assert n_steps > 10
 
+    @pytest.mark.bitexact
     @pytest.mark.parametrize("frame", [Frame.ROTATING, Frame.LAB])
     def test_step_control_is_scipy_rk45_on_the_full_vector(self, frame):
         # the half-vector solver takes its initial step and every error norm as
@@ -412,6 +416,7 @@ class TestChunkRecorder:
         assert len(half_times) == len(full_times) > 20 and half.nfev == full.nfev
         assert np.abs(np.subtract(half_times, full_times)).max() <= 1e-10
 
+    @pytest.mark.bitexact
     def test_rejected_step_is_scipy_rk45_step_by_step(self):
         # from a random pure state the first attempt is rejected; every attempt's
         # (t, h, error norm, nfev) and every accepted state equal those of the same

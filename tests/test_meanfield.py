@@ -267,6 +267,14 @@ class TestSolverInputs:
             solve_on(solver, standard_config(), t_span)
         assert drive_calls == []
 
+    def test_unresolved_dt_is_grid_error_before_solving(self, solver, drive_calls):
+        if solver == "lindblad":
+            pytest.skip("evolve samples its dense output on any grid: no resolution limit")
+        cfg = standard_config()
+        with pytest.raises(GridError, match=r"grid spacing 1\.000e-02 does not resolve"):
+            integrate(cfg, fid_time_span(cfg), dt=0.01)
+        assert drive_calls == []
+
     @pytest.mark.parametrize("tol, match", [
         ({"atol": [1e-12, 1e-7]}, "must be scalars"),
         ({"rtol": np.full(2, 1e-9)}, "must be scalars"),
@@ -298,6 +306,7 @@ def three_wells():
     return set_config_value(cfg, "dipoles[2].omega", 39.7)
 
 
+@pytest.mark.bitexact
 class TestRK45Copies:
     """The tableau and helpers meanfield copies from scipy 1.17.1 keep its bits."""
 
@@ -335,6 +344,7 @@ class TestRK45Copies:
         assert meanfield.norm(x) == scipy_common.norm(x)
 
 
+@pytest.mark.bitexact
 class TestStepperMatchesSolveIvp:
     """integrate steps RK45 itself; every sample and nfev equal solve_ivp's."""
 
@@ -422,6 +432,7 @@ def trajectory_bytes(traj):
     return traj.t.tobytes(), traj.a.tobytes(), traj.modes.tobytes(), traj.stats
 
 
+@pytest.mark.bitexact
 class TestLaneBatch:
     """Lanes stepped together keep every bit of their one-lane solves."""
 

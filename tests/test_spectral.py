@@ -188,11 +188,13 @@ def full_length_fourier(window):
     return w, (dt / math.sqrt(2.0 * math.pi)) * np.exp(1j * w * window.t[0]) * trap
 
 
+@pytest.mark.bitexact
 def test_next_fast_len_is_scipy_complex_next_fast_len():
     ns = range(1, 2**18 + 1)
     assert [spectral.next_fast_len(n) for n in ns] == [next_fast_len(n) for n in ns]
 
 
+@pytest.mark.bitexact
 class TestBandOnlyTransform:
     @pytest.mark.parametrize("gamma, clamped_at_zero", [(0.6, False), (10.0, True)])
     def test_band_bit_identical_to_full_length_transform(self, gamma, clamped_at_zero):
@@ -211,6 +213,7 @@ class TestBandOnlyTransform:
         assert np.array_equal(spec.mask, ref.mask)
 
 
+@pytest.mark.bitexact
 class TestTransformWorkspace:
     """fourier pads into one reused, grow-only workspace per process."""
 
@@ -432,6 +435,14 @@ class TestFitAlpha:
     ], ids=["negative_ratio", "zero_ratio", "all_zero_dphi"])
     def test_degenerate_points_rejected(self, base_config, points, match):
         with pytest.raises(ValidationError, match=match):
+            fit_alpha(points, base_config)
+
+    @pytest.mark.parametrize("bad", [(0.3, math.nan), (math.inf, 0.09), (0.3, -math.inf),
+                                     (math.nan, 0.09)],
+                             ids=["nan_dphi", "inf_ratio", "inf_dphi", "nan_ratio"])
+    def test_non_finite_points_rejected(self, base_config, bad):
+        points = [(r, r**2) for r in (0.05, 0.1, 0.15, 0.2)] + [bad]
+        with pytest.raises(ValidationError, match="drive points must be finite"):
             fit_alpha(points, base_config)
 
     def test_cubic_data_flagged_out_of_regime(self, base_config):
