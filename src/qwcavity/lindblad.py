@@ -29,14 +29,13 @@ from .errors import ConfigError, SolverError, TruncationError, ValidationError
 from .meanfield import (
     RK45,
     CoherenceSeries,
-    default_dt,
     dense_powers,
     min_step,
     norm,
     rescale,
     rk45_nfev,
+    resolved_grid,
     select_initial_step,
-    uniform_grid,
     validate_tol,
 )
 from .model import Frame, SystemConfig, config_to_dict, drive_amplitude, write_json, write_table
@@ -445,7 +444,7 @@ class _HermitianRK45:
         self.t, self.y, self.t_bound = t0, y0, t_bound
         self.finished = False
         self.attempts = 0
-        self.rtol, self.atol = validate_tol(rtol, atol)
+        self.rtol, self.atol = rtol, atol
         self.f = fun(t0, y0)
         self.h_abs = select_initial_step(
             lambda t, y: tri.expand(fun(t, y[tri.upper])), t0, tri.expand(y0),
@@ -511,7 +510,8 @@ def evolve(
     run on the upper triangle of rho from the previous chunk's end state,
     and every sample is read off the interpolant of the step that covers it.
 
-    Raises TruncationError when the top photon level acquires more than
+    Raises GridError before any RHS call where integrate would (resolved_grid),
+    TruncationError when the top photon level acquires more than
     TOP_LEVEL_TOL population (the Fock cutoff is then too low for this
     drive) and SolverError when a checkpoint eigenvalue falls below
     -POSITIVITY_TOL.
@@ -520,7 +520,8 @@ def evolve(
     if rho0.shape != (h.dim, h.dim):
         raise ValidationError(f"rho0 has shape {rho0.shape}, expected {(h.dim, h.dim)}")
     DensityMatrix(matrix=rho0, time=t_span[0]).validate()
-    grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
+    grid = resolved_grid(cfg, t_span, dt)
+    rtol, atol = validate_tol(rtol, atol)
     nt = len(grid)
     rec = _ChunkRecorder(h, grid, N_CHECKPOINTS, TOP_LEVEL_TOL, POSITIVITY_TOL)
     tri = rec.tri

@@ -14,6 +14,7 @@ so independent parameter-sweep integrations can run in parallel workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import mul
 from warnings import warn
@@ -35,7 +36,6 @@ from .model import (
 RTOL_DEFAULT = 1e-9
 ATOL_DEFAULT = 1e-12
 SAMPLES_PER_SCALE = 20
-SCALAR_SUM_MAX = 3  # where dot starts blocking: numpy 2.4.6's OpenBLAS 0.3.31, x86-64
 LANES_MIN = 4  # fewer lanes step faster one by one on Python scalars
 
 
@@ -92,13 +92,17 @@ ERROR_EXPONENT = -1 / (RK45.error_estimator_order + 1)
 
 
 def validate_tol(rtol, atol):
-    """Scalar tolerances, rtol raised to scipy's floor with scipy's warning."""
+    """Scalar tolerances, rtol raised to scipy's floor with scipy's warning,
+    which names the line of the nearest caller outside this package."""
     if np.ndim(rtol) or np.ndim(atol):
         raise ValidationError("rtol and atol must be scalars")
     if rtol < 100 * EPS:
+        level, frame = 1, sys._getframe()
+        while frame.f_back and frame.f_globals.get("__package__") == __package__:
+            level, frame = level + 1, frame.f_back
         warn("At least one element of `rtol` is too small. "
              f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
-             stacklevel=3)
+             stacklevel=level)
         rtol = 100 * EPS
     if not (rtol >= 0 and atol >= 0):  # a NaN step size would never fall below min_step
         raise ValidationError(f"rtol and atol must be >= 0, got {rtol} and {atol}")
@@ -287,6 +291,14 @@ def uniform_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
     return t0 + dt * np.arange(n + 1)
 
 
+def resolved_grid(cfg: SystemConfig, t_span: tuple[float, float], dt: float | None) -> np.ndarray:
+    """Output grid of either solver: uniform_grid at dt, or default_dt(cfg)
+    if dt is None; GridError, before any RHS call, unless it resolves cfg."""
+    grid = uniform_grid(t_span, dt if dt is not None else default_dt(cfg))
+    check_resolution(cfg, grid[1] - grid[0])
+    return grid
+
+
 class CoherenceSeries:
     """Coherences shared by the mean-field and Lindblad result types.
 
@@ -410,8 +422,7 @@ def integrate_batch(requests, *, rtol: float = RTOL_DEFAULT, atol: float = ATOL_
         p = cfg.pulse
         if t_span[0] > p.center - 3 * p.duration or t_span[1] < p.center + 3 * p.duration:
             raise ValidationError(f"t_span {t_span} does not cover the pulse")
-        lane = _LaneState(i, cfg, uniform_grid(t_span, dt if dt is not None else default_dt(cfg)))
-        check_resolution(cfg, lane.grid[1] - lane.grid[0])
+        lane = _LaneState(i, cfg, resolved_grid(cfg, t_span, dt))
         batches.setdefault(len(lane.modes), []).append(lane)
     rtol, atol = validate_tol(rtol, atol)
     for lanes in batches.values():
@@ -422,34 +433,22 @@ def integrate_batch(requests, *, rtol: float = RTOL_DEFAULT, atol: float = ATOL_
 
 
 def _combine(stages, coeffs, h, y=None):
-    """y + (sum_j coeffs[j] * stages[j]) * h, or without y, with the bits of
-    scipy's np.dot(K.T, coeffs) * h: sequential sums up to SCALAR_SUM_MAX
-    components, above them the BLAS product itself, one lane at a time,
-    whose blocked sums round differently. Stages as _rhs returns them."""
-    block = isinstance(stages[0], np.ndarray)
-    if len(stages[0]) > SCALAR_SUM_MAX:
-        k, c = np.array(stages).reshape(len(stages), len(stages[0]), -1), np.array(coeffs)
-        d = np.array([np.dot(np.ascontiguousarray(k[:, :, i]).T, c) for i in range(k.shape[2])])
-        d = np.ascontiguousarray(d.T) if block else d[0].tolist()
-    elif block:
+    """y + (sum_j coeffs[j] * stages[j]) * h, or without y, summed in stage
+    order for every component count: the bits of scipy's np.dot(K.T, coeffs)
+    * h up to 3 components, where OpenBLAS does not block. Stages as _rhs
+    returns them."""
+    if isinstance(stages[0], np.ndarray):
         d = stages[0] * coeffs[0]
         for k, c in zip(stages[1:], coeffs[1:]):
             d = d + k * c
-    else:
-        d = []
-        for column in zip(*stages):
-            acc = column[0] * coeffs[0]
-            for k, c in zip(column[1:], coeffs[1:]):
-                acc = acc + k * c
-            d.append(acc)
-    if block:
         return d * h if y is None else y + d * h
+    d = []
+    for column in zip(*stages):
+        acc = column[0] * coeffs[0]
+        for k, c in zip(column[1:], coeffs[1:]):
+            acc = acc + k * c
+        d.append(acc)
     return [di * h for di in d] if y is None else [yi + di * h for yi, di in zip(y, d)]
-
-
-def _block(y) -> np.ndarray:
-    """(components, lanes) array of a state as _rhs takes it."""
-    return y if isinstance(y, np.ndarray) else np.array(y, dtype=complex).reshape(-1, 1)
 
 
 @dataclass(slots=True)
@@ -503,100 +502,95 @@ class _LaneState:
 
 
 def _rk45(lanes, rtol, atol):
-    """solve_ivp(method="RK45", t_eval=grid) from y = 0, bit for bit, for
-    _LaneStates of one component count at tolerances validate_tol returned,
-    stepped together by _advance; yields each lane as it finishes.
-    Follows scipy 1.17.1's RK45 (copied above); verified on one BLAS (README).
+    """solve_ivp(method="RK45", t_eval=grid) from y = 0 for _LaneStates of
+    one component count at tolerances validate_tol returned; yields each lane
+    as it finishes. Bit for bit up to 3 components, on one BLAS (README).
     """
-    n = 1 + len(lanes[0].modes)
-    y0 = np.zeros(n, dtype=complex)
+    y0 = np.zeros((1 + len(lanes[0].modes), len(lanes)), dtype=complex)
     f = []
     for s in lanes:
         one = _rhs([(s.cfg, s.modes)])
         fun = lambda t, y: np.asarray(one(t, y), dtype=complex)  # noqa: E731
         s.t, s.t_bound = float(s.grid[0]), float(s.grid[-1])
-        f.append(fun(s.t, y0))
-        s.h_abs = float(select_initial_step(fun, s.t, y0, s.t_bound, f[-1], rtol, atol))
-    if len(lanes) == 1:
-        y, f = y0.tolist(), f[0].tolist()
-    else:
-        y, f = np.zeros((n, len(lanes)), dtype=complex), np.array(f).T.copy()
-    return _advance(lanes, y, f, n, rtol, atol)
+        f.append(fun(s.t, y0[:, 0]))
+        s.h_abs = float(select_initial_step(fun, s.t, y0[:, 0], s.t_bound, f[-1], rtol, atol))
+    return _advance(lanes, y0, np.array(f).T.copy(), rtol, atol)
 
 
-def _advance(live, y, f, n, rtol, atol):
-    """Step the lanes `live` from state y with derivative f to their ends,
-    yielding each lane as it finishes.
+def _advance(live, y, f, rtol, atol):
+    """Step the lanes `live` from their (components, lanes) state y with
+    derivative f to their ends, yielding each lane as it finishes.
 
-    Each lane keeps scipy's own t, step size and rejected flag: a rejected
-    step retries that lane alone, and a finished lane leaves the batch.
-    Below LANES_MIN lanes, each goes on alone on Python scalars. Lane arrays
-    round as Python's scalars (_combine, _rhs); the error norm keeps scipy's
-    numpy expressions, and select_initial_step, the step factor's power,
-    the drive's exp and np.dot(Q, p) stay per lane.
+    Scalars or lane arrays are chosen at the entry of the outer loop, and
+    nowhere else: below LANES_MIN lanes each goes on alone on Python
+    scalars, else they step together as lane arrays, which round as
+    Python's scalars (_combine, _rhs). Each lane keeps scipy's own t, step
+    size and rejected flag: a rejected step retries that lane alone. When
+    lanes finish, the others re-enter as C-ordered copies (_cmul views rows
+    as floats); a loop, not a recursion, so no batch is too large to nest.
+    The error norm keeps scipy's numpy expressions, and select_initial_step,
+    the step factor's power, the drive's exp and np.dot(Q, p) stay per lane.
     """
-    if isinstance(y, np.ndarray) and len(live) < LANES_MIN:
-        for j, s in enumerate(live):
-            yield from _advance([s], y[:, j].tolist(), f[:, j].tolist(), n, rtol, atol)
-        return
-    rhs, y_arr = _rhs([(s.cfg, s.modes) for s in live]), _block(y)
-    abs_y = np.abs(y_arr)
     while True:
-        hs = []
-        for s in live:
-            floor = min_step(s.t)
-            if s.fresh:
-                s.h_abs, s.rejected = max(s.h_abs, floor), False
-            elif s.h_abs < floor:
-                raise SolverError(f"mean-field integration failed: {RK45.TOO_SMALL_STEP}")
-            s.t_new = min(s.t + s.h_abs, s.t_bound)
-            hs.append(s.t_new - s.t)
-            s.h_abs = abs(hs[-1])
-        t, h = _lane([s.t for s in live]), _lane(hs)
-        k = [f]
-        for a_s, c_s in zip(_A[1:], _C[1:]):
-            k.append(rhs(t + c_s * h, _combine(k, a_s, h, y)))
-        y_new = _combine(k, _B, h, y)
-        k.append(rhs(t + h, y_new))
-        y_new_arr = _block(y_new)
-        abs_new = np.abs(y_new_arr)
-        x = _block(_combine(k, _E, h)) / (atol + np.maximum(abs_y, abs_new) * rtol)
-        parts = x.view(float).reshape(n, -1, 2)  # np.linalg.norm's dots of re and im, per lane
-        norms = [math.sqrt(re + im) / n**0.5 for re, im in np.vecdot(parts, parts, axis=0).tolist()]
-        stages = None if len(live) == 1 else np.array(k)
-        accepted = []
-        for j, (s, error_norm) in enumerate(zip(live, norms)):
-            if not math.isfinite(error_norm):
-                raise SolverError(
-                    f"mean-field integration failed at t = {s.t!r}: error norm {error_norm} "
-                    f"for config {format_config(s.cfg).strip().replace(chr(10), '; ')}")
-            s.h_abs = rescale(s.h_abs, error_norm, s.rejected)
-            s.fresh = error_norm < 1
-            if s.fresh:
-                s.n_steps += 1
-                s.steps.append((s.t, hs[j], y, k) if stages is None else
-                               (s.t, hs[j], y[:, j].copy(), stages[:, :, j].copy()))
-                s.t = s.t_new
-            else:
-                s.rejected = True
-                s.n_rejected += 1
-            accepted.append(s.fresh)
-        if all(accepted):
-            y, f, y_arr, abs_y = y_new, k[-1], y_new_arr, abs_new
-        elif any(accepted):
-            mask = np.array(accepted)
-            y, f = np.where(mask, y_new, y), np.where(mask, k[-1], f)
-            y_arr, abs_y = y, np.where(mask, abs_new, abs_y)
-        keep = [j for j, s in enumerate(live) if s.t != s.t_bound]
-        if len(keep) < len(live):
-            yield from (s for s in live if s.t == s.t_bound)
-            if not keep:
-                return
-            if len(keep) < LANES_MIN:
-                yield from _advance([live[j] for j in keep], y[:, keep], f[:, keep], n, rtol, atol)
-                return
-            live, y, f = [live[j] for j in keep], y[:, keep].copy(), f[:, keep].copy()  # C order
-            rhs, y_arr, abs_y = _rhs([(s.cfg, s.modes) for s in live]), y, abs_y[:, keep]
+        if 1 < len(live) < LANES_MIN:
+            for j, s in enumerate(live):
+                yield from _advance([s], y[:, j:j + 1], f[:, j:j + 1], rtol, atol)
+            return
+        n, scalars = len(y), len(live) == 1
+        if scalars:  # Python scalars, whose own rounding is the reference
+            y, f = y[:, 0].tolist(), f[:, 0].tolist()
+        rhs = _rhs([(s.cfg, s.modes) for s in live])
+        while True:
+            hs = []
+            for s in live:
+                floor = min_step(s.t)
+                if s.fresh:
+                    s.h_abs, s.rejected = max(s.h_abs, floor), False
+                elif s.h_abs < floor:
+                    raise SolverError(f"mean-field integration failed: {RK45.TOO_SMALL_STEP}")
+                s.t_new = min(s.t + s.h_abs, s.t_bound)
+                hs.append(s.t_new - s.t)
+                s.h_abs = abs(hs[-1])
+            t, h = _lane([s.t for s in live]), _lane(hs)
+            k = [f]
+            for a_s, c_s in zip(_A[1:], _C[1:]):
+                k.append(rhs(t + c_s * h, _combine(k, a_s, h, y)))
+            y_new = _combine(k, _B, h, y)
+            k.append(rhs(t + h, y_new))
+            x = _combine(k, _E, h) / (atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol)
+            parts = x.view(float).reshape(n, -1, 2)  # np.linalg.norm's dots of re and im, per lane
+            norms = [math.sqrt(re + im) / n**0.5
+                     for re, im in np.vecdot(parts, parts, axis=0).tolist()]
+            stages = None if scalars else np.array(k)
+            accepted = []
+            for j, (s, error_norm) in enumerate(zip(live, norms)):
+                if not math.isfinite(error_norm):
+                    raise SolverError(
+                        f"mean-field integration failed at t = {s.t!r}: error norm {error_norm} "
+                        f"for config {format_config(s.cfg).strip().replace(chr(10), '; ')}")
+                s.h_abs = rescale(s.h_abs, error_norm, s.rejected)
+                s.fresh = error_norm < 1
+                if s.fresh:
+                    s.n_steps += 1
+                    s.steps.append((s.t, hs[j], y, k) if scalars else
+                                   (s.t, hs[j], y[:, j].copy(), stages[:, :, j].copy()))
+                    s.t = s.t_new
+                else:
+                    s.rejected = True
+                    s.n_rejected += 1
+                accepted.append(s.fresh)
+            if all(accepted):
+                y, f = y_new, k[-1]
+            elif any(accepted):
+                mask = np.array(accepted)
+                y, f = np.where(mask, y_new, y), np.where(mask, k[-1], f)
+            keep = [j for j, s in enumerate(live) if s.t != s.t_bound]
+            if len(keep) < len(live):
+                break
+        yield from (s for s in live if s.t == s.t_bound)
+        if not keep:
+            return
+        live, y, f = [live[j] for j in keep], y[:, keep].copy(), f[:, keep].copy()  # C order
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,9 @@ def pair_modes(local):
     return np.array([b1 + b2, b1 - b2]) / math.sqrt(2.0)
 
 
-def solve_ivp_rk45(rhs, y0, grid, *, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
-    """scipy's solve_ivp RK45 from y0, sampled on grid."""
+def solve_ivp_rk45(rhs, y0, grid, *, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT, dense_output=False):
+    """scipy's solve_ivp RK45 from y0, sampled on grid; with dense_output,
+    sol.ts holds its accepted steps' ends."""
     return solve_ivp(
         lambda t, y: np.asarray(rhs(t, y), dtype=complex),
         t_span=(grid[0], grid[-1]),
@@ -71,6 +72,7 @@ def solve_ivp_rk45(rhs, y0, grid, *, rtol=RTOL_DEFAULT, atol=ATOL_DEFAULT):
         method="RK45",
         rtol=rtol,
         atol=atol,
+        dense_output=dense_output,
     )
 
 

@@ -471,7 +471,7 @@ def test_criterion_9_quantum_state_hygiene():
     cfg_flux = set_config_value(cfg_flux, "dipoles[0].g", 0.0)
     cfg_flux = set_config_value(cfg_flux, "pulse.t0", 40.0)
     cfg_flux = set_config_value(cfg_flux, "pulse.T", 25.0)
-    res_flux = evolve(vacuum_state(h_flux), (0.0, 40.0), cfg_flux, h_flux, dt=0.01)
+    res_flux = evolve(vacuum_state(h_flux), (0.0, 40.0), cfg_flux, h_flux, dt=0.004)
     flux = KAPPA * float(res_flux.exp_n[-1])
     target = 4.0 * cfg_flux.pulse.amplitude**2 / KAPPA
     flux_err = abs(flux / target - 1.0)

@@ -46,7 +46,7 @@ cfg = qwcavity.cli.two_well_config(u_over_gamma=1.0, f0_over_kappa=0.2)
 phase_pipeline(integrate(cfg, fid_time_span(cfg)))
 snapshots["meanfield"] = scipy_modules()
 h = HilbertConfig(n_photon_max=2, nu_max=1, n_wells=2)
-evolve(vacuum_state(h), (0.0, 0.2), cfg, h, dt=0.01)
+evolve(vacuum_state(h), (0.0, 0.2), cfg, h, dt=0.004)
 snapshots["lindblad"] = scipy_modules()
 print(json.dumps(snapshots))
 """

@@ -231,7 +231,7 @@ class TestEvolve:
         cfg = set_config_value(cfg, "dipoles[0].g", 0.0)
         cfg = set_config_value(cfg, "pulse.t0", 40.0)
         cfg = set_config_value(cfg, "pulse.T", 25.0)
-        res = evolve(vacuum_state(h), (0.0, 40.0), cfg, h, dt=0.01)
+        res = evolve(vacuum_state(h), (0.0, 40.0), cfg, h, dt=0.004)
         flux = 12.0 * res.exp_n[-1]
         target = 4.0 * cfg.pulse.amplitude**2 / 12.0
         assert flux == pytest.approx(target, rel=0.02)
