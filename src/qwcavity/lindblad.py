@@ -10,10 +10,11 @@ vec(rho) and applies the upper-triangle rows of the generator. Every norm the
 RK45 step control takes (initial step, error estimate) is taken over the
 expanded vector, so the accepted steps are those of RK45 on vec(rho), with the
 same adaptive pair, tolerances, initial step, step-size rule and nfev count as
-the mean-field solver, whose RK45 helpers `_HermitianRK45` calls. Observables are
-read off each RK step's interpolant coefficients, without materialising the
-states in between. Off the diagonal rho is Hermitian by construction, so
-`max_herm_dev` is 2 max |Im rho_ii|.
+the mean-field solver, whose RK45 helpers `_HermitianRK45` calls. Samples and
+checkpoints are read off one interpolant per accepted step, without
+materialising the states in between, and each chunk of CHUNK samples restarts
+from the state its last step ends on. Off the diagonal rho is Hermitian by
+construction, so `max_herm_dev` is 2 max |Im rho_ii|.
 """
 
 from __future__ import annotations
@@ -21,15 +22,16 @@ from __future__ import annotations
 import functools
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, SolverError, TruncationError, ValidationError
 from .meanfield import (
+    ATOL_DEFAULT,
     RK45,
+    RTOL_DEFAULT,
     CoherenceSeries,
-    dense_powers,
     min_step,
     norm,
     rescale,
@@ -300,20 +302,19 @@ class _UpperTriangle:
 class _ChunkRecorder:
     """Expectation series and state hygiene, read off RK step interpolants.
 
-    A record call covers the samples v = powers @ coeffs (see `_interpolant`)
-    of the upper-triangle half vector v of rho (see `_UpperTriangle`), and
-    each quantity needs only some columns of coeffs: Tr(A rho) is a dot
-    product with rho[c, r] over A's nonzeros (r, c), conjugated below the
-    diagonal, which powers being real allows on the coefficients. Full states
-    are built only at checkpoints. Off the diagonal rho is Hermitian by
-    construction, so |rho - rho^dag| peaks at 2 |Im rho_ii|.
+    A record call covers the samples v = powers @ coeffs (see
+    `_HermitianRK45.interpolant`) of the upper-triangle half vector v of rho
+    (see `_UpperTriangle`), and each quantity needs only some columns of
+    coeffs: Tr(A rho) is a dot product with rho[c, r] over A's nonzeros
+    (r, c), conjugated below the diagonal, which powers being real allows on
+    the coefficients. Full states are built only at the N_CHECKPOINTS
+    checkpoints, from their rows of powers @ coeffs. Off the diagonal rho is
+    Hermitian by construction, so |rho - rho^dag| peaks at 2 |Im rho_ii|.
     """
 
-    def __init__(self, h: HilbertConfig, grid: np.ndarray, n_checkpoints: int,
-                 top_level_tol: float, positivity_tol: float):
+    def __init__(self, h: HilbertConfig, grid: np.ndarray):
         d, nt = h.dim, len(grid)
         self.h, self.grid = h, grid
-        self.top_level_tol, self.positivity_tol = top_level_tol, positivity_tol
         self.tri = _UpperTriangle(d)
         a, wells = build_operators(h)
         # (columns, conjugated, weights): Tr(op @ rho) = weights @ v[columns], conj where flagged
@@ -329,7 +330,7 @@ class _ChunkRecorder:
         self._level_sum = (
             levels[:, None, :] == np.arange(h.nu_max + 1)[None, :, None]
         ).reshape(-1, d).astype(float)
-        self._check_idx = np.unique(np.linspace(0, nt - 1, n_checkpoints).astype(int))
+        self._check_idx = np.unique(np.linspace(0, nt - 1, N_CHECKPOINTS).astype(int))
 
         self.a = np.empty(nt, dtype=complex)
         self.exp_n = np.empty(nt)
@@ -341,13 +342,12 @@ class _ChunkRecorder:
         self.max_top = 0.0
         self.min_eig = np.inf
 
-    def record(self, start: int, coeffs: np.ndarray, powers: np.ndarray, state) -> None:
+    def record(self, start: int, coeffs: np.ndarray, powers: np.ndarray) -> None:
         """Record samples start, start + 1, ...: row j of powers @ coeffs.
 
-        powers is real (m, k), coeffs complex (k, D(D+1)/2). state(j) returns
-        the half vector of sample start + j and is called only at checkpoints.
-        Raises exactly what a sample-by-sample pass would raise first: a
-        checkpoint's SolverError before a later sample's TruncationError.
+        powers is real (m, k), coeffs complex (k, D(D+1)/2). Raises exactly
+        what a sample-by-sample pass would raise first: a checkpoint's
+        SolverError before a later sample's TruncationError.
         """
         h, d, m = self.h, self.h.dim, powers.shape[0]
         sl = slice(start, start + m)
@@ -363,16 +363,17 @@ class _ChunkRecorder:
         top = diag[:, self._top].sum(axis=1)
         trace_dev = np.abs(diag.sum(axis=1) - 1.0)
         herm_dev = 2.0 * np.abs(diag_c.imag).max(axis=1)
-        over = np.flatnonzero(top > self.top_level_tol)
+        over = np.flatnonzero(top > TOP_LEVEL_TOL)
         first_over = int(over[0]) if len(over) else m
 
         lo, hi = np.searchsorted(self._check_idx, [start, start + first_over])
         for i in self._check_idx[lo:hi]:
             j = int(i) - start
-            dm = DensityMatrix(matrix=self.tri.expand(state(j)).reshape(d, d), time=float(self.grid[i]))
+            dm = DensityMatrix(matrix=self.tri.expand(powers[j] @ coeffs).reshape(d, d),
+                               time=float(self.grid[i]))
             eig = dm.deviations()["min_eigenvalue"]
             self.min_eig = min(self.min_eig, eig)
-            if eig < -self.positivity_tol:
+            if eig < -POSITIVITY_TOL:
                 trace_so_far = max(self.max_trace_dev, float(trace_dev[: j + 1].max()))
                 herm_so_far = max(self.max_herm_dev, float(herm_dev[: j + 1].max()))
                 raise SolverError(
@@ -399,43 +400,18 @@ class _ChunkRecorder:
         }
 
 
-class _Step(NamedTuple):
-    """One accepted RK45 step as scipy's RkDenseOutput holds it: Q = K^T P."""
-
-    t_old: float
-    h: float
-    y_old: np.ndarray
-    Q: np.ndarray
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        """The states at the times t, as columns: RkDenseOutput's numpy calls."""
-        y = self.h * np.dot(self.Q, dense_powers((t - self.t_old) / self.h))
-        y += self.y_old[:, None]
-        return y
-
-
-def _interpolant(step: _Step, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(coeffs, powers) with powers @ coeffs = step(t).T.
-
-    The step's interpolant is y_old + h Q [x, x^2, ...] with x = (t - t_old) / h,
-    so coeffs has rows y_old and h Q^T (each row a contiguous vec, cheap to
-    gather from) and powers has a row [1, x, x^2, ...] per sample.
-    """
-    coeffs = np.empty((step.Q.shape[1] + 1, len(step.y_old)), dtype=complex)
-    coeffs[0] = step.y_old
-    np.multiply(step.Q.T, step.h, out=coeffs[1:])
-    return coeffs, np.vander((t - step.t_old) / step.h, len(coeffs), increasing=True)
-
-
 class _HermitianRK45:
     """RK45 on the half vector of `_UpperTriangle`, with its step control on vec(rho).
 
     The steps are scipy 1.17.1's (OdeSolver.step, RungeKutta._step_impl,
     rk_step), with the same numpy calls, and take their initial step, step
-    sizes and nfev from the mean-field module's RK45 helpers, so every state
-    keeps solve_ivp's bits. The initial step and every error norm are
-    evaluated on the expanded vectors, so each step is accepted or rejected
-    as RK45 on the full vec(rho) would. Runs forward, t0 < t_bound.
+    sizes and nfev from the mean-field module's RK45 helpers, so every step,
+    accepted state and nfev equals scipy's RK45 class on the same half vector.
+    The initial step and every error norm are evaluated on the expanded
+    vectors, so each step is accepted or rejected as RK45 on the full vec(rho)
+    would. The last accepted step is kept as RkDenseOutput's fields (t_old,
+    h, y_old, Q = K^T P), and `interpolant` reads states inside it. Runs
+    forward, t0 < t_bound.
     """
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, tri: _UpperTriangle,
@@ -487,11 +463,23 @@ class _HermitianRK45:
                 break
             rejected = True
         self.t_old, self.y_old, self.t, self.y = t, y, t_new, y_new
-        self.h_abs, self.f = h_abs, f_new
+        self.h, self.h_abs, self.f = h, h_abs, f_new
         self.finished = self.t >= self.t_bound
 
-    def dense_output(self) -> _Step:
-        return _Step(self.t_old, self.t - self.t_old, self.y_old, self.K.T.dot(RK45.P))
+    @property
+    def Q(self) -> np.ndarray:
+        """RkDenseOutput's K^T P of the last accepted step, built only for steps that are read."""
+        return self.K.T.dot(RK45.P)
+
+    def interpolant(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(coeffs, powers) with row j of powers @ coeffs the state at t[j]: the last step's
+        y_old + h Q [x, x^2, ...] at x = (t - t_old) / h, as rows y_old and h Q^T (contiguous
+        vecs, cheap to gather from) and a row [1, x, x^2, ...] per sample."""
+        Q = self.Q
+        coeffs = np.empty((Q.shape[1] + 1, len(self.y_old)), dtype=complex)
+        coeffs[0] = self.y_old
+        np.multiply(Q.T, self.h, out=coeffs[1:])
+        return coeffs, np.vander((t - self.t_old) / self.h, len(coeffs), increasing=True)
 
 
 def evolve(
@@ -500,15 +488,16 @@ def evolve(
     cfg: SystemConfig,
     h: HilbertConfig,
     *,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
+    rtol: float = RTOL_DEFAULT,
+    atol: float = ATOL_DEFAULT,
     dt: float | None = None,
 ) -> LindbladResult:
     """Propagate rho0 in cfg.frame and record expectation series on a uniform grid.
 
     The grid is integrated in chunks of CHUNK samples, each a fresh RK45
-    run on the upper triangle of rho from the previous chunk's end state,
-    and every sample is read off the interpolant of the step that covers it.
+    run on the upper triangle of rho from the state the previous chunk's
+    last step ends on. Every sample and checkpoint is read off the
+    interpolant of the step that covers it.
 
     Raises GridError before any RHS call where integrate would (resolved_grid),
     TruncationError when the top photon level acquires more than
@@ -523,7 +512,7 @@ def evolve(
     grid = resolved_grid(cfg, t_span, dt)
     rtol, atol = validate_tol(rtol, atol)
     nt = len(grid)
-    rec = _ChunkRecorder(h, grid, N_CHECKPOINTS, TOP_LEVEL_TOL, POSITIVITY_TOL)
+    rec = _ChunkRecorder(h, grid)
     tri = rec.tri
     upper_rows = _liouvillian(cfg, h, cfg.frame, rows=tri.upper)
 
@@ -531,12 +520,11 @@ def evolve(
         return upper_rows(t, tri.expand(v))
 
     y = rho0.reshape(-1)[tri.upper]
-    rec.record(0, y[None, :], np.ones((1, 1)), lambda j: y)
+    rec.record(0, y[None, :], np.ones((1, 1)))
     nfev = n_steps = n_chunks = 0
     for start in range(0, nt - 1, CHUNK):
         stop = min(start + CHUNK, nt - 1)
         t_eval = grid[start + 1 : stop + 1]
-        # what solve_ivp(t_eval=...) runs, without stacking the chunk's states
         solver = _HermitianRK45(rhs, float(grid[start]), y, float(grid[stop]), tri,
                                 rtol=rtol, atol=atol)
         done = 0   # samples of t_eval recorded so far
@@ -545,14 +533,11 @@ def evolve(
             n_steps += 1
             covered = int(np.searchsorted(t_eval, solver.t, side="right"))
             if covered > done:
-                step, t_step = solver.dense_output(), t_eval[done:covered]
-                # checkpoint states evaluate the whole step as solve_ivp does, bit for bit
-                coeffs, powers = _interpolant(step, t_step)
-                rec.record(start + 1 + done, coeffs, powers, lambda j: step(t_step)[:, j])
+                rec.record(start + 1 + done, *solver.interpolant(t_eval[done:covered]))
                 done = covered
         nfev += solver.nfev
         n_chunks += 1
-        y = step(t_step)[:, -1]   # the last step ends on the chunk end
+        y = solver.y   # the last step ends on the chunk end
 
     return LindbladResult(
         t=grid,

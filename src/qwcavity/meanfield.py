@@ -201,8 +201,9 @@ def _cmul(c, x):
 
 
 def _abs2(b):
-    """abs(b) ** 2 over a lane vector, through libm's pow: np.power squares by x * x."""
-    return np.array([x**2 for x in np.hypot(b.real, b.imag).tolist()])
+    """abs(b) ** 2 over a lane vector: np.float_power calls libm's pow, as Python's ** does;
+    np.power and x * x multiply, which differs from pow in the last bit of some values."""
+    return np.float_power(np.hypot(b.real, b.imag), 2)
 
 
 def _rhs(lanes):

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -249,6 +250,18 @@ class TestSweepAndReproducibility:
         assert sizes == [2]
         assert read_data_files(tmp_path / "pooled") == read_data_files(tmp_path / "serial")
 
+    @pytest.mark.parametrize("axis, message", [
+        ("pulse.F0", "axis must look like key=v1,v2,..., got 'pulse.F0'"),
+        ("pulse.F0=a,b", "axis values must be numeric: 'pulse.F0=a,b'"),
+    ], ids=["no_values", "text_values"])
+    def test_malformed_axis_is_config_error(self, axis, message, tmp_path, fast_config_path,
+                                           capsys):
+        rc = main(["sweep", "--config", str(fast_config_path), "--axis", axis,
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_axis_key_is_config_error(self, tmp_path, fast_config_path):
         rc = main([
             "sweep", "--config", str(fast_config_path),
@@ -324,6 +337,21 @@ class TestFitAlphaCommand:
                    "--table", str(table), "--out", str(tmp_path / "fit")])
         assert rc == 4
         assert f"validation failure: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("# solver: meanfield\n# baseline: harmonic\n", "{table}: empty table"),
+        ("dipoles[0].U,dphi_cavity\n0.3,0.01\n0.6,0.02\n",
+         "table {table} lacks a drive column (f0_over_kappa or pulse.F0)"),
+    ], ids=["comments_only", "no_drive_column"])
+    def test_table_without_points_or_drive_is_config_error(self, text, message, tmp_path,
+                                                          fast_config_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        rc = main(["fit-alpha", "--config", str(fast_config_path),
+                   "--table", str(table), "--out", str(tmp_path / "fit")])
+        assert rc == 2
+        assert f"config error: {message.format(table=table)}" in capsys.readouterr().err
         assert not (tmp_path / "fit").exists()
 
     def test_too_few_points_is_validation_error(self, tmp_path, fast_config_path):
@@ -452,6 +480,16 @@ class TestCompareCommand:
         report = json.loads((tmp_path / "cmp" / "compare.json").read_text())
         assert all(p["ratio"] == 1.0 for p in report["points"])
         assert all(p["regime"] == "agree" for p in report["points"])
+
+    def test_points_below_the_floor_on_both_sides_are_negligible(self):
+        report = cli.compare_tables([
+            ({"f0_over_kappa": 0.01}, 4e-6, -9e-6),    # both below the floor
+            ({"f0_over_kappa": 0.02}, 4e-6, 2e-5),     # one side above it
+        ])
+        assert report["floor"] == 1e-5
+        low, high = report["points"]
+        assert low["regime"] == "negligible" and math.isnan(low["ratio"])
+        assert (high["regime"], high["ratio"]) == ("breakdown", 4e-6 / 2e-5)
 
     def test_axis_mismatch_rejected(self, tmp_path):
         self._table(tmp_path / "mf.csv", [(0.1, 0.01), (0.2, 0.04)])

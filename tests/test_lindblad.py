@@ -26,8 +26,9 @@ from qwcavity import (
     write_checkpoints,
 )
 from qwcavity import Frame, baseline_config, drive_amplitude, fid_time_span, integrate, nonlinear_phase_shift
+from qwcavity import lindblad
 from qwcavity.errors import SolverError
-from qwcavity.lindblad import _ChunkRecorder, _HermitianRK45, _interpolant, _liouvillian, _UpperTriangle
+from qwcavity.lindblad import _ChunkRecorder, _HermitianRK45, _liouvillian, _UpperTriangle
 from qwcavity.spectral import SpectralPolicy
 
 from conftest import standard_config
@@ -351,7 +352,7 @@ class TestChunkRecorder:
     @pytest.mark.bitexact
     def test_interpolant_matches_scipy_dense_output(self):
         # pins the RkDenseOutput fields (t_old, h, y_old, Q) the recorder reads, and
-        # the stepper's own evaluation of a step to RkDenseOutput's, bit for bit
+        # the one interpolant of each accepted step to RkDenseOutput's evaluation
         h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
         cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35)
         tri = _UpperTriangle(h.dim)
@@ -363,11 +364,9 @@ class TestChunkRecorder:
         while not solver.finished:
             solver.step()
             n_steps += 1
-            step = solver.dense_output()
             dense = RkDenseOutput(solver.t_old, solver.t, solver.y_old, solver.K.T.dot(RK45.P))
             t = np.linspace(solver.t_old, solver.t, 7)
-            assert np.array_equal(step(t), dense(t))
-            coeffs, powers = _interpolant(step, t)
+            coeffs, powers = solver.interpolant(t)
             assert coeffs.shape == (5, h.dim * (h.dim + 1) // 2) and powers.shape == (7, 5)
             assert np.abs(powers @ coeffs - dense(t).T).max() <= 1e-15
         assert n_steps > 10
@@ -452,7 +451,7 @@ class TestChunkRecorder:
             n_steps += 1
             assert (own.t, own.h_abs, own.nfev) == (ref.t, ref.h_abs, ref.nfev)
             assert np.array_equal(own.y, ref.y)
-            assert np.array_equal(own.dense_output().Q, ref.dense_output().Q)
+            assert np.array_equal(own.Q, ref.dense_output().Q)
         assert ref.status == "finished"
         assert attempts[0] == attempts[1]
         rejected = [a for a in attempts[0] if a[2] >= 1]
@@ -504,7 +503,7 @@ class TestChunkRecorder:
         "negative_at, overflow_at",
         [(None, None), (19, 25), (19, 19), (29, 19), (None, 3)],
     )
-    def test_synthetic_chunks_match_sample_reference(self, negative_at, overflow_at):
+    def test_synthetic_chunks_match_sample_reference(self, negative_at, overflow_at, monkeypatch):
         # checkpoints of a 40-sample grid at n_checkpoints = 5: 0, 9, 19, 29, 39
         h = HilbertConfig(n_photon_max=2, nu_max=1, n_wells=2)
         d, grid = h.dim, 0.01 * np.arange(40)
@@ -524,14 +523,15 @@ class TestChunkRecorder:
         ys = np.stack(states, axis=1)
         half = ys[_UpperTriangle(d).upper]   # what evolve integrates
         kwargs = dict(n_checkpoints=5, top_level_tol=0.99, positivity_tol=1e-6)
-        chunked = _ChunkRecorder(h, grid, **kwargs)
+        for name, value in kwargs.items():
+            monkeypatch.setattr(lindblad, name.upper(), value)
+        chunked = _ChunkRecorder(h, grid)
         ref = SampleRecorder(h, grid, **kwargs)
 
         def run_chunked():
             # each state is its own coefficient row, selected by identity powers
             for start, stop in [(0, 1)] + [(k, min(k + 16, len(grid))) for k in range(1, len(grid), 16)]:
-                chunked.record(start, half[:, start:stop].T, np.eye(stop - start),
-                               lambda j, start=start: half[:, start + j])
+                chunked.record(start, half[:, start:stop].T, np.eye(stop - start))
 
         outcomes = []
         for run in (run_chunked, lambda: ref.record_chunk(0, ys)):

@@ -615,6 +615,19 @@ class TestPostPulseOracle:
         assert amp_err.max() < 0.05
         assert phase_err.max() < 0.05
 
+    def test_lab_frame_trajectory_gives_the_rotating_frame_oracle(self):
+        # the oracle reads the phase in the frame rotating at the carrier whatever
+        # frame the run was integrated in; the two runs differ by solver error
+        # only (5.0e-9 relative in B_off, 6.8e-10 in phi_off, measured)
+        cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.2)
+        t_off = 0.6 + 5 * 0.155
+        span = (0.0, t_off + 3.3 / effective_decay(cfg))
+        rot, lab = (oracle_from_trajectory(integrate(replace(cfg, frame=frame), span, dt=0.002), t_off)
+                    for frame in (Frame.ROTATING, Frame.LAB))
+        assert lab.B_off == pytest.approx(rot.B_off, rel=1e-7)
+        assert lab.phi_off == pytest.approx(rot.phi_off, abs=1e-7)
+        assert (lab.t_off, lab.gamma_tilde, lab.U, lab.N) == (rot.t_off, rot.gamma_tilde, rot.U, rot.N)
+
 
 class TestTrajectoryExport:
     def test_csv_and_sidecar(self, tmp_path, base_config):

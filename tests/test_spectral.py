@@ -299,6 +299,13 @@ class TestRelativePhase:
         with pytest.raises(GridError):
             relative_phase(a, b)
 
+    def test_t_off_mismatch_rejected(self):
+        omega = 40.0 + np.linspace(-5.0, 5.0, 201)
+        values = np.ones_like(omega, dtype=complex) / (1.0 + (omega - 40.0) ** 2)
+        run, base = (phase_spectrum(omega, values, 40.0, 1.0, t_off, "cavity") for t_off in (1.0, 1.1))
+        with pytest.raises(GridError, match="different t_off windows"):
+            relative_phase(run, base)
+
     def test_branch_cut_straddling_phases(self):
         # run and baseline sit on opposite sides of the +-pi branch; the
         # physical difference is small and must come out that way
