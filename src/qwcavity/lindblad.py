@@ -20,7 +20,7 @@ construction, so `max_herm_dev` is 2 max |Im rho_ii|.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -32,6 +32,7 @@ from .meanfield import (
     RK45,
     RTOL_DEFAULT,
     CoherenceSeries,
+    _frame_shift,
     min_step,
     norm,
     rescale,
@@ -107,18 +108,17 @@ def build_operators(h: HilbertConfig) -> tuple[sp.csr_matrix, tuple]:
     return a, tuple(wells)
 
 
-def build_hamiltonian(cfg: SystemConfig, h: HilbertConfig, frame: Frame = Frame.LAB) -> sp.csr_matrix:
-    """Static CSR Hamiltonian: cavity + Kerr ladders + co-rotating coupling.
+def build_hamiltonian(cfg: SystemConfig, h: HilbertConfig) -> sp.csr_matrix:
+    """Static CSR Hamiltonian in `cfg.frame`: cavity + Kerr ladders + co-rotating coupling.
 
     In the rotating frame the drive carrier is subtracted from every mode
-    frequency; the Kerr and coupling terms are invariant. `frame` defaults
-    to the lab frame whatever `cfg.frame` says; `evolve` passes `cfg.frame`.
+    frequency; the Kerr and coupling terms are invariant.
     """
     if h.n_wells != cfg.n_wells:
         raise ConfigError(
             f"HilbertConfig has {h.n_wells} wells but the system config has {cfg.n_wells}"
         )
-    shift = cfg.pulse.carrier if frame is Frame.ROTATING else 0.0
+    shift = _frame_shift(cfg)
     a, wells = build_operators(h)
     ham = (cfg.cavity.omega_c - shift) * (a.conj().T @ a)
     for d, b in zip(cfg.dipoles, wells):
@@ -143,8 +143,8 @@ def _spost(op: sp.csr_matrix) -> sp.csr_matrix:
     return sp.kron(sp.identity(op.shape[0], dtype=complex), op.T, format="csr")
 
 
-def _liouvillian(cfg: SystemConfig, h: HilbertConfig, frame: Frame, rows=None):
-    """Master-equation generator dvec(rho)/dt = rhs(t, vec(rho)).
+def _liouvillian(cfg: SystemConfig, h: HilbertConfig, rows=None):
+    """Master-equation generator dvec(rho)/dt = rhs(t, vec(rho)) in `cfg.frame`.
 
     L(t) = L0 + Re c(t) Lx + Im c(t) Ly for the drive Hamiltonian c a + c* a^dag,
     Lx = -i[a + a^dag, .] and Ly = [a - a^dag, .]. L0 holds -i[H0, .], the
@@ -156,14 +156,14 @@ def _liouvillian(cfg: SystemConfig, h: HilbertConfig, frame: Frame, rows=None):
 
     a, wells = build_operators(h)
     jumps = [(cfg.cavity.kappa, a)] + [(d.gamma, b) for d, b in zip(cfg.dipoles, wells)]
-    a0 = -1j * build_hamiltonian(cfg, h, frame) - sum(
+    a0 = -1j * build_hamiltonian(cfg, h) - sum(
         0.5 * rate * (op.conj().T @ op) for rate, op in jumps
     )
     l0 = _spre(a0) + _spost(a0.conj().T)
     for rate, op in jumps:
         l0 = l0 + rate * sp.kron(op, op.conj(), format="csr")
     plus, minus = a + a.conj().T, a - a.conj().T
-    pulse = cfg.pulse
+    pulse, frame = cfg.pulse, cfg.frame
     lx, ly = -1j * (_spre(plus) - _spost(plus)), _spre(minus) - _spost(minus)
     if rows is not None:
         l0, lx, ly = l0[rows], lx[rows], ly[rows]
@@ -186,18 +186,19 @@ _cached_liouvillian = functools.lru_cache(maxsize=1)(_liouvillian)
 
 
 def lindblad_rhs(
-    rho: np.ndarray, t: float, cfg: SystemConfig, h: HilbertConfig, frame: Frame = Frame.LAB
+    rho: np.ndarray, t: float, cfg: SystemConfig, h: HilbertConfig, frame: Frame | None = None
 ) -> np.ndarray:
-    """Master-equation right-hand side for one density matrix.
+    """Master-equation right-hand side for one density matrix, in `cfg.frame`
+    as `evolve` integrates it, or in `frame` where one is given.
 
     Traceless by construction and Hermiticity-preserving for Hermitian rho.
-    `frame` defaults to the lab frame whatever `cfg.frame` says; `evolve`
-    integrates in `cfg.frame`.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (h.dim, h.dim):
         raise ValidationError(f"rho has shape {rho.shape}, expected {(h.dim, h.dim)}")
-    return _cached_liouvillian(cfg, h, frame)(t, rho.reshape(-1)).reshape(h.dim, h.dim)
+    if frame is not None and frame is not cfg.frame:
+        cfg = replace(cfg, frame=frame)
+    return _cached_liouvillian(cfg, h)(t, rho.reshape(-1)).reshape(h.dim, h.dim)
 
 
 def vacuum_state(h: HilbertConfig) -> np.ndarray:
@@ -222,6 +223,8 @@ class DensityMatrix:
         }
 
     def validate(self, trace_tol=1e-8, herm_tol=1e-10, eig_tol=1e-8) -> dict:
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValidationError("density matrix contains non-finite entries")
         dev = self.deviations()
         if dev["trace"] > trace_tol:
             raise ValidationError(f"trace deviation {dev['trace']:.2e} exceeds {trace_tol}")
@@ -236,17 +239,11 @@ class DensityMatrix:
 class LindbladResult(CoherenceSeries):
     """Expectation series plus density-matrix checkpoints of one evolution."""
 
-    t: np.ndarray
-    a: np.ndarray
     exp_n: np.ndarray          # photon number <a^dag a>
-    modes: np.ndarray          # <b_n>, shape (N, len(t))
     populations: np.ndarray    # shape (N, nu_max+1, len(t))
-    config: SystemConfig
     hilbert: HilbertConfig
     checkpoints: tuple
     diagnostics: dict
-
-    per_well = True
 
     def second_level_population(self) -> np.ndarray:
         """Per-well average P2(t); wells are reported jointly for N = 2."""
@@ -321,14 +318,12 @@ class _ChunkRecorder:
         self._probes = [(self.tri.index[c.col, c.row], c.col > c.row, c.data)
                         for c in (op.tocoo() for op in (a, *wells))]
         self._diag = np.diagonal(self.tri.index)
-        d_w, idx = h.nu_max + 1, np.arange(d)
-        photon = idx // d_w ** h.n_wells
-        self._number = photon.astype(float)
-        self._top = photon == h.n_photon_max
-        levels = idx // d_w ** np.arange(h.n_wells - 1, -1, -1)[:, None] % d_w   # [well n, state i]
+        # photons and each well's level of every basis state: the number operators' diagonals
+        self._number, *levels = (np.rint((op.conj().T @ op).diagonal().real) for op in (a, *wells))
+        self._top = self._number == h.n_photon_max
         # row (n, nu) sums the diagonal over basis states with well n at level nu
         self._level_sum = (
-            levels[:, None, :] == np.arange(h.nu_max + 1)[None, :, None]
+            np.array(levels)[:, None, :] == np.arange(h.nu_max + 1)[None, :, None]
         ).reshape(-1, d).astype(float)
         self._check_idx = np.unique(np.linspace(0, nt - 1, N_CHECKPOINTS).astype(int))
 
@@ -514,7 +509,7 @@ def evolve(
     nt = len(grid)
     rec = _ChunkRecorder(h, grid)
     tri = rec.tri
-    upper_rows = _liouvillian(cfg, h, cfg.frame, rows=tri.upper)
+    upper_rows = _liouvillian(cfg, h, rows=tri.upper)
 
     def rhs(t: float, v: np.ndarray) -> np.ndarray:
         return upper_rows(t, tri.expand(v))
@@ -546,6 +541,7 @@ def evolve(
         modes=rec.modes,
         populations=rec.populations,
         config=cfg,
+        per_well=True,
         hilbert=h,
         checkpoints=tuple(rec.checkpoints),
         diagnostics={**rec.diagnostics(), "nfev": nfev, "n_steps": n_steps, "n_chunks": n_chunks,

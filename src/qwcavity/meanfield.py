@@ -300,13 +300,33 @@ def resolved_grid(cfg: SystemConfig, t_span: tuple[float, float], dt: float | No
     return grid
 
 
+@dataclass(frozen=True)
 class CoherenceSeries:
-    """Coherences shared by the mean-field and Lindblad result types.
+    """Coherences on a uniform grid, the one record both solvers return: the
+    cavity series `a` and `modes`, <b_n> per well when `per_well` is set,
+    else the bright mode <B0> alone. The grid must be strictly increasing,
+    uniform and resolve `config` (whose frame is the series'), and every
+    sample finite."""
 
-    Subclasses hold `t`, `config` (its frame is the series' frame), the
-    cavity series `a` and `modes`: <b_n> per well when `per_well` is set,
-    else the bright mode <B0> alone.
-    """
+    t: np.ndarray
+    a: np.ndarray
+    modes: np.ndarray  # shape (M, len(t))
+    config: SystemConfig
+    per_well: bool
+
+    def __post_init__(self):
+        steps = np.diff(self.t)
+        if len(self.t) < 2 or not np.all(steps > 0):
+            raise GridError("trajectory grid must be strictly increasing")
+        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+            raise GridError("trajectory grid must be uniform")
+        check_resolution(self.config, steps[0])
+        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.modes))):
+            raise ValidationError("trajectory contains non-finite samples")
+
+    @property
+    def dt(self) -> float:
+        return float(self.t[1] - self.t[0])
 
     def bright(self) -> np.ndarray:
         """Bright collective coherence <B0> in the stored frame."""
@@ -345,28 +365,9 @@ class CoherenceSeries:
 
 @dataclass(frozen=True)
 class MeanFieldTrajectory(CoherenceSeries):
-    """Uniformly sampled mean-field solution with its config snapshot."""
+    """Mean-field solution with its solver effort."""
 
-    t: np.ndarray
-    a: np.ndarray
-    modes: np.ndarray  # shape (M, len(t))
-    config: SystemConfig
-    per_well: bool
     stats: dict = field(default_factory=dict)  # solver effort: nfev, n_steps, n_rejected
-
-    def __post_init__(self):
-        steps = np.diff(self.t)
-        if len(self.t) < 2 or not np.all(steps > 0):
-            raise GridError("trajectory grid must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise GridError("trajectory grid must be uniform")
-        check_resolution(self.config, steps[0])
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.modes))):
-            raise ValidationError("trajectory contains non-finite samples")
-
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
 
     @property
     def labels(self) -> dict:

@@ -99,7 +99,7 @@ class FidWindow:
 def fid_window(traj, policy: SpectralPolicy = SpectralPolicy(), source: str = "cavity") -> FidWindow:
     """Cut the post-pulse FID segment out of a trajectory.
 
-    `traj` is any result with .t, .config and .lab_signal(source).
+    `traj` is any `CoherenceSeries`: a mean-field or a Lindblad result.
     """
     cfg = traj.config
     t_off = policy.resolve_t_off(cfg)
@@ -357,9 +357,7 @@ def _extrema(t: np.ndarray, x: np.ndarray):
     times, kinds, values = [], [], []
     for i in idx:
         y0, y1, y2 = x[i - 1], x[i], x[i + 1]
-        curv = y0 - 2.0 * y1 + y2
-        if curv == 0.0:
-            continue
+        curv = y0 - 2.0 * y1 + y2   # never 0 at a sign change of s: rounding is monotone
         times.append(t[i] + 0.5 * (y0 - y2) / curv * dt)
         kinds.append(1 if curv < 0 else -1)
         values.append(y1)

@@ -17,6 +17,7 @@ built on scipy's own RK45 solver class.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
@@ -38,7 +39,7 @@ def dense_rhs(rho: np.ndarray, t: float, cfg, h, frame: Frame) -> np.ndarray:
     a = a.toarray()
     jumps = [(cfg.cavity.kappa, a)] + [(d.gamma, b.toarray()) for d, b in zip(cfg.dipoles, wells)]
     c = drive_coefficient(cfg, frame, t)
-    h_t = build_hamiltonian(cfg, h, frame).toarray() + c * a + np.conj(c) * a.conj().T
+    h_t = build_hamiltonian(replace(cfg, frame=frame), h).toarray() + c * a + np.conj(c) * a.conj().T
     a_eff = -1j * h_t - sum(0.5 * rate * (op.conj().T @ op) for rate, op in jumps)
     out = a_eff @ rho + rho @ a_eff.conj().T
     for rate, op in jumps:

@@ -84,7 +84,7 @@ class TestOperators:
 class TestHamiltonian:
     def test_uncoupled_diagonal_matches_kerr_ladder(self):
         h = HilbertConfig(n_photon_max=1, nu_max=2, n_wells=1)
-        cfg = set_config_value(single_well_config(u_over_gamma=1.0), "dipoles[0].g", 0.0)
+        cfg = set_config_value(single_well_config(u_over_gamma=1.0, frame=Frame.LAB), "dipoles[0].g", 0.0)
         ham = build_hamiltonian(cfg, h).toarray()
         assert np.abs(ham - np.diag(np.diag(ham))).max() < 1e-14
         # basis: cavity slowest -> |n_ph=0, nu=2> is index 2
@@ -101,7 +101,7 @@ class TestHamiltonian:
     def test_single_excitation_splitting(self):
         # harmonic resonant well: the one-excitation doublet splits by 2g
         h = HilbertConfig(n_photon_max=2, nu_max=2, n_wells=1)
-        cfg = single_well_config(u_over_gamma=0.0)
+        cfg = single_well_config(u_over_gamma=0.0, frame=Frame.LAB)
         g = cfg.dipoles[0].coupling
         evals = np.linalg.eigvalsh(build_hamiltonian(cfg, h).toarray())
         doublet = evals[(evals > 35.0) & (evals < 45.0)]
@@ -111,8 +111,8 @@ class TestHamiltonian:
     def test_rotating_frame_shifts_diagonal(self):
         h = HilbertConfig(n_photon_max=1, nu_max=2, n_wells=1)
         cfg = set_config_value(single_well_config(), "dipoles[0].g", 0.0)
-        lab = build_hamiltonian(cfg, h, Frame.LAB).toarray()
-        rot = build_hamiltonian(cfg, h, Frame.ROTATING).toarray()
+        lab = build_hamiltonian(set_config_value(cfg, "frame", "lab"), h).toarray()
+        rot = build_hamiltonian(cfg, h).toarray()
         # resonant carrier removes the whole first excitation energy
         assert rot[3, 3].real == pytest.approx(0.0, abs=1e-12)
         assert lab[3, 3].real == pytest.approx(40.0)
@@ -155,6 +155,10 @@ class TestRhs:
     def test_shape_checked(self):
         with pytest.raises(ValidationError):
             lindblad_rhs(np.zeros((3, 3), dtype=complex), 0.0, standard_config(), H_PAIR)
+
+    def test_evolve_checks_rho0_shape(self):
+        with pytest.raises(ValidationError, match=r"rho0 has shape \(3, 3\), expected \(81, 81\)"):
+            evolve(np.zeros((3, 3), dtype=complex), (0.0, 0.5), standard_config(), H_PAIR)
 
     @pytest.mark.parametrize("frame", [Frame.ROTATING, Frame.LAB])
     def test_drive_is_conjugate_of_meanfield_drive(self, frame):
@@ -213,6 +217,12 @@ class TestEvolve:
         assert np.abs(res.a).max() == 0.0
         assert np.abs(res.modes).max() == 0.0
         assert np.abs(res.second_level_population()).max() == 0.0
+
+    def test_second_level_population_needs_three_levels(self):
+        h = HilbertConfig(n_photon_max=2, nu_max=1, n_wells=2)
+        res = evolve(vacuum_state(h), (0.0, 0.5), standard_config(f0_over_kappa=0.05), h, dt=0.004)
+        with pytest.raises(ValidationError, match="P2 requires nu_max >= 2"):
+            res.second_level_population()
 
     def test_single_photon_decay_oracle(self):
         h = HilbertConfig(n_photon_max=2, nu_max=1, n_wells=1)
@@ -356,7 +366,7 @@ class TestChunkRecorder:
         h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
         cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35)
         tri = _UpperTriangle(h.dim)
-        upper_rows = _liouvillian(cfg, h, Frame.ROTATING, rows=tri.upper)
+        upper_rows = _liouvillian(cfg, h, rows=tri.upper)
         solver = _HermitianRK45(lambda t, v: upper_rows(t, tri.expand(v)), 0.0,
                                 vacuum_state(h).reshape(-1)[tri.upper], 1.5, tri,
                                 rtol=1e-9, atol=1e-12)
@@ -377,9 +387,9 @@ class TestChunkRecorder:
         # the half-vector solver takes its initial step and every error norm as
         # scipy's select_initial_step and norm would on the expanded vec(rho)
         h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
-        cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35)
+        cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35, frame=frame)
         tri = _UpperTriangle(h.dim)
-        upper_rows = _liouvillian(cfg, h, frame, rows=tri.upper)
+        upper_rows = _liouvillian(cfg, h, rows=tri.upper)
 
         def half_rhs(t, v):
             return upper_rows(t, tri.expand(v))
@@ -423,7 +433,7 @@ class TestChunkRecorder:
         h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
         cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35)
         tri = _UpperTriangle(h.dim)
-        upper_rows = _liouvillian(cfg, h, Frame.ROTATING, rows=tri.upper)
+        upper_rows = _liouvillian(cfg, h, rows=tri.upper)
         rng = np.random.default_rng(3)
         psi = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
         y0 = (np.outer(psi, psi.conj()) / np.vdot(psi, psi).real).reshape(-1)[tri.upper]
@@ -560,6 +570,22 @@ class TestDensityMatrixType:
         rho[0, 1] = 0.1
         with pytest.raises(ValidationError):
             DensityMatrix(matrix=rho, time=0.0).validate()
+
+    @pytest.mark.parametrize("entries, match", [
+        ({(0, 0): 1.2, (1, 1): -0.2}, "negative eigenvalue -2.00e-01"),
+        ({(1, 1): math.nan}, "non-finite entries"),
+        ({(0, 1): math.inf, (1, 0): math.inf}, "non-finite entries"),
+    ], ids=["negative_eigenvalue", "nan_diagonal", "inf_off_diagonal_pair"])
+    def test_validate_refuses(self, entries, match):
+        # checked before evolve's first RHS call, too
+        h = HilbertConfig(n_photon_max=2, nu_max=2, n_wells=2)
+        rho = vacuum_state(h)
+        for idx, value in entries.items():
+            rho[idx] = value
+        with pytest.raises(ValidationError, match=match):
+            DensityMatrix(matrix=rho, time=0.0).validate()
+        with pytest.raises(ValidationError, match=match):
+            evolve(rho, (0.0, 0.5), standard_config(), h, dt=0.004)
 
     def test_checkpoint_round_trip(self, tmp_path):
         cfg = standard_config(u_over_gamma=0.5, f0_over_kappa=0.05)

@@ -287,6 +287,26 @@ class TestSolverInputs:
             solve_on(solver, standard_config(), (0.0, 2.0), **tol)
         assert drive_calls == []
 
+    @pytest.mark.parametrize("defect, error, match", [
+        ("reversed", GridError, "strictly increasing"),
+        ("uneven", GridError, "must be uniform"),
+        ("nan_sample", ValidationError, "non-finite samples"),
+    ], ids=["reversed", "uneven", "nan_sample"])
+    def test_result_record_is_checked(self, solver, defect, error, match):
+        # both result types are the one CoherenceSeries record, checked alike
+        res = solve_on(solver, standard_config(f0_over_kappa=0.05), (0.0, 2.0), dt=0.004)
+        t, a = res.t.copy(), res.a.copy()
+        if defect == "reversed":
+            t = t[::-1]
+        elif defect == "uneven":
+            t[-1] += 0.5 * res.dt
+        else:
+            a[-1] = math.nan
+        with pytest.raises(error, match=match):
+            replace(res, t=t, a=a)
+        with pytest.raises(ValidationError, match="unknown source 'sideways'"):
+            res.signal("sideways")
+
 
 @pytest.mark.parametrize("entry", ["integrate", "integrate_batch", "evolve"])
 def test_rtol_floor_warning_names_the_calling_line(entry):
@@ -592,6 +612,21 @@ class TestPostPulseOracle:
     def test_long_time_limit_is_stationary_phase(self):
         value = post_pulse_analytic(self.ORACLE, 1.0 + 40.0 / self.ORACLE.gamma_tilde)
         assert np.angle(value) == pytest.approx(0.2 + stationary_phase(self.ORACLE), abs=1e-9)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("B_off", -0.1, "B_off must be >= 0"), ("gamma_tilde", 0.0, "gamma_tilde must be > 0"),
+    ], ids=["negative_B_off", "zero_gamma_tilde"])
+    def test_unphysical_inputs_rejected(self, field, value, match):
+        with pytest.raises(ValidationError, match=match):
+            replace(self.ORACLE, **{field: value})
+
+    @pytest.mark.parametrize("gamma2, t_off, match", [
+        (0.9, 1.5, "applies to identical wells"), (None, 2.5, "t_off 2.5 outside trajectory range"),
+    ], ids=["inhomogeneous", "t_off_past_the_end"])
+    def test_oracle_from_trajectory_refuses(self, gamma2, t_off, match):
+        traj = integrate(standard_config(gamma2=gamma2), (0.0, 2.0), dt=0.004)
+        with pytest.raises(ValidationError, match=match):
+            oracle_from_trajectory(traj, t_off)
 
     def test_requires_post_pulse_times(self):
         with pytest.raises(ValidationError):

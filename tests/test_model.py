@@ -123,6 +123,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^{type(params).__name__}\.{name} must be finite"):
             replace(params, **{name: value})
 
+    def test_dipole_list_becomes_a_hashable_tuple(self, base_config):
+        cfg = replace(base_config, dipoles=list(base_config.dipoles))
+        assert cfg.dipoles == base_config.dipoles and isinstance(cfg.dipoles, tuple)
+        assert hash(cfg) == hash(base_config)
+
     def test_needs_a_dipole(self):
         with pytest.raises(ConfigError):
             SystemConfig(
@@ -171,6 +176,20 @@ class TestConfigFile:
         text = format_config(base_config).replace("frame = rotating", "frame = spinning")
         with pytest.raises(ConfigError):
             parse_config(text)
+        with pytest.raises(ConfigError, match="frame must be 'lab' or 'rotating', got 'sideways'"):
+            set_config_value(base_config, "frame", "sideways")
+
+    @pytest.mark.parametrize("drop, extra, match", [
+        (None, "cavity.kappa 12.0", "expected 'key = value', got 'cavity.kappa 12.0'"),
+        ("frame", "", "missing key 'frame'"),
+        ("dipoles", "", r"no dipoles\[n\]\.\* entries found"),
+        ("dipoles[1].g =", "", r"dipoles\[1\] missing fields: \['coupling'\]"),
+    ], ids=["line_without_equals", "no_frame", "no_dipoles", "dipole_missing_field"])
+    def test_malformed_text_rejected(self, base_config, drop, extra, match):
+        lines = [ln for ln in format_config(base_config).splitlines()
+                 if drop is None or not ln.startswith(drop)]
+        with pytest.raises(ConfigError, match=match):
+            parse_config("\n".join(lines + [extra]))
 
     def test_non_contiguous_dipoles_rejected(self, base_config):
         text = format_config(base_config).replace("dipoles[1]", "dipoles[3]")

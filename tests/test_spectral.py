@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,6 +84,10 @@ class TestFidWindow:
         traj = integrate(base_config, (0.0, 2.0))
         with pytest.raises(ValidationError):
             fid_window(traj)
+
+    def test_window_starting_before_t_off_rejected(self):
+        with pytest.raises(ValidationError, match="window must start at t_off"):
+            replace(tone_window(), t_off=T_OFF_DEFAULT + 0.01)
 
     def test_window_inside_pulse_rejected(self, base_config):
         traj = integrate(base_config, fid_time_span(base_config))
@@ -276,6 +281,18 @@ class TestPhaseSpectrum:
             phase_spectrum(np.linspace(39.0, 41.0, 11), np.zeros(11, dtype=complex),
                            40.0, 1.0, 1.0, "cavity")
 
+    @pytest.mark.parametrize("centre, dead_bin, match", [
+        (60.0, None, "resonance band not covered"),
+        (40.0, 100, "magnitude at the resonance is below the noise floor"),
+    ], ids=["band_off_grid", "dead_resonance_bin"])
+    def test_unreadable_resonance_rejected(self, centre, dead_bin, match):
+        omega = centre + np.linspace(-5.0, 5.0, 201)
+        values = np.ones_like(omega, dtype=complex)
+        if dead_bin is not None:
+            values[dead_bin] = 0.0
+        with pytest.raises(ValidationError, match=match):
+            phase_spectrum(omega, values, 40.0, 1.0, 1.0, "cavity")
+
     def test_dead_bins_masked_not_interpolated(self):
         omega = 40.0 + np.linspace(-5.0, 5.0, 201)
         values = np.ones_like(omega, dtype=complex) / (1.0 + (omega - 40.0) ** 2)
@@ -324,6 +341,10 @@ class TestRelativePhase:
             base = integrate(baseline_config(cfg, policy), span)
             shifts[mode] = nonlinear_phase_shift(run, base, policy)
         assert shifts["weak"] == pytest.approx(shifts["harmonic"], rel=0.05)
+
+    def test_unknown_baseline_mode_rejected(self, base_config):
+        with pytest.raises(ValidationError, match="unknown baseline mode 'strong'"):
+            baseline_config(base_config, SpectralPolicy(baseline_mode="strong"))
 
     def test_harmonic_run_vs_weak_baseline_is_null(self):
         # a harmonic run and a weak-drive run are phase-equivalent
@@ -452,6 +473,12 @@ class TestFitAlpha:
         with pytest.raises(ValidationError, match="drive points must be finite"):
             fit_alpha(points, base_config)
 
+    def test_one_nonzero_point_has_no_exponent(self, base_config):
+        points = [(r, 0.0) for r in (0.02, 0.05, 0.1, 0.15)] + [(0.2, 0.04)]
+        result = fit_alpha(points, base_config)
+        assert math.isnan(result.exponent)
+        assert result.quad_coeff == pytest.approx(0.04 * 0.2**2 / sum(r**4 for r, _ in points))
+
     def test_cubic_data_flagged_out_of_regime(self, base_config):
         points = [(r, 0.1 * r**3) for r in np.linspace(0.05, 0.5, 7)]
         result = fit_alpha(points, base_config)
@@ -493,6 +520,27 @@ class TestTimeDelay:
         other = integrate(standard_config(u_over_gamma=0.5), (0.0, 4.0), dt=2e-4)
         with pytest.raises(ValidationError):
             time_delay(traj, other)
+
+    def test_mismatched_grids_rejected(self, base_config):
+        t = 1.0 + 1e-4 * np.arange(4001)
+        weak, strong = (fid_trajectory(base_config, np.exp(-1j * 40.0 * tt), tt) for tt in (t, t[:-1]))
+        with pytest.raises(GridError, match="must share the time grid"):
+            time_delay(strong, weak)
+
+    @pytest.mark.parametrize("strong_omega", [0.0, 4.0], ids=["no_extrema", "extrema_too_far"])
+    def test_unmatched_extrema_dropped(self, base_config, strong_omega):
+        # the strong trace has no extremum within half a carrier period of most
+        # weak extrema: flat (omega 0) or oscillating ten times slower
+        t = 1.0 + 1e-4 * np.arange(40000)
+        env = np.exp(-0.45 * (t - 1.0))
+        weak = fid_trajectory(base_config, env * np.exp(-1j * 40.0 * t), t)
+        strong = fid_trajectory(base_config, env * np.exp(-1j * strong_omega * t), t)
+        delays = time_delay(strong, weak)
+        n_weak = len(delays.delays) + delays.n_dropped
+        assert n_weak > 40 and delays.n_dropped > n_weak // 2
+        assert np.all(np.abs(delays.delays) < math.pi / 40.0)
+        if strong_omega == 0.0:
+            assert len(delays.delays) == 0
 
     def test_asymptotic_delay_matches_stationary_phase(self, base_config):
         # analytic post-pulse signals: the late-time extremum offset equals
