@@ -35,6 +35,7 @@ from .model import (
     parse_config,
     read_input,
     set_config_value,
+    table_rows,
     write_json,
     write_table,
 )
@@ -202,7 +203,7 @@ def _preset_fig2(preset_id: str, outdir: Path, policy: SpectralPolicy, opts) -> 
             path,
             [f"gamma = {gamma}", "delay of strong-drive extrema relative to weak drive"],
             ["t", "delay", "kind"],
-            list(zip(delays.times, delays.delays, delays.kinds)),
+            table_rows(delays.times, delays.delays, delays.kinds),
         )
         files.append(path)
     return files
@@ -284,7 +285,7 @@ def _preset_fig5c(preset_id: str, outdir: Path, policy: SpectralPolicy, opts) ->
         table,
         ["per-well second-level population, F0 = 0.3 kappa"],
         ["t"] + [f"p2_u{ug}" for ug in ratios],
-        zip(results[-1].t, *(res.second_level_population() for res in results)),
+        table_rows(results[-1].t, *(res.second_level_population() for res in results)),
     )
     return [table]
 

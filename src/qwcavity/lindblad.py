@@ -41,7 +41,8 @@ from .meanfield import (
     select_initial_step,
     validate_tol,
 )
-from .model import Frame, SystemConfig, config_to_dict, drive_amplitude, write_json, write_table
+from .model import (Frame, SystemConfig, config_to_dict, drive_amplitude, table_rows, write_json,
+                    write_table)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -261,8 +262,8 @@ class LindbladResult(CoherenceSeries):
              f"n_photon_max: {self.hilbert.n_photon_max}, nu_max: {self.hilbert.nu_max}"],
             ["t"] + [f"re_{nm},im_{nm}" for nm in names]
             + [f"p{nu}_{w + 1}" for w in range(n) for nu in levels],
-            zip(self.t.tolist(), *(part.tolist() for s in series for part in (s.real, s.imag)),
-                *(self.populations[w, nu].tolist() for w in range(n) for nu in levels)),
+            table_rows(self.t, *(part for s in series for part in (s.real, s.imag)),
+                       *(self.populations[w, nu] for w in range(n) for nu in levels)),
         )
 
     def write_sidecar(self, path) -> None:

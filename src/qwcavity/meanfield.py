@@ -13,6 +13,7 @@ so independent parameter-sweep integrations can run in parallel workers.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -23,12 +24,14 @@ import numpy as np
 
 from .errors import GridError, SolverError, ValidationError
 from .model import (
+    BLOCK_ROWS,
     Frame,
     SystemConfig,
     config_to_dict,
     drive_amplitude,
     effective_decay,
     format_config,
+    table_rows,
     write_json,
     write_table,
 )
@@ -383,7 +386,7 @@ class MeanFieldTrajectory(CoherenceSeries):
             path,
             [f"frame: {self.config.frame.value}", *(f"{k}: {v}" for k, v in self.labels.items())],
             ["t"] + [f"re_{n},im_{n}" for n in ["a", *names]],
-            zip(self.t.tolist(), *(part.tolist() for s in series for part in (s.real, s.imag))),
+            table_rows(self.t, *(part for s in series for part in (s.real, s.imag))),
         )
 
     def write_sidecar(self, path) -> None:
@@ -480,8 +483,11 @@ class _LaneState:
 
     def result(self) -> tuple:
         """Samples as scipy's RkDenseOutput of each step gives them on its
-        (t_old, t_new]: Q = K^T P of all steps in one product, x and its
-        powers elementwise, one np.dot(Q, p) per step; and solver effort."""
+        (t_old, t_new]: Q = K^T P of all steps in one product, whose shape
+        fixes its bits; then per group of whole steps covering at most
+        BLOCK_ROWS samples (a longer step alone), x and its powers, one
+        np.dot(Q, p) per step, * h and + y_old, so no temporary spans the
+        grid; and solver effort."""
         t_old, h, y_old, k = zip(*self.steps)
         self.steps = []  # freed now: the batch holds a finished lane until it steps on
         ends = np.searchsorted(self.grid, t_old[1:] + (self.t_bound,), side="right")
@@ -489,16 +495,23 @@ class _LaneState:
         used = np.flatnonzero(counts).tolist()
         n = 1 + len(self.modes)
         q = np.array([k[i] for i in used]).transpose(1, 0, 2)
-        q = q.reshape(RK45.n_stages + 1, -1).T.dot(RK45.P)
+        q = q.reshape(RK45.n_stages + 1, -1).T.dot(RK45.P).reshape(len(used), n, -1)
         counts = counts[used]
-        t0, h = np.repeat(np.take(t_old, used), counts), np.repeat(np.take(h, used), counts)
-        p = dense_powers((self.grid - t0) / h)
+        t_old, h, y_old = np.take(t_old, used), np.take(h, used), np.array([y_old[i] for i in used])
         bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
-        samples = np.empty((n, p.shape[1]), dtype=complex)
-        for qi, a, b in zip(q.reshape(len(used), n, -1), bounds, bounds[1:]):
-            samples[:, a:b] = np.dot(qi, p[:, a:b])
-        samples *= h
-        samples += np.repeat(np.array([y_old[i] for i in used]).T, counts, axis=1)
+        samples = np.empty((n, bounds[-1]), dtype=complex)
+        lo = 0
+        while lo < len(used):
+            hi = max(lo + 1, bisect.bisect_right(bounds, bounds[lo] + BLOCK_ROWS) - 1)
+            start, stop, c = bounds[lo], bounds[hi], counts[lo:hi]
+            t0, hs = np.repeat(t_old[lo:hi], c), np.repeat(h[lo:hi], c)
+            p = dense_powers((self.grid[start:stop] - t0) / hs)
+            for qi, a, b in zip(q[lo:hi], bounds[lo:hi], bounds[lo + 1:hi + 1]):
+                samples[:, a:b] = np.dot(qi, p[:, a - start:b - start])
+            block = samples[:, start:stop]
+            block *= hs
+            block += np.repeat(y_old[lo:hi].T, c, axis=1)
+            lo = hi
         return samples, {"nfev": rk45_nfev(self.n_steps + self.n_rejected),
                          "n_steps": self.n_steps, "n_rejected": self.n_rejected}
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 
 
 class Frame(enum.Enum):
@@ -305,16 +305,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+BLOCK_ROWS = 4096  # rows per block of a written table, samples per dense-output group
+
+
+def table_rows(*arrays):
+    """Rows across equal-length arrays as Python scalars (`_fmt`'s fast
+    branch), converted BLOCK_ROWS at a time, so no whole column becomes a
+    list; columns of unequal length are a ValidationError, not truncated."""
+    if len({len(a) for a in arrays}) > 1:
+        raise ValidationError(f"table columns differ in length: {[len(a) for a in arrays]}")
+    return itertools.chain.from_iterable(zip(*(a[i:i + BLOCK_ROWS].tolist() for a in arrays))
+                                         for i in range(0, len(arrays[0]), BLOCK_ROWS))
+
+
 def write_table(path, comments, columns, rows) -> None:
     """CSV with one '# ' line per comment, a header row and one line per row.
 
-    Rows are formatted and written in blocks, so a long table is never held
-    as one string.
+    Rows are formatted and written BLOCK_ROWS at a time, so a long table is
+    never held as one string; with rows from table_rows, no column is held
+    as Python scalars either.
     """
     rows = iter(rows)
     with open(path, "w") as f:
         f.write("".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n")
-        while block := [",".join(map(_fmt, row)) for row in itertools.islice(rows, 4096)]:
+        while block := [",".join(map(_fmt, row)) for row in itertools.islice(rows, BLOCK_ROWS)]:
             f.write("\n".join(block) + "\n")
 
 

@@ -22,6 +22,7 @@ from .model import (
     effective_decay,
     envelope,
     set_config_value,
+    table_rows,
     write_json,
     write_table,
 )
@@ -413,8 +414,8 @@ def write_phase_csv(ps: Spectrum, path) -> None:
         path,
         [f"source: {ps.source}", f"t_off: {ps.t_off!r}", f"convention: {FFT_CONVENTION}"],
         ["omega", "re", "im", "magnitude", "phase_unwrapped"],
-        zip(ps.omega.tolist(), ps.values.real.tolist(), ps.values.imag.tolist(),
-            ps.magnitude.tolist(), np.where(ps.mask, ps.phase, np.nan).tolist()),
+        table_rows(ps.omega, ps.values.real, ps.values.imag, ps.magnitude,
+                   np.where(ps.mask, ps.phase, np.nan)),
     )
 
 

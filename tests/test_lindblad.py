@@ -29,6 +29,7 @@ from qwcavity import Frame, baseline_config, drive_amplitude, fid_time_span, int
 from qwcavity import lindblad
 from qwcavity.errors import SolverError
 from qwcavity.lindblad import _ChunkRecorder, _HermitianRK45, _liouvillian, _UpperTriangle
+from qwcavity.model import BLOCK_ROWS
 from qwcavity.spectral import SpectralPolicy
 
 from conftest import standard_config
@@ -617,6 +618,19 @@ class TestExports:
             "t,re_a,im_a,re_B0,im_B0,re_B1,im_B1,p0_1,p1_1,p2_1,p0_2,p1_2,p2_2"
         )
         assert len(lines) == 3 + len(res.t)
+
+    def test_csv_rows_across_blocks(self, tmp_path):
+        cfg = standard_config(u_over_gamma=0.5, f0_over_kappa=0.05)
+        h = HilbertConfig(n_photon_max=2, nu_max=1, n_wells=2)
+        res = evolve(vacuum_state(h), (0.0, 2.0), cfg, h, dt=4e-4)
+        assert len(res.t) > BLOCK_ROWS
+        path = tmp_path / "lind.csv"
+        res.write_csv(path)
+        series = [part for s in (res.a, res.bright(), res.dark()) for part in (s.real, s.imag)]
+        columns = [res.t, *series, *res.populations.reshape(-1, len(res.t))]
+        want = "".join(",".join(map(repr, row)) + "\n"
+                       for row in zip(*(c.tolist() for c in columns)))
+        assert path.read_text().split("\n", 3)[3] == want
 
     def test_dark_signal_of_identical_pair_on_both_solvers(self):
         # both solvers give the dark mode of an identical pair as 0 (exactly, for

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -36,6 +37,7 @@ from qwcavity.meanfield import (
     integrate_batch,
     uniform_grid,
 )
+from qwcavity.model import BLOCK_ROWS
 
 from conftest import standard_config
 from meanfield_reference import collective_rhs, pair_modes, solve, solve_ivp_rk45
@@ -563,6 +565,18 @@ class TestLaneBatch:
         assert_close_to_solve_ivp(batch[-1], ref)
         assert batch[-1].stats["nfev"] == ref.nfev
 
+    def test_dense_grid_lane_arrays_equal_solve_ivp(self):
+        # lanes that end together step as lane arrays to the end, and each
+        # dense output spans several BLOCK_ROWS groups of those steps
+        requests = [(standard_config(f0_over_kappa=0.1 * (i + 1)), (0.0, 2.0), 1e-4)
+                    for i in range(meanfield.LANES_MIN)]
+        for (cfg, span, dt), traj in zip(requests, solve_batch(requests)):
+            ref = scipy_run(cfg, span, dt=dt)
+            assert len(traj.t) > 4 * BLOCK_ROWS
+            assert (traj.t.tobytes(), traj.a.tobytes(), traj.modes.tobytes()) == (
+                ref.t.tobytes(), ref.y[0].tobytes(), ref.y[1:].tobytes())
+            assert traj.stats["nfev"] == ref.nfev
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nan_lane_fails_the_batch_within_its_first_step(self, monkeypatch):
         good = [standard_config(f0_over_kappa=0.1 * (i + 1)) for i in range(meanfield.LANES_MIN)]
@@ -686,3 +700,39 @@ class TestTrajectoryExport:
         lines = path.read_text().splitlines()
         assert lines[1:3] == ["# representation: local", "# model: per_well"]
         assert lines[3] == "t,re_a,im_a,re_b1,im_b1,re_b2,im_b2"
+
+
+def traced_peak(call):
+    """tracemalloc peak of one call, in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+class TestDenseTraceMemory:
+    """A fig2-style dense trace (80,001 samples) reaches its arrays and its
+    CSV in blocks of samples, with no whole-grid temporaries."""
+
+    SPAN, DT = (0.0, 8.0), 1e-4
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        return integrate(standard_config(), self.SPAN, dt=self.DT)
+
+    def test_integrate_peak_below_twice_its_output(self, traj):
+        """Measured: 3.1x the returned arrays with whole-grid x, powers and
+        repeated t_old, h and y_old; about 1.4x in blocks."""
+        peak, _ = traced_peak(lambda: integrate(standard_config(), self.SPAN, dt=self.DT))
+        assert len(traj.t) >= 80_000
+        assert peak < 2 * (traj.t.nbytes + traj.a.nbytes + traj.modes.nbytes)
+
+    def test_write_csv_peak_below_4_mb(self, traj, tmp_path):
+        """Measured: 15.3 MB when every column became a Python list first,
+        about 2.2 MB in blocks of BLOCK_ROWS rows."""
+        path = tmp_path / "trace.csv"
+        peak, _ = traced_peak(lambda: traj.write_csv(path))
+        assert peak < 4e6
+        assert len(path.read_text().splitlines()) == 4 + len(traj.t)

@@ -14,6 +14,7 @@ from qwcavity import (
     Frame,
     PulseParams,
     SystemConfig,
+    ValidationError,
     drive_amplitude,
     effective_decay,
     envelope,
@@ -24,8 +25,10 @@ from qwcavity import (
 from qwcavity.model import (
     _DIPOLE_FIELDS,
     _SCALAR_FIELDS,
+    BLOCK_ROWS,
     config_digest,
     config_to_dict,
+    table_rows,
     write_json,
     write_table,
 )
@@ -292,6 +295,25 @@ class TestDataFiles:
         write_table(path, ["frame: rotating"], ["t", "x"], zip(t.tolist(), (-t).tolist()))
         expected = "".join(f"{v!r},{-v!r}\n" for v in t.tolist())
         assert path.read_text() == "# frame: rotating\nt,x\n" + expected
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 1])
+    def test_table_rows_at_block_edges(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        k = rng.integers(-2**62, 2**62, n)
+        z = x[::-1] + 1j * x   # .real and .imag are strided views
+        scalars = np.array([np.float64(v) for v in x], dtype=object)   # numpy scalars
+        path = tmp_path / "t.csv"
+        write_table(path, ["c"], ["x", "k", "re", "im", "s"],
+                    table_rows(x, k, z.real, z.imag, scalars))
+        rows = zip(x.tolist(), k.tolist(), z.real.tolist(), z.imag.tolist(), x.tolist())
+        want = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        assert path.read_text() == "# c\nx,k,re,im,s\n" + want
+
+    def test_table_rows_refuses_unequal_columns(self):
+        with pytest.raises(ValidationError, match="differ in length"):
+            table_rows(np.zeros(3), np.zeros(2))
 
     def test_write_json_exact_text(self, tmp_path):
         path = tmp_path / "p.json"
