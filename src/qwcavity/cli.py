@@ -26,7 +26,6 @@ from .errors import ConfigError, GridError, SolverError, ValidationError
 from .model import (
     CavityParams,
     DipoleParams,
-    Frame,
     PulseParams,
     SystemConfig,
     config_digest,
@@ -171,7 +170,6 @@ def two_well_config(
         pulse=PulseParams(
             amplitude=f0_over_kappa * BASE_KAPPA, carrier=BASE_OMEGA, center=BASE_T0, duration=BASE_T
         ),
-        frame=Frame.ROTATING,
     )
 
 
@@ -479,7 +477,11 @@ def _cmd_compare(args) -> int:
             raise ConfigError(f"table {path} has no dphi_cavity column")
         i = cols.index("dphi_cavity")   # the axis columns precede it
         axes.append(cols[:i])
-        values.append({tuple(r[:i]): r[i] for r in rows})
+        keys = [tuple(r[:i]) for r in rows]
+        repeated = sorted({k for k in keys if keys.count(k) > 1})
+        if repeated:
+            raise ValidationError(f"table {path} repeats axis values {cols[:i]} = {repeated}")
+        values.append({k: r[i] for k, r in zip(keys, rows)})
     if axes[0] != axes[1]:
         raise ValidationError(f"axis columns of the two bundles differ: {axes[0]} vs {axes[1]}")
     val_m, val_l = values

@@ -1,7 +1,8 @@
 """Density-matrix propagation of the driven cavity-well system.
 
 The joint Hilbert space is a truncated Fock ladder for the cavity tensored
-with (nu_max+1)-level Kerr ladders for each well, cavity index slowest.
+with (nu_max+1)-level Kerr ladders for each well, cavity index slowest, and
+the equations are written in the frame co-rotating at the drive carrier.
 The master equation is a sparse CSR superoperator acting on the row-major
 vec(rho) (spre/spost construction, as in QuTiP). `evolve` integrates only the
 upper triangle of rho, diagonal included: D(D+1)/2 of the D^2 entries, the
@@ -20,7 +21,7 @@ construction, so `max_herm_dev` is 2 max |Im rho_ii|.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -32,7 +33,6 @@ from .meanfield import (
     RK45,
     RTOL_DEFAULT,
     CoherenceSeries,
-    _frame_shift,
     min_step,
     norm,
     rescale,
@@ -110,16 +110,16 @@ def build_operators(h: HilbertConfig) -> tuple[sp.csr_matrix, tuple]:
 
 
 def build_hamiltonian(cfg: SystemConfig, h: HilbertConfig) -> sp.csr_matrix:
-    """Static CSR Hamiltonian in `cfg.frame`: cavity + Kerr ladders + co-rotating coupling.
+    """Static CSR Hamiltonian in the rotating frame: cavity + Kerr ladders + co-rotating coupling.
 
-    In the rotating frame the drive carrier is subtracted from every mode
-    frequency; the Kerr and coupling terms are invariant.
+    The drive carrier is subtracted from every mode frequency; the Kerr and
+    coupling terms are invariant.
     """
     if h.n_wells != cfg.n_wells:
         raise ConfigError(
             f"HilbertConfig has {h.n_wells} wells but the system config has {cfg.n_wells}"
         )
-    shift = _frame_shift(cfg)
+    shift = cfg.pulse.carrier
     a, wells = build_operators(h)
     ham = (cfg.cavity.omega_c - shift) * (a.conj().T @ a)
     for d, b in zip(cfg.dipoles, wells):
@@ -145,13 +145,13 @@ def _spost(op: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _liouvillian(cfg: SystemConfig, h: HilbertConfig, rows=None):
-    """Master-equation generator dvec(rho)/dt = rhs(t, vec(rho)) in `cfg.frame`.
+    """Master-equation generator dvec(rho)/dt = rhs(t, vec(rho)) in the rotating frame.
 
-    L(t) = L0 + Re c(t) Lx + Im c(t) Ly for the drive Hamiltonian c a + c* a^dag,
-    Lx = -i[a + a^dag, .] and Ly = [a - a^dag, .]. L0 holds -i[H0, .], the
+    L(t) = L0 + c(t) Lx for the drive Hamiltonian c (a + a^dag) with the real
+    c = F0 phi(t), and Lx = -i[a + a^dag, .]. L0 holds -i[H0, .], the
     anticommutator -1/2 {L^dag L, .} and the jumps rate * kron(L, L*) vec(rho).
-    A zero coefficient (Im c in the rotating frame, all of c once the Gaussian
-    underflows) skips its matvec. `rows` keeps only those rows of dvec(rho)/dt.
+    Once the Gaussian underflows, c = 0 skips the Lx matvec. `rows` keeps
+    only those rows of dvec(rho)/dt.
     """
     import scipy.sparse as sp
 
@@ -163,20 +163,18 @@ def _liouvillian(cfg: SystemConfig, h: HilbertConfig, rows=None):
     l0 = _spre(a0) + _spost(a0.conj().T)
     for rate, op in jumps:
         l0 = l0 + rate * sp.kron(op, op.conj(), format="csr")
-    plus, minus = a + a.conj().T, a - a.conj().T
-    pulse, frame = cfg.pulse, cfg.frame
-    lx, ly = -1j * (_spre(plus) - _spost(plus)), _spre(minus) - _spost(minus)
+    plus, pulse = a + a.conj().T, cfg.pulse
+    lx = -1j * (_spre(plus) - _spost(plus))
     if rows is not None:
-        l0, lx, ly = l0[rows], lx[rows], ly[rows]
+        l0, lx = l0[rows], lx[rows]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        c = drive_amplitude(t, pulse, frame).conjugate()   # coefficient of a in H_d(t)
+        c = drive_amplitude(t, pulse)
         out = l0 @ y
-        for coeff, gen in ((c.real, lx), (c.imag, ly)):
-            if coeff != 0.0:
-                term = gen @ y
-                term *= coeff
-                out += term
+        if c != 0.0:
+            term = lx @ y
+            term *= c
+            out += term
         return out
 
     return rhs
@@ -187,18 +185,19 @@ _cached_liouvillian = functools.lru_cache(maxsize=1)(_liouvillian)
 
 
 def lindblad_rhs(
-    rho: np.ndarray, t: float, cfg: SystemConfig, h: HilbertConfig, frame: Frame | None = None
+    rho: np.ndarray, t: float, cfg: SystemConfig, h: HilbertConfig, frame: Frame = Frame.ROTATING
 ) -> np.ndarray:
-    """Master-equation right-hand side for one density matrix, in `cfg.frame`
-    as `evolve` integrates it, or in `frame` where one is given.
+    """Master-equation right-hand side for one density matrix, in the rotating
+    frame `evolve` integrates; `frame` names that frame, and any other value
+    is a ValidationError.
 
     Traceless by construction and Hermiticity-preserving for Hermitian rho.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (h.dim, h.dim):
         raise ValidationError(f"rho has shape {rho.shape}, expected {(h.dim, h.dim)}")
-    if frame is not None and frame is not cfg.frame:
-        cfg = replace(cfg, frame=frame)
+    if frame is not Frame.ROTATING:
+        raise ValidationError(f"frame must be Frame.ROTATING, the one frame, got {frame!r}")
     return _cached_liouvillian(cfg, h)(t, rho.reshape(-1)).reshape(h.dim, h.dim)
 
 
@@ -258,7 +257,7 @@ class LindbladResult(CoherenceSeries):
         series = [self.a, self.bright()] + ([self.dark()] if n == 2 else [])
         write_table(
             path,
-            [f"frame: {self.config.frame.value}",
+            [f"frame: {Frame.ROTATING.value}",
              f"n_photon_max: {self.hilbert.n_photon_max}, nu_max: {self.hilbert.nu_max}"],
             ["t"] + [f"re_{nm},im_{nm}" for nm in names]
             + [f"p{nu}_{w + 1}" for w in range(n) for nu in levels],
@@ -270,7 +269,7 @@ class LindbladResult(CoherenceSeries):
         write_json(path, {
             "config": config_to_dict(self.config),
             "hilbert": asdict(self.hilbert),
-            "frame": self.config.frame.value,
+            "frame": Frame.ROTATING.value,
             "diagnostics": self.diagnostics,
         })
 
@@ -488,7 +487,7 @@ def evolve(
     atol: float = ATOL_DEFAULT,
     dt: float | None = None,
 ) -> LindbladResult:
-    """Propagate rho0 in cfg.frame and record expectation series on a uniform grid.
+    """Propagate rho0 in the rotating frame and record expectation series on a uniform grid.
 
     The grid is integrated in chunks of CHUNK samples, each a fresh RK45
     run on the upper triangle of rho from the state the previous chunk's

@@ -6,9 +6,10 @@ bright mode <B0>; an inhomogeneous set enters as one mode <b_n> per well.
 Also provides the adiabatic post-pulse amplitude/phase solution used as an
 oracle.
 
-Integration runs in the configured frame; the rotating frame removes the
-THz carrier and is the default. Trajectories are immutable once produced,
-so independent parameter-sweep integrations can run in parallel workers.
+Integration runs in the frame co-rotating at the drive carrier, which
+removes the THz carrier from the equations; `lab_signal` reads a coherence
+out in the lab frame. Trajectories are immutable once produced, so
+independent parameter-sweep integrations can run in parallel workers.
 """
 
 from __future__ import annotations
@@ -165,10 +166,6 @@ _A = [row[:s].tolist() for s, row in enumerate(RK45.A)]
 _B, _C, _E = RK45.B.tolist(), RK45.C.tolist(), RK45.E.tolist()
 
 
-def _frame_shift(cfg: SystemConfig) -> float:
-    return cfg.pulse.carrier if cfg.frame is Frame.ROTATING else 0.0
-
-
 def _modes(cfg: SystemConfig, per_well: bool) -> tuple:
     """(omega, U, gamma, g) of each mean-field mode.
 
@@ -218,8 +215,8 @@ def _rhs(lanes):
     db_n/dt = -(gamma_n/2 + i d_n) b_n + 2i U_n |b_n|^2 b_n - i g_n a
     """
     one = len(lanes) == 1
-    shifts = [_frame_shift(cfg) for cfg, _ in lanes]
-    pulses, frames = [cfg.pulse for cfg, _ in lanes], [cfg.frame for cfg, _ in lanes]
+    pulses = [cfg.pulse for cfg, _ in lanes]
+    shifts = [p.carrier for p in pulses]
     factor = _lane if one else _factor
     cavity = factor([-(0.5 * cfg.cavity.kappa + 1j * (cfg.cavity.omega_c - shift))
                      for (cfg, _), shift in zip(lanes, shifts)])
@@ -232,16 +229,16 @@ def _rhs(lanes):
         for mode in zip(*(modes for _, modes in lanes))
     ]
     if one:  # Python scalars, whose own rounding is the reference
-        (pulse,), (frame,) = pulses, frames
+        (pulse,) = pulses
         cmul, abs2, pack = mul, lambda b: abs(b) ** 2, list
 
         def drive(t):
-            return drive_amplitude(t, pulse, frame)
+            return drive_amplitude(t, pulse)
     else:
         cmul, abs2, pack = _cmul, _abs2, np.array
 
         def drive(t):
-            return np.array(list(map(drive_amplitude, t.tolist(), pulses, frames)))
+            return np.array(list(map(drive_amplitude, t.tolist(), pulses)))
 
     def rhs(t, y):
         a = y[0]
@@ -256,20 +253,14 @@ def _rhs(lanes):
     return rhs
 
 
-def _stored_frequencies(cfg: SystemConfig) -> list[float]:
-    shift = _frame_shift(cfg)
-    freqs = [abs(cfg.cavity.omega_c - shift)] + [abs(d.omega - shift) for d in cfg.dipoles]
-    if cfg.frame is Frame.LAB:
-        freqs.append(abs(cfg.pulse.carrier))
-    return freqs
-
-
 def resolution_limit(cfg: SystemConfig) -> float:
-    """Largest grid spacing that still samples every stored-frame period and
-    the fastest decay at >= 20 points each."""
+    """Largest grid spacing that still samples every rotating-frame period (a
+    mode's detuning from the carrier) and the fastest decay at >= 20 points each."""
+    shift = cfg.pulse.carrier
+    detunings = [abs(cfg.cavity.omega_c - shift)] + [abs(d.omega - shift) for d in cfg.dipoles]
     scales = [1.0 / cfg.cavity.kappa]
     scales += [1.0 / d.gamma for d in cfg.dipoles]
-    scales += [2.0 * math.pi / w for w in _stored_frequencies(cfg) if w > 1e-12]
+    scales += [2.0 * math.pi / w for w in detunings if w > 1e-12]
     return min(scales) / SAMPLES_PER_SCALE
 
 
@@ -277,8 +268,8 @@ def check_resolution(cfg: SystemConfig, dt: float) -> None:
     """GridError unless a grid spacing dt is within resolution_limit(cfg)."""
     limit = resolution_limit(cfg)
     if dt > limit * (1 + 1e-9):
-        raise GridError(f"grid spacing {dt:.3e} does not resolve the stored-frame "
-                        f"carrier/decay scales (limit {limit:.3e})")
+        raise GridError(f"grid spacing {dt:.3e} does not resolve the rotating-frame "
+                        f"detuning/decay scales (limit {limit:.3e})")
 
 
 def default_dt(cfg: SystemConfig) -> float:
@@ -308,8 +299,8 @@ class CoherenceSeries:
     """Coherences on a uniform grid, the one record both solvers return: the
     cavity series `a` and `modes`, <b_n> per well when `per_well` is set,
     else the bright mode <B0> alone. The grid must be strictly increasing,
-    uniform and resolve `config` (whose frame is the series'), and every
-    sample finite."""
+    uniform and resolve `config`, and every sample finite. Coherences are
+    stored in the frame rotating at the drive carrier."""
 
     t: np.ndarray
     a: np.ndarray
@@ -332,7 +323,7 @@ class CoherenceSeries:
         return float(self.t[1] - self.t[0])
 
     def bright(self) -> np.ndarray:
-        """Bright collective coherence <B0> in the stored frame."""
+        """Bright collective coherence <B0> in the rotating frame."""
         if self.per_well:
             return self.modes.sum(axis=0) / math.sqrt(self.modes.shape[0])
         return self.modes[0]
@@ -360,10 +351,7 @@ class CoherenceSeries:
 
     def lab_signal(self, source: str = "cavity") -> np.ndarray:
         """Coherence in the lab frame, X_lab = X_rot * exp(-i w_d t)."""
-        x = self.signal(source)
-        if self.config.frame is Frame.ROTATING:
-            return x * np.exp(-1j * self.config.pulse.carrier * self.t)
-        return x
+        return self.signal(source) * np.exp(-1j * self.config.pulse.carrier * self.t)
 
 
 @dataclass(frozen=True)
@@ -384,7 +372,7 @@ class MeanFieldTrajectory(CoherenceSeries):
         series = [self.a, *self.modes]
         write_table(
             path,
-            [f"frame: {self.config.frame.value}", *(f"{k}: {v}" for k, v in self.labels.items())],
+            [f"frame: {Frame.ROTATING.value}", *(f"{k}: {v}" for k, v in self.labels.items())],
             ["t"] + [f"re_{n},im_{n}" for n in ["a", *names]],
             table_rows(self.t, *(part for s in series for part in (s.real, s.imag))),
         )
@@ -394,7 +382,7 @@ class MeanFieldTrajectory(CoherenceSeries):
             "config": config_to_dict(self.config),
             "dt": self.dt,
             **self.labels,
-            "frame": self.config.frame.value,
+            "frame": Frame.ROTATING.value,
         })
 
 
@@ -647,14 +635,12 @@ def post_pulse_analytic(oracle: PostPulseOracle, t):
 def oracle_from_trajectory(traj: MeanFieldTrajectory, t_off: float) -> PostPulseOracle:
     """Read B_off and phi_off from a computed trajectory at t_off.
 
-    The phase is taken in the frame rotating at the drive carrier and
-    unwrapped from the pulse peak onward.
+    The phase is read in the frame rotating at the drive carrier, the one
+    every trajectory is stored in, and unwrapped from the pulse peak onward.
     """
     if not traj.config.is_homogeneous:
         raise ValidationError("the post-pulse oracle applies to identical wells")
     b = traj.bright()
-    if traj.config.frame is Frame.LAB:
-        b = b * np.exp(1j * traj.config.pulse.carrier * traj.t)
     if not traj.t[0] <= t_off <= traj.t[-1]:
         raise ValidationError(f"t_off {t_off} outside trajectory range")
     i_peak = int(np.argmax(np.abs(b)))

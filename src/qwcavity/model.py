@@ -24,10 +24,10 @@ from .errors import ConfigError, ValidationError
 
 
 class Frame(enum.Enum):
-    """Reference frame for stored coherences and equations of motion."""
+    """The frame of every equation of motion and stored coherence: co-rotating
+    at the drive carrier (`lab_signal` reads a coherence in the lab frame)."""
 
-    LAB = "lab"
-    ROTATING = "rotating"  # co-rotating at the drive carrier
+    ROTATING = "rotating"
 
 
 def _check_fields(params, positive, nonnegative=()) -> None:
@@ -82,7 +82,6 @@ class SystemConfig:
     cavity: CavityParams
     dipoles: tuple[DipoleParams, ...]
     pulse: PulseParams
-    frame: Frame = Frame.ROTATING
 
     def __post_init__(self):
         if isinstance(self.dipoles, list):
@@ -121,18 +120,17 @@ def envelope(t: float, p: PulseParams) -> float:
     return math.exp(-((t - p.center) ** 2) / (2.0 * p.duration**2))
 
 
-def drive_amplitude(t: float, p: PulseParams, frame: Frame):
-    """Complex drive F0*phi(t)*exp(-i w_d t) at one time t; the carrier phase
-    is dropped in the rotating frame, where the value is a real float."""
-    amp = p.amplitude * envelope(t, p)
-    return amp if frame is Frame.ROTATING else amp * np.exp(-1j * p.carrier * t)
+def drive_amplitude(t: float, p: PulseParams) -> float:
+    """Drive F0*phi(t) at one time t: real in the frame co-rotating at its carrier."""
+    return p.amplitude * envelope(t, p)
 
 
 # --- configuration file format -------------------------------------------
 #
 # Flat "key = value" lines; '#' starts a comment. The file lists the cavity
 # keys, then dipoles[n].<key> for n = 0 .. N-1 (contiguous), then the pulse
-# keys and `frame = lab | rotating`. The two tables below are the numeric
+# keys and `frame = rotating`, the one frame (a required key that takes no
+# other value and cannot be overridden). The two tables below are the numeric
 # keys: file key -> (part of SystemConfig, field), and dipole key -> field.
 
 _SCALAR_FIELDS = {
@@ -160,7 +158,6 @@ def _number(key: str, text) -> float:
 
 def parse_config(text: str) -> SystemConfig:
     parts: dict[str, dict[str, float]] = {"cavity": {}, "pulse": {}}
-    frame_value: str | None = None
     dipoles: dict[int, dict[str, float]] = {}
     seen: dict[tuple, int] = {}   # (part or dipole index, field) -> line of its entry
 
@@ -186,7 +183,8 @@ def parse_config(text: str) -> SystemConfig:
             raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[slot]}")
         seen[slot] = lineno
         if key == "frame":
-            frame_value = value
+            if value != Frame.ROTATING.value:
+                raise ConfigError(f"line {lineno}: frame must be 'rotating', got {value!r}")
             continue
         try:
             entry[fld] = _number(key, value)
@@ -196,12 +194,8 @@ def parse_config(text: str) -> SystemConfig:
     missing = [key for key, (part, fld) in _SCALAR_FIELDS.items() if fld not in parts[part]]
     if missing:
         raise ConfigError(f"missing keys: {sorted(missing)}")
-    if frame_value is None:
+    if ("frame",) not in seen:
         raise ConfigError("missing key 'frame'")
-    try:
-        frame = Frame(frame_value)
-    except ValueError:
-        raise ConfigError(f"frame must be 'lab' or 'rotating', got {frame_value!r}") from None
     if not dipoles:
         raise ConfigError("no dipoles[n].* entries found")
     if sorted(dipoles) != list(range(len(dipoles))):
@@ -219,7 +213,6 @@ def parse_config(text: str) -> SystemConfig:
         cavity=CavityParams(**parts["cavity"]),
         dipoles=tuple(wells),
         pulse=PulseParams(**parts["pulse"]),
-        frame=frame,
     )
 
 
@@ -232,7 +225,7 @@ def format_config(cfg: SystemConfig) -> str:
     ]
     # the cavity keys come first, then the dipoles, then the pulse
     lines = [f"{key} = {float(value)!r}" for key, value in scalars[:2] + wells + scalars[2:]]
-    return "\n".join(lines) + f"\nframe = {cfg.frame.value}\n"
+    return "\n".join(lines) + f"\nframe = {Frame.ROTATING.value}\n"
 
 
 def read_input(path) -> str:
@@ -258,7 +251,7 @@ def config_to_dict(cfg: SystemConfig) -> dict:
     for key, (part, fld) in _SCALAR_FIELDS.items():
         out[part][key.split(".", 1)[1]] = getattr(getattr(cfg, part), fld)
     out["dipoles"] = [{k: getattr(d, f) for k, f in _DIPOLE_FIELDS.items()} for d in cfg.dipoles]
-    out["frame"] = cfg.frame.value
+    out["frame"] = Frame.ROTATING.value
     return out
 
 
@@ -266,14 +259,11 @@ def set_config_value(cfg: SystemConfig, key: str, value) -> SystemConfig:
     """Return a copy of cfg with one file-format key replaced.
 
     Accepts the same key grammar as the config file, so sweep axes and CLI
-    overrides resolve against existing keys only.
+    overrides resolve against existing keys only; `frame` has one value and
+    is refused.
     """
     if key == "frame":
-        try:
-            return replace(cfg, frame=Frame(str(value)))
-        except ValueError:
-            raise ConfigError(f"frame must be 'lab' or 'rotating', got {value!r}") from None
-
+        raise ConfigError("'frame' cannot be set: both solvers integrate in the rotating frame")
     value = _number(key, value)
     m = _DIPOLE_KEY.match(key)
     if m:

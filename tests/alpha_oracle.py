@@ -32,7 +32,7 @@ import math
 import numpy as np
 from scipy.special import erfc, wofz
 
-from qwcavity import Frame, SystemConfig, effective_decay, set_config_value
+from qwcavity import SystemConfig, effective_decay, set_config_value
 
 
 def gaussian_response(lam: complex, tau, width: float) -> np.ndarray:
@@ -56,8 +56,6 @@ def gaussian_response(lam: complex, tau, width: float) -> np.ndarray:
 def _linear_system(cfg: SystemConfig):
     if not cfg.is_homogeneous:
         raise ValueError("the first-order oracle applies to identical wells")
-    if cfg.frame is not Frame.ROTATING:
-        raise ValueError("the first-order oracle is written in the rotating frame")
     c, d, wd = cfg.cavity, cfg.dipoles[0], cfg.pulse.carrier
     g = cfg.collective_coupling
     m = np.array(

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qwcavity import CavityParams, DipoleParams, Frame, PulseParams, SystemConfig
+from qwcavity import CavityParams, DipoleParams, PulseParams, SystemConfig
 
 
 def standard_config(
@@ -13,7 +13,6 @@ def standard_config(
     gamma: float = 0.6,
     gamma2: float | None = None,
     omega2: float | None = None,
-    frame: Frame = Frame.ROTATING,
 ) -> SystemConfig:
     """Operating point used throughout: omega0 = omega_c = omega_d = 40,
     kappa = 12, sqrt(N) g = 1, T = 0.155, t0 = 0.6 (rad/ps and ps).
@@ -39,7 +38,6 @@ def standard_config(
         cavity=CavityParams(omega_c=omega0, kappa=kappa),
         dipoles=tuple(wells),
         pulse=PulseParams(amplitude=f0_over_kappa * kappa, carrier=omega0, center=0.6, duration=0.155),
-        frame=frame,
     )
 
 

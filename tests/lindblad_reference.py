@@ -5,7 +5,11 @@
     drho/dt = A rho + rho A^dag + sum_k rate_k L_k rho L_k^dag,
     A = -i (H0 + c(t) a + c*(t) a^dag) - 1/2 sum_k rate_k L_k^dag L_k,
 
-with dense operators and no superoperator. `SampleRecorder` records one
+with dense operators and no superoperator, in the frame rotating at the
+drive carrier as the package writes it, or in the lab frame: there H0 keeps
+the bare mode frequencies and c(t) its carrier phase exp(+i w_d t). The two
+are related by U = exp(-i w_d N_exc t), N_exc the diagonal of
+`excitation_number`. `SampleRecorder` records one
 density matrix at a time, in the order a sample-by-sample pass checks it:
 top photon level, trace and Hermiticity maxima, then the eigenvalue
 checkpoint. `reference_evolve` runs the same chunked integration as
@@ -23,23 +27,31 @@ import numpy as np
 from scipy.integrate import RK45, solve_ivp
 from scipy.integrate._ivp.common import norm, select_initial_step
 
-from qwcavity import DensityMatrix, Frame, TruncationError, build_hamiltonian, build_operators, lindblad_rhs
+from qwcavity import DensityMatrix, TruncationError, build_hamiltonian, build_operators, lindblad_rhs
 from qwcavity.errors import SolverError
 from qwcavity.meanfield import default_dt, uniform_grid
 
 
-def drive_coefficient(cfg, frame: Frame, t: float) -> complex:
-    """Coefficient of `a` in H_d(t): the Gaussian pulse, with its carrier in the lab frame."""
+def drive_coefficient(cfg, t: float, *, lab: bool = False) -> complex:
+    """Coefficient of `a` in H_d(t): the Gaussian pulse, with its carrier phase in the lab frame."""
     amp = cfg.pulse.amplitude * math.exp(-((t - cfg.pulse.center) ** 2) / (2.0 * cfg.pulse.duration**2))
-    return amp if frame is Frame.ROTATING else amp * np.exp(1j * cfg.pulse.carrier * t)
+    return amp * np.exp(1j * cfg.pulse.carrier * t) if lab else amp
 
 
-def dense_rhs(rho: np.ndarray, t: float, cfg, h, frame: Frame) -> np.ndarray:
+def excitation_number(h) -> np.ndarray:
+    """Diagonal of N_exc = a^dag a + sum_n b_n^dag b_n, which commutes with H0 and the coupling."""
+    a, wells = build_operators(h)
+    return sum((op.conj().T @ op).diagonal().real for op in (a, *wells))
+
+
+def dense_rhs(rho: np.ndarray, t: float, cfg, h, *, lab: bool = False) -> np.ndarray:
     a, wells = build_operators(h)
     a = a.toarray()
     jumps = [(cfg.cavity.kappa, a)] + [(d.gamma, b.toarray()) for d, b in zip(cfg.dipoles, wells)]
-    c = drive_coefficient(cfg, frame, t)
-    h_t = build_hamiltonian(replace(cfg, frame=frame), h).toarray() + c * a + np.conj(c) * a.conj().T
+    c = drive_coefficient(cfg, t, lab=lab)
+    # at zero carrier the package's H0 subtracts nothing: the bare lab-frame H0
+    h0_cfg = replace(cfg, pulse=replace(cfg.pulse, carrier=0.0)) if lab else cfg
+    h_t = build_hamiltonian(h0_cfg, h).toarray() + c * a + np.conj(c) * a.conj().T
     a_eff = -1j * h_t - sum(0.5 * rate * (op.conj().T @ op) for rate, op in jumps)
     out = a_eff @ rho + rho @ a_eff.conj().T
     for rate, op in jumps:
@@ -125,7 +137,7 @@ def reference_evolve(rho0, t_span, cfg, h, *, rtol=1e-9, atol=1e-12, dt=None,
     for start in range(0, len(grid) - 1, chunk):
         stop = min(start + chunk, len(grid) - 1)
         sol = solve_ivp(
-            lambda t, yy: lindblad_rhs(yy.reshape(d, d), t, cfg, h, cfg.frame).reshape(-1),
+            lambda t, yy: lindblad_rhs(yy.reshape(d, d), t, cfg, h).reshape(-1),
             t_span=(grid[start], grid[stop]),
             y0=y,
             t_eval=grid[start + 1 : stop + 1],

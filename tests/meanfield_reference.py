@@ -9,7 +9,10 @@ Kerr term, mix B0 and B1:
     D = (gamma1 + gamma2)/4 + i (wbar - U (|B0|^2 + |B1|^2)),
     M = (gamma1 - gamma2)/4 + i (dw - 2 U Re(B0* B1)),
 
-with wbar and dw the mean and half difference of the well frequencies.
+with wbar and dw the mean and half difference of the well frequencies,
+in the frame rotating at the drive carrier w_d (every frequency less w_d)
+or, with `lab`, in the lab frame (bare frequencies, and the drive carrying
+its carrier phase exp(-i w_d t)): states of the two differ by that phase.
 `solve` integrates any such right-hand side on a uniform grid from a given
 start with scipy's `solve_ivp` RK45, whose bits `qwcavity.meanfield.integrate`
 reproduces from vacuum.
@@ -22,16 +25,16 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from qwcavity import Frame, ValidationError, drive_amplitude
+from qwcavity import ValidationError, drive_amplitude
 from qwcavity.meanfield import ATOL_DEFAULT, RTOL_DEFAULT, default_dt, uniform_grid
 
 
-def collective_rhs(cfg):
+def collective_rhs(cfg, *, lab: bool = False):
     """Time derivative of (<a>, <B0>, <B1>) for a pair with equal g and U."""
     d1, d2 = cfg.dipoles
     if d1.coupling != d2.coupling or d1.anharmonicity != d2.anharmonicity:
         raise ValidationError("collective two-well form requires equal g and U")
-    shift = cfg.pulse.carrier if cfg.frame is Frame.ROTATING else 0.0
+    shift = 0.0 if lab else cfg.pulse.carrier
     u = d1.anharmonicity
     dc = cfg.cavity.omega_c - shift
     kappa_half = 0.5 * cfg.cavity.kappa
@@ -41,13 +44,17 @@ def collective_rhs(cfg):
     dw = 0.5 * (d1.omega - d2.omega)
     g_n = math.sqrt(2.0) * d1.coupling
 
+    def drive(t):
+        f = drive_amplitude(t, cfg.pulse)
+        return f * np.exp(-1j * cfg.pulse.carrier * t) if lab else f
+
     def rhs(t, y):
         a, b0, b1 = y
         occ = abs(b0) ** 2 + abs(b1) ** 2
         cross = (b0.conjugate() * b1).real
         diag = gbar_half + 1j * (wbar - u * occ)
         mix = dgamma_half + 1j * (dw - 2.0 * u * cross)
-        da = -(kappa_half + 1j * dc) * a - 1j * g_n * b0 - 1j * drive_amplitude(t, cfg.pulse, cfg.frame)
+        da = -(kappa_half + 1j * dc) * a - 1j * g_n * b0 - 1j * drive(t)
         db0 = -diag * b0 - mix * b1 - 1j * g_n * a
         db1 = -diag * b1 - mix * b0
         return [da, db0, db1]

@@ -85,26 +85,18 @@ class TestSimulate:
         header = json.loads((out / "checkpoints.json").read_text())
         assert header["dtype"] == "complex128"
 
-    def test_lindblad_integrates_in_the_config_frame(self, tmp_path, fast_config_path):
-        # dim 45; the lab frame carries the THz carrier in rho: nfev 8,654 vs 944 here
-        signals = {}
-        for frame in ("rotating", "lab"):
-            out = tmp_path / frame
-            assert main([
-                "simulate", "--config", str(fast_config_path), "--solver", "lindblad",
-                "--n-photon-max", "4", "--override", "pulse.F0=0.6",
-                "--override", f"frame={frame}", "--out", str(out),
-            ]) == 0
-            sidecar = json.loads((out / "lindblad.json").read_text())
-            assert sidecar["frame"] == sidecar["config"]["frame"] == frame
-            cols, rows = _read_table(out / "lindblad.csv")
-            t, re_a, im_a = np.array(rows).T[[cols.index(c) for c in ("t", "re_a", "im_a")]]
-            carrier = sidecar["config"]["pulse"]["omega_d"] if frame == "rotating" else 0.0
-            signals[frame] = (re_a + 1j * im_a) * np.exp(-1j * carrier * t)
-        scale = np.abs(signals["rotating"]).max()
-        assert scale > 0.01
-        # measured 5.0e-9 relative: RK45 at rtol 1e-9 on two different ODEs
-        assert np.abs(signals["lab"] - signals["rotating"]).max() / scale < 1e-8
+    @pytest.mark.parametrize("given_by", ["config", "override"])
+    def test_lab_frame_is_config_error(self, given_by, tmp_path, fast_config_path, capsys):
+        # both solvers integrate in the rotating frame only
+        if given_by == "config":
+            path = tmp_path / "lab.txt"
+            path.write_text(fast_config_path.read_text().replace("frame = rotating", "frame = lab"))
+            argv = ["--config", str(path)]
+        else:
+            argv = ["--config", str(fast_config_path), "--override", "frame=lab"]
+        assert main(["simulate", *argv, "--solver", "both", "--out", str(tmp_path / "o")]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def run_pooled(method, argv):
@@ -460,6 +452,16 @@ class TestCompareCommand:
             self._table(tmp_path / name, [(0.1, 0.01, 0.01)], header)
         assert self._compare(tmp_path) == 2
         assert "dphi_cavity" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_repeated_axis_values_rejected(self, tmp_path, capsys):
+        # a dict keyed by the axis values would keep only the last of the two rows
+        header = "pulse.F0,dphi_cavity"
+        self._table(tmp_path / "mf.csv", [(0.6, 0.01), (0.6, 0.05), (1.2, 0.04)], header)
+        self._table(tmp_path / "lb.csv", [(0.6, 0.01), (1.2, 0.04)], header)
+        assert self._compare(tmp_path) == 4
+        assert f"table {tmp_path / 'mf.csv'} repeats axis values ['pulse.F0'] = [(0.6,)]" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "cmp").exists()
 
     def test_differing_axis_columns_rejected(self, tmp_path):

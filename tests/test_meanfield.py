@@ -13,7 +13,6 @@ from scipy.integrate._ivp import common as scipy_common
 from scipy.integrate._ivp import rk as scipy_rk
 
 from qwcavity import (
-    Frame,
     GridError,
     HilbertConfig,
     PostPulseOracle,
@@ -123,6 +122,43 @@ class TestTwoWellRhs:
             integrate(standard_config(n_wells=1), (0.0, 2.0), dt=0.004).dark()
 
 
+def collective(y, per_well: bool) -> np.ndarray:
+    """(a, B0, B1) of a pair's state: from (a, b1, b2), or from (a, B0) with B1 = 0."""
+    return np.concatenate([y[:1], pair_modes(y[1:])]) if per_well else np.append(y, 0.0)
+
+
+class TestLabFrame:
+    """The lab frame without a lab solver: the package integrates only in the
+    frame rotating at the carrier, whose states x are x exp(-i w_d t) in the
+    lab frame of the test-only collective reference."""
+
+    # the pulse peak, 2.4 T after it, and 40 T after it, where the Gaussian has underflowed
+    @pytest.mark.parametrize("offset", [0.0, 2.4 * 0.155, 6.2])
+    @pytest.mark.parametrize("gamma2, omega2", [(None, None), (0.9, 41.0)],
+                             ids=["identical", "inhomogeneous"])
+    def test_rotating_rhs_is_the_lab_rhs_transformed(self, gamma2, omega2, offset):
+        # d(x exp(-i w_d t))/dt = (dx/dt - i w_d x) exp(-i w_d t)
+        cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35, gamma2=gamma2, omega2=omega2)
+        per_well, carrier = not cfg.is_homogeneous, cfg.pulse.carrier
+        t = cfg.pulse.center + offset
+        rng = np.random.default_rng(5)
+        y = rng.normal(0, 0.3, 3 if per_well else 2) + 1j * rng.normal(0, 0.3, 3 if per_well else 2)
+        phase = np.exp(-1j * carrier * t)
+        dy = np.array(_rhs([(cfg, _modes(cfg, per_well))])(t, y.tolist()))
+        got = collective((dy - 1j * carrier * y) * phase, per_well)
+        want = np.array(collective_rhs(cfg, lab=True)(t, collective(y * phase, per_well)))
+        assert (drive_amplitude(t, cfg.pulse) == 0.0) == (offset == 6.2)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_lab_signal_is_the_rotating_signal_moved_to_the_lab(self):
+        cfg = standard_config(gamma2=0.9)
+        traj = integrate(cfg, (0.0, 2.0), dt=0.004)
+        phase = np.exp(-1j * cfg.pulse.carrier * traj.t)
+        for source in ("cavity", "bright", "dark"):
+            x = traj.signal(source)
+            assert np.abs(traj.lab_signal(source) - x * phase).max() <= 1e-15 * np.abs(x).max()
+
+
 class TestIntegrate:
     def test_zero_drive_stays_in_vacuum(self):
         cfg = undriven(standard_config())
@@ -192,16 +228,6 @@ class TestIntegrate:
         assert abs(y[0, -1]) < 1e-4
         assert abs(y[1, -1]) < 1e-4
 
-    def test_lab_and_rotating_frames_give_same_lab_signal(self):
-        cfg_rot = standard_config(u_over_gamma=1.0, f0_over_kappa=0.2)
-        cfg_lab = set_config_value(cfg_rot, "frame", "lab")
-        t_span = (0.0, 4.0)
-        rot = integrate(cfg_rot, t_span, dt=0.002)
-        lab = integrate(cfg_lab, t_span, dt=0.002)
-        scale = np.abs(rot.lab_signal("bright")).max()
-        diff = np.abs(rot.lab_signal("bright") - lab.lab_signal("bright")).max()
-        assert diff / scale < 1e-6
-
     def test_span_must_cover_pulse(self):
         cfg = standard_config()
         with pytest.raises(ValidationError):
@@ -246,9 +272,9 @@ def drive_calls(monkeypatch):
     """Times at which either solver evaluates the drive, i.e. calls its RHS."""
     calls = []
 
-    def drive(t, pulse, frame):
+    def drive(t, pulse):
         calls.append(t)
-        return drive_amplitude(t, pulse, frame)
+        return drive_amplitude(t, pulse)
 
     monkeypatch.setattr(meanfield, "drive_amplitude", drive)
     monkeypatch.setattr(lindblad, "drive_amplitude", drive)
@@ -407,9 +433,8 @@ class TestStepperMatchesSolveIvp:
         (standard_config(gamma2=1.2), (0.0, 6.0), {}),
         (standard_config(omega2=40.5), (0.0, 6.0), {}),
         (three_wells(), (0.0, 6.0), {}),
-        (standard_config(frame=Frame.LAB), (0.0, 1.5), {}),
         (standard_config(), (0.0, 2.0), {"dt": 1e-4}),
-    ], ids=["identical", "gamma2", "omega2", "three_wells", "lab", "dt1e-4"])
+    ], ids=["identical", "gamma2", "omega2", "three_wells", "dt1e-4"])
     def test_samples_and_nfev_bit_identical(self, cfg, t_span, kw):
         ref = scipy_run(cfg, t_span, **kw)
         traj = integrate(cfg, t_span, **kw)
@@ -452,7 +477,7 @@ class TestStepperMatchesSolveIvp:
     def test_nan_drive_raises_solver_error(self, monkeypatch):
         calls = []
 
-        def nan_drive(t, pulse, frame):
+        def nan_drive(t, pulse):
             calls.append(t)
             return math.nan
 
@@ -472,7 +497,7 @@ def lane_requests():
         (pair, fid_time_span(pair), None),
         (standard_config(gamma2=1.2), (0.0, 6.0), None),
         (standard_config(omega2=40.5), (0.0, 6.0), None),
-        (standard_config(frame=Frame.LAB), (0.0, 1.5), None),
+        (standard_config(u_over_gamma=2.0, f0_over_kappa=0.35), (0.0, 1.5), None),
         (standard_config(), (0.0, 2.0), 1e-4),
         (three_wells(), (0.0, 6.0), None),
     ]
@@ -583,9 +608,9 @@ class TestLaneBatch:
         bad = standard_config(f0_over_kappa=0.45)
         calls = {cfg.pulse: 0 for cfg in good + [bad]}
 
-        def drive(t, pulse, frame):
+        def drive(t, pulse):
             calls[pulse] += 1
-            return math.nan if pulse == bad.pulse else drive_amplitude(t, pulse, frame)
+            return math.nan if pulse == bad.pulse else drive_amplitude(t, pulse)
 
         monkeypatch.setattr(meanfield, "drive_amplitude", drive)
         named = re.escape(f"pulse.F0 = {bad.pulse.amplitude!r};")
@@ -664,18 +689,6 @@ class TestPostPulseOracle:
         assert amp_err.max() < 0.05
         assert phase_err.max() < 0.05
 
-    def test_lab_frame_trajectory_gives_the_rotating_frame_oracle(self):
-        # the oracle reads the phase in the frame rotating at the carrier whatever
-        # frame the run was integrated in; the two runs differ by solver error
-        # only (5.0e-9 relative in B_off, 6.8e-10 in phi_off, measured)
-        cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.2)
-        t_off = 0.6 + 5 * 0.155
-        span = (0.0, t_off + 3.3 / effective_decay(cfg))
-        rot, lab = (oracle_from_trajectory(integrate(replace(cfg, frame=frame), span, dt=0.002), t_off)
-                    for frame in (Frame.ROTATING, Frame.LAB))
-        assert lab.B_off == pytest.approx(rot.B_off, rel=1e-7)
-        assert lab.phi_off == pytest.approx(rot.phi_off, abs=1e-7)
-        assert (lab.t_off, lab.gamma_tilde, lab.U, lab.N) == (rot.t_off, rot.gamma_tilde, rot.U, rot.N)
 
 
 class TestTrajectoryExport:
@@ -690,7 +703,15 @@ class TestTrajectoryExport:
         traj.write_sidecar(tmp_path / "traj.json")
         sidecar = json.loads((tmp_path / "traj.json").read_text())
         assert sidecar["config"]["pulse"]["F0"] == base_config.pulse.amplitude
-        assert sidecar["frame"] == "rotating"
+        assert sidecar["frame"] == sidecar["config"]["frame"] == "rotating"
+
+    def test_lindblad_csv_and_sidecar_label_the_frame(self, tmp_path):
+        res = solve_on("lindblad", standard_config(f0_over_kappa=0.05), (0.0, 2.0), dt=0.004)
+        res.write_csv(tmp_path / "lb.csv")
+        assert (tmp_path / "lb.csv").read_text().splitlines()[0] == "# frame: rotating"
+        res.write_sidecar(tmp_path / "lb.json")
+        sidecar = json.loads((tmp_path / "lb.json").read_text())
+        assert sidecar["frame"] == sidecar["config"]["frame"] == "rotating"
 
     def test_local_representation_columns(self, tmp_path):
         cfg = standard_config(gamma2=0.9)

@@ -11,7 +11,6 @@ from qwcavity import (
     CavityParams,
     ConfigError,
     DipoleParams,
-    Frame,
     PulseParams,
     SystemConfig,
     ValidationError,
@@ -84,16 +83,10 @@ class TestPulse:
 
     def test_zero_amplitude_drive(self):
         p = PulseParams(amplitude=0.0, carrier=40.0, center=0.6, duration=0.155)
-        assert drive_amplitude(1.0, p, Frame.LAB) == 0.0
+        assert drive_amplitude(1.0, p) == 0.0
 
     def test_rotating_frame_peak(self):
-        assert drive_amplitude(0.6, self.PULSE, Frame.ROTATING) == pytest.approx(2.4)
-
-    def test_lab_frame_carrier_phase(self):
-        # carrier phase pi at the pulse center flips the sign
-        p = PulseParams(amplitude=2.4, carrier=math.pi / 0.6, center=0.6, duration=0.155)
-        value = drive_amplitude(0.6, p, Frame.LAB)
-        assert value == pytest.approx(-2.4, rel=1e-12)
+        assert drive_amplitude(0.6, self.PULSE) == pytest.approx(2.4)
 
 
 class TestValidation:
@@ -176,11 +169,14 @@ class TestConfigFile:
             parse_config("\n".join(lines))
 
     def test_bad_frame_rejected(self, base_config):
-        text = format_config(base_config).replace("frame = rotating", "frame = spinning")
-        with pytest.raises(ConfigError):
-            parse_config(text)
-        with pytest.raises(ConfigError, match="frame must be 'lab' or 'rotating', got 'sideways'"):
-            set_config_value(base_config, "frame", "sideways")
+        # the rotating frame is the one frame: the key takes no other value and is never set
+        for value in ("spinning", "lab"):
+            text = format_config(base_config).replace("frame = rotating", f"frame = {value}")
+            with pytest.raises(ConfigError, match=f"line 15: frame must be 'rotating', got '{value}'"):
+                parse_config(text)
+        for value in ("sideways", "lab", "rotating"):
+            with pytest.raises(ConfigError, match="'frame' cannot be set"):
+                set_config_value(base_config, "frame", value)
 
     @pytest.mark.parametrize("drop, extra, match", [
         (None, "cavity.kappa 12.0", "expected 'key = value', got 'cavity.kappa 12.0'"),
@@ -208,8 +204,6 @@ class TestConfigFile:
         cfg = set_config_value(cfg, "dipoles[1].gamma", 0.9)
         assert cfg.dipoles[1].gamma == 0.9
         assert cfg.dipoles[0].gamma == 0.6
-        cfg = set_config_value(cfg, "frame", "lab")
-        assert cfg.frame is Frame.LAB
 
     def test_set_unknown_key_rejected(self, base_config):
         with pytest.raises(ConfigError):

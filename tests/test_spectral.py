@@ -487,12 +487,13 @@ class TestFitAlpha:
 
 
 def fid_trajectory(cfg, values, t):
-    """Wrap a lab-frame bright-mode series as a trajectory (frame = LAB)."""
+    """Wrap a lab-frame bright-mode series as a trajectory, which stores it in
+    the frame rotating at the carrier, so that lab_signal gives `values` back."""
     return MeanFieldTrajectory(
         t=t,
         a=np.zeros_like(values),
-        modes=values[None, :],
-        config=set_config_value(cfg, "frame", "lab"),
+        modes=(values * np.exp(1j * cfg.pulse.carrier * t))[None, :],
+        config=cfg,
         per_well=False,
     )
 
