@@ -81,9 +81,8 @@ def _solve(cfg: SystemConfig, solver: str, policy: SpectralPolicy, n_photon_max:
 
 
 def _spectra_worker(args):
-    """Solve a chunk of configs and return each one's phase spectra per source.
-    A mean-field chunk integrates as one lane batch (meanfield.integrate_batch),
-    each trajectory transformed and dropped as its lane finishes."""
+    """Phase spectra per source of each config in a chunk: a mean-field chunk as one lane
+    batch (pooled or not), a Lindblad chunk (never pooled) one config at a time."""
     cfg_texts, solver, n_ph, nu_max, policy, sources, dt = args
     cfgs = [parse_config(text) for text in cfg_texts]
     if solver == "meanfield":
@@ -94,14 +93,16 @@ def _spectra_worker(args):
     spectra = [None] * len(cfgs)
     for i, traj in trajs:
         spectra[i] = {src: phase_pipeline(traj, policy, src) for src in sources}
+        del traj   # else it stays alive while the next config is solved
     return spectra
 
 
 def sweep_phase_shifts(points, solver, policy, *, n_photon_max=N_PHOTON_MAX_DEFAULT,
                        nu_max=NU_MAX_DEFAULT, sources=("cavity",), jobs=1, dt=None):
     """Delta Phi(omega0) for labelled configs, each distinct run or baseline
-    config solved once. Mean-field configs are split into at most `jobs`
-    lane batches, Lindblad configs run one per task."""
+    config solved once. Mean-field configs are split into at most `jobs` lane
+    batches, pooled if two or more. Lindblad configs run in this process for any
+    `jobs`: pooled workers' BLAS threads contend for the cores one evolve uses."""
     texts = {}   # config text of every distinct run and baseline, in first-seen order
     pairs = []
     for label, cfg in points:
@@ -109,7 +110,7 @@ def sweep_phase_shifts(points, solver, policy, *, n_photon_max=N_PHOTON_MAX_DEFA
         texts.update(dict.fromkeys((run, base)))
         pairs.append((label, run, base))
     texts = list(texts)
-    n_chunks = max(1, min(jobs, len(texts))) if solver == "meanfield" else len(texts)
+    n_chunks = max(1, min(jobs, len(texts))) if solver == "meanfield" else 1
     chunks = [texts[i::n_chunks] for i in range(n_chunks)]
     tasks = [(chunk, solver, n_photon_max, nu_max, policy, tuple(sources), dt) for chunk in chunks]
     if jobs <= 1 or len(tasks) <= 1:
@@ -409,9 +410,11 @@ def _cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args.override)
     axes = [_parse_axis(a) for a in args.axis]
     keys = [key for key, _ in axes]
-    for key in keys:
+    for key, values in axes:
         if keys.count(key) > 1:
             raise ConfigError(f"axis key {key!r} is given more than once")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"axis {key!r} repeats a value: {key}={','.join(map(repr, values))}")
     points = []
     for values in itertools.product(*(vals for _, vals in axes)):
         c = cfg

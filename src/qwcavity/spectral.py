@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import GridError, ValidationError
+from .errors import ConfigError, GridError, ValidationError
 from .model import (
     SystemConfig,
     effective_decay,
@@ -49,6 +49,12 @@ class SpectralPolicy:
     t_off_factor: float = 3.0      # t_off = t0 + factor * T
     baseline_mode: str = "harmonic"  # 'harmonic' (U = 0) or 'weak' (F0 = WEAK_RATIO*kappa)
 
+    def __post_init__(self):
+        if not math.isfinite(self.t_off_factor):
+            raise ConfigError(f"SpectralPolicy.t_off_factor must be finite, got {self.t_off_factor}")
+        if self.baseline_mode not in ("harmonic", "weak"):
+            raise ValidationError(f"unknown baseline mode {self.baseline_mode!r}")
+
     def resolve_t_off(self, cfg: SystemConfig) -> float:
         return cfg.pulse.center + self.t_off_factor * cfg.pulse.duration
 
@@ -66,9 +72,7 @@ def baseline_config(cfg: SystemConfig, policy: SpectralPolicy = SpectralPolicy()
         for n in range(cfg.n_wells):
             out = set_config_value(out, f"dipoles[{n}].U", 0.0)
         return out
-    if policy.baseline_mode == "weak":
-        return set_config_value(cfg, "pulse.F0", WEAK_RATIO * cfg.cavity.kappa)
-    raise ValidationError(f"unknown baseline mode {policy.baseline_mode!r}")
+    return set_config_value(cfg, "pulse.F0", WEAK_RATIO * cfg.cavity.kappa)   # the one other mode
 
 
 @dataclass(frozen=True)

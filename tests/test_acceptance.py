@@ -6,11 +6,9 @@ output of a failing test) documents the whole scorecard.
 """
 
 import functools
-import math
 import time
 
 import numpy as np
-import pytest
 
 from qwcavity import (
     HilbertConfig,
@@ -25,7 +23,6 @@ from qwcavity import (
     nonlinear_phase_shift,
     oracle_from_trajectory,
     post_pulse_analytic,
-    relative_phase,
     set_config_value,
     stationary_phase,
     time_delay,

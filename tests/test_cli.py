@@ -111,31 +111,30 @@ def run_pooled(method, argv):
 
 @pytest.mark.parametrize("method", ["fork", "spawn"])
 class TestPooledMatchesSerial:
-    """A --jobs 2 Lindblad sweep against the same sweep at --jobs 1."""
-
-    def sweep_args(self, config, n_photon_max):
-        return ["sweep", "--config", str(config), "--solver", "lindblad", "--n-photon-max",
-                str(n_photon_max), "--nu-max", "2", "--axis", "pulse.F0=0.3,0.6"]
+    """A --jobs 2 sweep against the same sweep at --jobs 1. Only mean-field sweeps
+    pool (TestPoolScope); a Lindblad sweep must fail the same way at either."""
 
     def test_pooled_sweep_writes_the_serial_data(self, method, tmp_path, fast_config_path):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
-        args = self.sweep_args(fast_config_path, 2)   # dim 27; at 1 the top level overflows
+        # 2 runs and 2 harmonic baselines: two lane batches of two at --jobs 2
+        args = ["sweep", "--config", str(fast_config_path), "--axis", "pulse.F0=0.6,1.2"]
         assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
         proc = run_pooled(method, args + ["--jobs", "2", "--out", str(tmp_path / "pooled")])
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert read_data_files(tmp_path / "pooled") == read_data_files(tmp_path / "serial")
-        assert list(read_data_files(tmp_path / "serial")) == ["sweep_lindblad.csv"]
-        cols, rows = _read_table(tmp_path / "serial" / "sweep_lindblad.csv")
-        assert all(row[cols.index("dphi_cavity")] != 0.0 for row in rows)
+        assert list(read_data_files(tmp_path / "serial")) == ["sweep_meanfield.csv"]
+        cols, rows = _read_table(tmp_path / "serial" / "sweep_meanfield.csv")
+        assert len(rows) == 2 and all(row[cols.index("dphi_cavity")] != 0.0 for row in rows)
 
     def test_truncation_failure_is_the_serial_one(self, method, tmp_path, fast_config_path,
                                                   capsys):
-        """The cutoff given is the cutoff solved at: pooled or serial, the same exit 3."""
+        """The cutoff given is the cutoff solved at: --jobs 1 or 2, the same exit 3."""
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
-        args = self.sweep_args(fast_config_path, 1)
+        args = ["sweep", "--config", str(fast_config_path), "--solver", "lindblad",
+                "--n-photon-max", "1", "--nu-max", "2", "--axis", "pulse.F0=0.3,0.6"]
         assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 3
         serial = capsys.readouterr().err
         assert serial.startswith("solver failure: ") and serial.count("\n") == 1
@@ -144,6 +143,70 @@ class TestPooledMatchesSerial:
         assert (proc.returncode, proc.stderr) == (3, serial)
         for out in ("serial", "pooled"):
             assert not any((tmp_path / out).iterdir())
+
+
+def record_pools(monkeypatch) -> list:
+    """Put a stand-in for cli's process pool that runs the tasks in this process,
+    and return the list it fills with the worker count of each pool built."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+class TestPoolScope:
+    """--jobs fans out mean-field lane batches only: pooled Lindblad workers' BLAS
+    threads contend for the cores that one evolve already uses."""
+
+    def test_lindblad_sweep_builds_no_pool(self, tmp_path, fast_config_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a Lindblad sweep built a process pool")
+
+        args = ["sweep", "--config", str(fast_config_path), "--solver", "lindblad",
+                "--n-photon-max", "2", "--nu-max", "2", "--axis", "pulse.F0=0.3,0.6"]
+        assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        assert main(args + ["--jobs", "2", "--out", str(tmp_path / "jobs2")]) == 0
+        assert read_data_files(tmp_path / "jobs2") == read_data_files(tmp_path / "serial")
+
+    @pytest.mark.parametrize("jobs", [2, 5000])
+    def test_meanfield_sweep_builds_one_pool(self, jobs, fast_config_path, monkeypatch):
+        cfg = load_config(fast_config_path)
+        points = [((f0,), set_config_value(cfg, "pulse.F0", f0)) for f0 in (0.6, 1.2)]
+        serial = cli.sweep_phase_shifts(points, "meanfield", SpectralPolicy())
+        sizes = record_pools(monkeypatch)
+        assert cli.sweep_phase_shifts(points, "meanfield", SpectralPolicy(), jobs=jobs) == serial
+        assert sizes == [min(jobs, 4)]   # 2 runs and 2 baselines
+
+    def test_both_solvers_pool_the_meanfield_half_only(self, tmp_path, fast_config_path,
+                                                       monkeypatch):
+        """As preset fig5a: one table, mean-field and Lindblad columns, at --jobs 2."""
+        cfg = load_config(fast_config_path)
+        points = [((f0,), set_config_value(cfg, "pulse.F0", f0)) for f0 in (0.3, 0.6)]
+
+        def table(name, jobs):
+            return cli._phase_table(tmp_path / name, [], ["f0", "dphi_mf", "dphi_lb"], points,
+                                    ("meanfield", "lindblad"), SpectralPolicy(), jobs=jobs,
+                                    n_photon_max=2, nu_max=2)
+
+        serial = table("serial.csv", 1)
+        sizes = record_pools(monkeypatch)
+        assert table("jobs2.csv", 2) == serial
+        assert sizes == [2]
+        assert (tmp_path / "jobs2.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
 
 class TestRunSpec:
@@ -217,27 +280,23 @@ class TestSweepAndReproducibility:
             capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("values", ["0.6,0.6", "0.6,1.2,0.60"])
+    def test_repeated_axis_value_is_config_error(self, values, tmp_path, fast_config_path,
+                                                 capsys):
+        """Two rows of one point would make a table that compare refuses."""
+        rc = main(["sweep", "--config", str(fast_config_path), "--axis", f"pulse.F0={values}",
+                   "--jobs", "1", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "config error: axis 'pulse.F0' repeats a value: pulse.F0=0.6," in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
     def test_pool_is_no_larger_than_its_tasks(self, tmp_path, fast_config_path, monkeypatch):
         """A one-point sweep is two solves (run and baseline): --jobs 5000 asks for two
         workers. The pool is a stand-in that runs the tasks in this process."""
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
         args = ["sweep", "--config", str(fast_config_path), "--axis", "pulse.F0=1.2"]
         assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        sizes = record_pools(monkeypatch)
         assert main(args + ["--jobs", "5000", "--out", str(tmp_path / "pooled")]) == 0
         assert sizes == [2]
         assert read_data_files(tmp_path / "pooled") == read_data_files(tmp_path / "serial")

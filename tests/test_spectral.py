@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from qwcavity import (
+    ConfigError,
     GridError,
     HilbertConfig,
     PostPulseOracle,
@@ -99,6 +100,14 @@ class TestFidWindow:
         traj = integrate(base_config, fid_time_span(base_config))
         with pytest.raises(ValidationError, match="envelope still at 1.00e"):
             fid_window(traj, policy=SpectralPolicy(t_off_factor=-1.0))
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_off_factor_refused_where_the_policy_is_built(self, factor):
+        # a nan turn-off time used to reach fid_window as an empty window (IndexError)
+        with pytest.raises(ConfigError, match=f"SpectralPolicy.t_off_factor must be finite, got {factor}"):
+            SpectralPolicy(t_off_factor=factor)
+        with pytest.raises(ConfigError):
+            replace(SpectralPolicy(), t_off_factor=factor)
 
 
 class TestFourier:
@@ -345,6 +354,13 @@ class TestRelativePhase:
     def test_unknown_baseline_mode_rejected(self, base_config):
         with pytest.raises(ValidationError, match="unknown baseline mode 'strong'"):
             baseline_config(base_config, SpectralPolicy(baseline_mode="strong"))
+
+    @pytest.mark.parametrize("mode", ["strong", "Harmonic", ""])
+    def test_unknown_baseline_mode_refused_where_the_policy_is_built(self, mode):
+        with pytest.raises(ValidationError, match=f"unknown baseline mode {mode!r}"):
+            SpectralPolicy(baseline_mode=mode)
+        with pytest.raises(ValidationError, match=f"unknown baseline mode {mode!r}"):
+            replace(SpectralPolicy(), baseline_mode=mode)
 
     def test_harmonic_run_vs_weak_baseline_is_null(self):
         # a harmonic run and a weak-drive run are phase-equivalent
