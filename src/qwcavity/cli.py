@@ -313,7 +313,7 @@ def compare_tables(rows) -> dict:
         if abs(mf) < floor and abs(lb) < floor:
             ratio, regime = float("nan"), "negligible"
         else:
-            ratio = mf / lb if lb != 0 else float("inf")
+            ratio = mf / lb if lb != 0 else math.copysign(math.inf, mf)
             regime = "agree" if 0.5 <= ratio <= 2.0 else "breakdown"
         table.append(
             {**axes, "dphi_meanfield": mf, "dphi_lindblad": lb, "ratio": ratio, "regime": regime}

@@ -63,6 +63,10 @@ class HilbertConfig:
     n_wells: int = 2
 
     def __post_init__(self):
+        for name in ("n_photon_max", "nu_max", "n_wells"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.n_photon_max < 1 or self.nu_max < 1 or self.n_wells < 1:
             raise ConfigError("n_photon_max, nu_max and n_wells must all be >= 1")
         if self.dim > DIM_CAP_DEFAULT:
@@ -246,7 +250,7 @@ class LindbladResult(CoherenceSeries):
     diagnostics: dict
 
     def second_level_population(self) -> np.ndarray:
-        """Per-well average P2(t); wells are reported jointly for N = 2."""
+        """P2(t) averaged over all N wells."""
         if self.hilbert.nu_max < 2:
             raise ValidationError("P2 requires nu_max >= 2")
         return self.populations[:, 2, :].mean(axis=0)

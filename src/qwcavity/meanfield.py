@@ -406,10 +406,11 @@ def integrate(
 
 def integrate_batch(requests, *, rtol: float = RTOL_DEFAULT, atol: float = ATOL_DEFAULT):
     """integrate() for each (cfg, t_span, dt) request, stepped together as one
-    RK45 lane batch per component count. Every request is checked before any
-    RHS call. Yields (request index, trajectory) as lanes finish, so a caller
-    can use and drop each in turn; every trajectory has the bits integrate
-    gives it alone."""
+    RK45 lane batch per component count from y = 0. Every request is checked
+    before any RHS call. Yields (request index, trajectory) as lanes finish,
+    so a caller can use and drop each in turn; every trajectory has the bits
+    integrate gives it alone, and up to 3 components those of
+    solve_ivp(method="RK45", t_eval=grid), on one BLAS (README)."""
     batches: dict[int, list[_LaneState]] = {}
     for i, (cfg, t_span, dt) in enumerate(requests):
         p = cfg.pulse
@@ -419,10 +420,15 @@ def integrate_batch(requests, *, rtol: float = RTOL_DEFAULT, atol: float = ATOL_
         batches.setdefault(len(lane.modes), []).append(lane)
     rtol, atol = validate_tol(rtol, atol)
     for lanes in batches.values():
-        for s in _rk45(lanes, rtol, atol):
-            samples, stats = s.result()
-            yield s.index, MeanFieldTrajectory(s.grid, samples[0], samples[1:], s.cfg,
-                                               s.per_well, stats)
+        y0 = np.zeros((1 + len(lanes[0].modes), len(lanes)), dtype=complex)
+        f = []
+        for s in lanes:
+            one = _rhs([(s.cfg, s.modes)])
+            fun = lambda t, y: np.asarray(one(t, y), dtype=complex)  # noqa: E731
+            f.append(fun(s.t, y0[:, 0]))
+            s.h_abs = float(select_initial_step(fun, s.t, y0[:, 0], s.t_bound, f[-1], rtol, atol))
+        for s in _advance(lanes, y0, np.array(f).T.copy(), rtol, atol):
+            yield s.index, s.result()
 
 
 def _combine(stages, coeffs, h, y=None):
@@ -455,27 +461,26 @@ class _LaneState:
     grid: np.ndarray
     per_well: bool = field(init=False)
     modes: tuple = field(init=False)
-    t: float = 0.0
-    t_bound: float = 0.0
+    t: float = field(init=False)
+    t_bound: float = field(init=False)
     h_abs: float = 0.0
     t_new: float = 0.0
-    rejected: bool = False
-    fresh: bool = True  # the next attempt starts a new step
+    fresh: bool = True  # the next attempt starts a new step, not a retry of a rejected one
     steps: list = field(default_factory=list)
-    n_steps: int = 0
     n_rejected: int = 0
 
     def __post_init__(self):
         self.per_well = not self.cfg.is_homogeneous
         self.modes = _modes(self.cfg, self.per_well)
+        self.t, self.t_bound = float(self.grid[0]), float(self.grid[-1])
 
-    def result(self) -> tuple:
-        """Samples as scipy's RkDenseOutput of each step gives them on its
-        (t_old, t_new]: Q = K^T P of all steps in one product, whose shape
-        fixes its bits; then per group of whole steps covering at most
-        BLOCK_ROWS samples (a longer step alone), x and its powers, one
-        np.dot(Q, p) per step, * h and + y_old, so no temporary spans the
-        grid; and solver effort."""
+    def result(self) -> MeanFieldTrajectory:
+        """The lane's trajectory with its solver effort. Samples as scipy's
+        RkDenseOutput of each step gives them on its (t_old, t_new]: Q = K^T P
+        of all steps in one product, whose shape fixes its bits; then per
+        group of whole steps covering at most BLOCK_ROWS samples (a longer
+        step alone), x and its powers, one np.dot(Q, p) per step, * h and
+        + y_old, so no temporary spans the grid."""
         t_old, h, y_old, k = zip(*self.steps)
         self.steps = []  # freed now: the batch holds a finished lane until it steps on
         ends = np.searchsorted(self.grid, t_old[1:] + (self.t_bound,), side="right")
@@ -500,24 +505,9 @@ class _LaneState:
             block *= hs
             block += np.repeat(y_old[lo:hi].T, c, axis=1)
             lo = hi
-        return samples, {"nfev": rk45_nfev(self.n_steps + self.n_rejected),
-                         "n_steps": self.n_steps, "n_rejected": self.n_rejected}
-
-
-def _rk45(lanes, rtol, atol):
-    """solve_ivp(method="RK45", t_eval=grid) from y = 0 for _LaneStates of
-    one component count at tolerances validate_tol returned; yields each lane
-    as it finishes. Bit for bit up to 3 components, on one BLAS (README).
-    """
-    y0 = np.zeros((1 + len(lanes[0].modes), len(lanes)), dtype=complex)
-    f = []
-    for s in lanes:
-        one = _rhs([(s.cfg, s.modes)])
-        fun = lambda t, y: np.asarray(one(t, y), dtype=complex)  # noqa: E731
-        s.t, s.t_bound = float(s.grid[0]), float(s.grid[-1])
-        f.append(fun(s.t, y0[:, 0]))
-        s.h_abs = float(select_initial_step(fun, s.t, y0[:, 0], s.t_bound, f[-1], rtol, atol))
-    return _advance(lanes, y0, np.array(f).T.copy(), rtol, atol)
+        return MeanFieldTrajectory(self.grid, samples[0], samples[1:], self.cfg, self.per_well, {
+            "nfev": rk45_nfev(len(k) + self.n_rejected), "n_steps": len(k),
+            "n_rejected": self.n_rejected})
 
 
 def _advance(live, y, f, rtol, atol):
@@ -527,8 +517,8 @@ def _advance(live, y, f, rtol, atol):
     Scalars or lane arrays are chosen at the entry of the outer loop, and
     nowhere else: below LANES_MIN lanes each goes on alone on Python
     scalars, else they step together as lane arrays, which round as
-    Python's scalars (_combine, _rhs). Each lane keeps scipy's own t, step
-    size and rejected flag: a rejected step retries that lane alone. When
+    Python's scalars (_combine, _rhs). Each lane keeps scipy's own t and
+    step size, and retries a rejected step on its own (`fresh`). When
     lanes finish, the others re-enter as C-ordered copies (_cmul views rows
     as floats); a loop, not a recursion, so no batch is too large to nest.
     The error norm keeps scipy's numpy expressions, and select_initial_step,
@@ -548,7 +538,7 @@ def _advance(live, y, f, rtol, atol):
             for s in live:
                 floor = min_step(s.t)
                 if s.fresh:
-                    s.h_abs, s.rejected = max(s.h_abs, floor), False
+                    s.h_abs = max(s.h_abs, floor)
                 elif s.h_abs < floor:
                     raise SolverError(f"mean-field integration failed: {RK45.TOO_SMALL_STEP}")
                 s.t_new = min(s.t + s.h_abs, s.t_bound)
@@ -571,15 +561,13 @@ def _advance(live, y, f, rtol, atol):
                     raise SolverError(
                         f"mean-field integration failed at t = {s.t!r}: error norm {error_norm} "
                         f"for config {format_config(s.cfg).strip().replace(chr(10), '; ')}")
-                s.h_abs = rescale(s.h_abs, error_norm, s.rejected)
+                s.h_abs = rescale(s.h_abs, error_norm, not s.fresh)
                 s.fresh = error_norm < 1
                 if s.fresh:
-                    s.n_steps += 1
                     s.steps.append((s.t, hs[j], y, k) if scalars else
                                    (s.t, hs[j], y[:, j].copy(), stages[:, :, j].copy()))
                     s.t = s.t_new
                 else:
-                    s.rejected = True
                     s.n_rejected += 1
                 accepted.append(s.fresh)
             if all(accepted):

@@ -552,6 +552,11 @@ class TestCompareCommand:
         assert low["regime"] == "negligible" and math.isnan(low["ratio"])
         assert (high["regime"], high["ratio"]) == ("breakdown", 4e-6 / 2e-5)
 
+    def test_zero_lindblad_shift_gives_an_infinite_ratio_of_the_meanfield_sign(self):
+        report = cli.compare_tables([({"f": 1.0}, -1e-3, 0.0), ({"f": 2.0}, 1e-3, -0.0)])
+        assert [(p["ratio"], p["regime"]) for p in report["points"]] == [
+            (-math.inf, "breakdown"), (math.inf, "breakdown")]
+
     def test_axis_mismatch_rejected(self, tmp_path):
         self._table(tmp_path / "mf.csv", [(0.1, 0.01), (0.2, 0.04)])
         self._table(tmp_path / "lb.csv", [(0.1, 0.01), (0.25, 0.04)])

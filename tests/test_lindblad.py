@@ -87,6 +87,14 @@ class TestOperators:
         with pytest.raises(ConfigError):
             HilbertConfig(n_photon_max=100, nu_max=3, n_wells=3)
 
+    @pytest.mark.parametrize("name", ["n_photon_max", "nu_max", "n_wells"])
+    @pytest.mark.parametrize("value", [2.5, 8.0, True, np.int64(8)])
+    def test_cutoff_that_is_not_an_int_rejected(self, name, value):
+        # a float breaks the basis build, and a numpy integer the sidecar's json
+        fields = {"n_photon_max": 2, "nu_max": 2, "n_wells": 2, name: value}
+        with pytest.raises(ConfigError, match=f"{name} must be an int"):
+            HilbertConfig(**fields)
+
 
 class TestHamiltonian:
     def test_uncoupled_diagonal_matches_kerr_ladder(self):
