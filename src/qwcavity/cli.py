@@ -71,10 +71,24 @@ def _write_manifest(outdir: Path, cfg: SystemConfig, files: list[Path]) -> None:
 
 # --- solver plumbing --------------------------------------------------------
 
+def _is_lindblad(solver: str) -> bool:
+    """True for "lindblad", False for "meanfield"; any other solver name is a ValidationError."""
+    if solver not in ("meanfield", "lindblad"):
+        raise ValidationError(f"unknown solver {solver!r}: use 'meanfield' or 'lindblad'")
+    return solver == "lindblad"
+
+
+def _check_kerr_level(nu_max: int) -> None:
+    """A Lindblad Delta Phi or p2 reads each well's second level, so nu_max 1 is refused."""
+    if nu_max < 2:
+        raise ConfigError(f"--nu-max {nu_max} leaves each well without a second level, "
+                          "so no Kerr term: Delta Phi and p2 are exactly 0 (use --nu-max >= 2)")
+
+
 def _solve(cfg: SystemConfig, solver: str, policy: SpectralPolicy, n_photon_max: int, nu_max: int,
            dt: float | None = None):
     span = fid_time_span(cfg, policy)
-    if solver == "meanfield":
+    if not _is_lindblad(solver):
         return integrate(cfg, span, dt=dt)
     h = HilbertConfig(n_photon_max, nu_max, cfg.n_wells)
     return evolve(vacuum_state(h), span, cfg, h, dt=dt)
@@ -102,7 +116,11 @@ def sweep_phase_shifts(points, solver, policy, *, n_photon_max=N_PHOTON_MAX_DEFA
     """Delta Phi(omega0) for labelled configs, each distinct run or baseline
     config solved once. Mean-field configs are split into at most `jobs` lane
     batches, pooled if two or more. Lindblad configs run in this process for any
-    `jobs`: pooled workers' BLAS threads contend for the cores one evolve uses."""
+    `jobs`: pooled workers' BLAS threads contend for the cores one evolve uses.
+    An unknown solver, or a Lindblad sweep at nu_max 1, is refused before any solve."""
+    lindblad = _is_lindblad(solver)
+    if lindblad:
+        _check_kerr_level(nu_max)
     texts = {}   # config text of every distinct run and baseline, in first-seen order
     pairs = []
     for label, cfg in points:
@@ -110,7 +128,7 @@ def sweep_phase_shifts(points, solver, policy, *, n_photon_max=N_PHOTON_MAX_DEFA
         texts.update(dict.fromkeys((run, base)))
         pairs.append((label, run, base))
     texts = list(texts)
-    n_chunks = max(1, min(jobs, len(texts))) if solver == "meanfield" else 1
+    n_chunks = 1 if lindblad else max(1, min(jobs, len(texts)))
     chunks = [texts[i::n_chunks] for i in range(n_chunks)]
     tasks = [(chunk, solver, n_photon_max, nu_max, policy, tuple(sources), dt) for chunk in chunks]
     if jobs <= 1 or len(tasks) <= 1:
@@ -345,6 +363,14 @@ def _read_table(path: Path) -> tuple[list[str], list[list[float]]]:
     return header, rows
 
 
+def _read_shift_table(path) -> tuple[list[str], list[list[float]], int]:
+    """A table's header, rows and the index of its dphi_cavity column, which it must have."""
+    cols, rows = _read_table(Path(path))
+    if "dphi_cavity" not in cols:
+        raise ConfigError(f"table {path} has no dphi_cavity column")
+    return cols, rows, cols.index("dphi_cavity")
+
+
 # --- CLI --------------------------------------------------------------------
 
 def _apply_overrides(cfg: SystemConfig, overrides: list[str]) -> SystemConfig:
@@ -361,23 +387,20 @@ def _check_truncation(args, n_wells: int, lindblad: bool, kerr: bool = True) -> 
     With `kerr` the result needs a second well level (Delta Phi, p2), so nu_max 1 is refused."""
     if lindblad:
         HilbertConfig(args.n_photon_max, args.nu_max, n_wells)
-        if kerr and args.nu_max < 2:
-            raise ConfigError(f"--nu-max {args.nu_max} leaves each well without a second level, "
-                              "so no Kerr term: Delta Phi and p2 are exactly 0 (use --nu-max >= 2)")
+        if kerr:
+            _check_kerr_level(args.nu_max)
 
 
 def _policy_from_args(args) -> SpectralPolicy:
     """SpectralPolicy with the fields the subcommand has flags for and the user set."""
-    if args.t_off_factor is not None and not math.isfinite(args.t_off_factor):
-        raise ConfigError(
-            f"value for '--t-off-factor' must be a finite number, got {args.t_off_factor}")
-    given = {"baseline_mode": getattr(args, "baseline", None), "t_off_factor": args.t_off_factor}
+    t_off = getattr(args, "t_off_factor", None)
+    if t_off is not None and not math.isfinite(t_off):
+        raise ConfigError(f"value for '--t-off-factor' must be a finite number, got {t_off}")
+    given = {"baseline_mode": getattr(args, "baseline", None), "t_off_factor": t_off}
     return SpectralPolicy(**{k: v for k, v in given.items() if v is not None})
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args.override)
-    policy = _policy_from_args(args)
+def _cmd_simulate(args, cfg: SystemConfig, policy: SpectralPolicy) -> int:
     _check_truncation(args, cfg.n_wells, args.solver != "meanfield", kerr=False)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -406,8 +429,7 @@ def _parse_axis(spec: str) -> tuple[str, tuple]:
         raise ConfigError(f"axis values must be numeric: {spec!r}") from None
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args.override)
+def _cmd_sweep(args, cfg: SystemConfig, policy: SpectralPolicy) -> int:
     axes = [_parse_axis(a) for a in args.axis]
     keys = [key for key, _ in axes]
     for key, values in axes:
@@ -421,7 +443,6 @@ def _cmd_sweep(args) -> int:
         for (key, _), value in zip(axes, values):
             c = set_config_value(c, key, value)   # an unknown key raises before any file is written
         points.append((values, c))
-    policy = _policy_from_args(args)
     _check_truncation(args, cfg.n_wells, args.solver != "meanfield")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -440,9 +461,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args.override)
-    policy = _policy_from_args(args)
+def _cmd_spectrum(args, cfg: SystemConfig, policy: SpectralPolicy) -> int:
     traj = _solve(cfg, args.solver, policy, args.n_photon_max, args.nu_max)
     ps = phase_pipeline(traj, policy, args.source)
     outdir = Path(args.out)
@@ -453,16 +472,12 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_fit_alpha(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args.override)
-    cols, rows = _read_table(Path(args.table))
+def _cmd_fit_alpha(args, cfg: SystemConfig, policy: SpectralPolicy) -> int:
+    cols, rows, d_col = _read_shift_table(args.table)
     drive = next((c for c in ("f0_over_kappa", "pulse.F0") if c in cols), None)
     if drive is None:
         raise ConfigError(f"table {args.table} lacks a drive column (f0_over_kappa or pulse.F0)")
     r_col, scale = cols.index(drive), 1.0 if drive == "f0_over_kappa" else 1.0 / cfg.cavity.kappa
-    if "dphi_cavity" not in cols:
-        raise ConfigError(f"table {args.table} has no dphi_cavity column")
-    d_col = cols.index("dphi_cavity")
     points = [(row[r_col] * scale, row[d_col]) for row in rows]
     result = fit_alpha(points, cfg)
     outdir = Path(args.out)
@@ -472,13 +487,10 @@ def _cmd_fit_alpha(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, _cfg, _policy) -> int:
     axes, values = [], []
     for path in (args.meanfield, args.lindblad):
-        cols, rows = _read_table(Path(path))
-        if "dphi_cavity" not in cols:
-            raise ConfigError(f"table {path} has no dphi_cavity column")
-        i = cols.index("dphi_cavity")   # the axis columns precede it
+        cols, rows, i = _read_shift_table(path)   # the axis columns precede dphi_cavity
         axes.append(cols[:i])
         keys = [tuple(r[:i]) for r in rows]
         repeated = sorted({k for k in keys if keys.count(k) > 1})
@@ -497,13 +509,13 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_preset(args) -> int:
+def _cmd_preset(args, _cfg, policy: SpectralPolicy) -> int:
     _check_truncation(args, PRESET_BASE.n_wells, args.preset_id in ("fig5a", "fig5b", "fig5c"))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg_path = outdir / f"{args.preset_id}_base_config.txt"
     cfg_path.write_text(format_config(PRESET_BASE))
-    files = PRESETS[args.preset_id](args.preset_id, outdir, SpectralPolicy(), args)
+    files = PRESETS[args.preset_id](args.preset_id, outdir, policy, args)
     _write_manifest(outdir, PRESET_BASE, [cfg_path] + files)
     return 0
 
@@ -572,7 +584,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"--out {args.out}: {taken} exists and is not a directory")
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        return args.fn(args)
+        # config (overrides applied) and policy, read and checked once before any file is written
+        cfg = _apply_overrides(load_config(args.config), args.override) if "config" in args else None
+        return args.fn(args, cfg, _policy_from_args(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

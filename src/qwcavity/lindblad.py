@@ -11,11 +11,7 @@ vec(rho) and applies the upper-triangle rows of the generator. Every norm the
 RK45 step control takes (initial step, error estimate) is taken over the
 expanded vector, so the accepted steps are those of RK45 on vec(rho), with the
 same adaptive pair, tolerances, initial step, step-size rule and nfev count as
-the mean-field solver, whose RK45 helpers `_HermitianRK45` calls. Samples and
-checkpoints are read off one interpolant per accepted step, without
-materialising the states in between, and each chunk of CHUNK samples restarts
-from the state its last step ends on. Off the diagonal rho is Hermitian by
-construction, so `max_herm_dev` is 2 max |Im rho_ii|.
+the mean-field solver, whose RK45 helpers `_HermitianRK45` calls.
 """
 
 from __future__ import annotations
@@ -409,8 +405,8 @@ class _HermitianRK45:
     The initial step and every error norm are evaluated on the expanded
     vectors, so each step is accepted or rejected as RK45 on the full vec(rho)
     would. The last accepted step is kept as RkDenseOutput's fields (t_old,
-    h, y_old, Q = K^T P), and `interpolant` reads states inside it. Runs
-    forward, t0 < t_bound.
+    h, y_old, Q = K^T P), and `interpolant` reads states inside it; K's last
+    row is the next step's start derivative. Runs forward, t0 < t_bound.
     """
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, tri: _UpperTriangle,
@@ -420,11 +416,11 @@ class _HermitianRK45:
         self.finished = False
         self.attempts = 0
         self.rtol, self.atol = rtol, atol
-        self.f = fun(t0, y0)
+        self.K = np.empty((RK45.n_stages + 1, len(y0)), dtype=complex)
+        self.K[-1] = fun(t0, y0)
         self.h_abs = select_initial_step(
             lambda t, y: tri.expand(fun(t, y[tri.upper])), t0, tri.expand(y0),
-            t_bound, tri.expand(self.f), self.rtol, self.atol)
-        self.K = np.empty((RK45.n_stages + 1, len(y0)), dtype=complex)
+            t_bound, tri.expand(self.K[-1]), self.rtol, self.atol)
 
     @property
     def nfev(self) -> int:
@@ -438,6 +434,8 @@ class _HermitianRK45:
         t, y = self.t, self.y
         floor = min_step(t)
         h_abs, rejected = max(self.h_abs, floor), False
+        K = self.K
+        K[0] = K[-1]   # attempts never write row 0
         while True:
             if h_abs < floor:
                 raise SolverError(f"Lindblad integration failed: {RK45.TOO_SMALL_STEP}")
@@ -445,14 +443,11 @@ class _HermitianRK45:
             h = t_new - t
             h_abs = np.abs(h)
 
-            K = self.K
-            K[0] = self.f
             for s, (a, c) in enumerate(zip(RK45.A[1:], RK45.C[1:]), start=1):
                 dy = np.dot(K[:s].T, a[:s]) * h
                 K[s] = self.fun(t + c * h, y + dy)
             y_new = y + h * np.dot(K[:-1].T, RK45.B)
-            f_new = self.fun(t + h, y_new)
-            K[-1] = f_new
+            K[-1] = self.fun(t + h, y_new)
             self.attempts += 1
 
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
@@ -462,7 +457,7 @@ class _HermitianRK45:
                 break
             rejected = True
         self.t_old, self.y_old, self.t, self.y = t, y, t_new, y_new
-        self.h, self.h_abs, self.f = h, h_abs, f_new
+        self.h, self.h_abs = h, h_abs
         self.finished = self.t >= self.t_bound
 
     @property
@@ -520,8 +515,9 @@ def evolve(
 
     y = rho0.reshape(-1)[tri.upper]
     rec.record(0, y[None, :], np.ones((1, 1)))
-    nfev = n_steps = n_chunks = 0
-    for start in range(0, nt - 1, CHUNK):
+    nfev = n_steps = 0
+    chunks = range(0, nt - 1, CHUNK)
+    for start in chunks:
         stop = min(start + CHUNK, nt - 1)
         t_eval = grid[start + 1 : stop + 1]
         solver = _HermitianRK45(rhs, float(grid[start]), y, float(grid[stop]), tri,
@@ -535,7 +531,6 @@ def evolve(
                 rec.record(start + 1 + done, *solver.interpolant(t_eval[done:covered]))
                 done = covered
         nfev += solver.nfev
-        n_chunks += 1
         y = solver.y   # the last step ends on the chunk end
 
     return LindbladResult(
@@ -548,7 +543,7 @@ def evolve(
         per_well=True,
         hilbert=h,
         checkpoints=tuple(rec.checkpoints),
-        diagnostics={**rec.diagnostics(), "nfev": nfev, "n_steps": n_steps, "n_chunks": n_chunks,
+        diagnostics={**rec.diagnostics(), "nfev": nfev, "n_steps": n_steps, "n_chunks": len(chunks),
                      "dim": h.dim},
     )
 

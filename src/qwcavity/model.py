@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +132,9 @@ def drive_amplitude(t: float, p: PulseParams) -> float:
 # keys and `frame = rotating`, the one frame (a required key that takes no
 # other value and cannot be overridden). The two tables below are the numeric
 # keys: file key -> (part of SystemConfig, field), and dipole key -> field.
+# A slot is (part or dipole index, field). The reader, the writers and
+# set_config_value resolve a key with `_slot`, list a config's keys with
+# `_entries` and build a config with `_build`.
 
 _SCALAR_FIELDS = {
     "cavity.omega_c": ("cavity", "omega_c"),
@@ -143,6 +146,46 @@ _SCALAR_FIELDS = {
 }
 _DIPOLE_FIELDS = {"omega": "omega", "U": "anharmonicity", "gamma": "gamma", "g": "coupling"}
 _DIPOLE_KEY = re.compile(rf"^dipoles\[(\d+)\]\.({'|'.join(_DIPOLE_FIELDS)})$")
+
+
+def _slot(key: str) -> tuple:
+    """The slot of a numeric file key; any other key is a ConfigError."""
+    if m := _DIPOLE_KEY.match(key):
+        return int(m.group(1)), _DIPOLE_FIELDS[m.group(2)]
+    if key not in _SCALAR_FIELDS:
+        raise ConfigError(f"unknown config key {key!r}")
+    return _SCALAR_FIELDS[key]
+
+
+def _entries(cfg: SystemConfig):
+    """(file key, slot, value) of every numeric key of cfg, in file order."""
+    scalars = list(_SCALAR_FIELDS.items())
+    wells = [(f"dipoles[{n}].{key}", (n, fld))
+             for n in range(cfg.n_wells) for key, fld in _DIPOLE_FIELDS.items()]
+    for key, (where, fld) in scalars[:2] + wells + scalars[2:]:   # cavity, dipoles, pulse
+        part = cfg.dipoles[where] if isinstance(where, int) else getattr(cfg, where)
+        yield key, (where, fld), getattr(part, fld)
+
+
+def _build(values: dict) -> SystemConfig:
+    """The SystemConfig of slot -> value; a missing key or dipole is a ConfigError."""
+    missing = [key for key, slot in _SCALAR_FIELDS.items() if slot not in values]
+    if missing:
+        raise ConfigError(f"missing keys: {sorted(missing)}")
+    wells = sorted({where for where, _ in values if isinstance(where, int)})
+    if not wells:
+        raise ConfigError("no dipoles[n].* entries found")
+    if wells != list(range(len(wells))):
+        raise ConfigError(f"dipole indices must be contiguous from 0, got {wells}")
+    fields = {where: {} for where in ("cavity", "pulse", *wells)}
+    for (where, fld), value in values.items():
+        fields[where][fld] = value
+    for n in wells:
+        if absent := set(_DIPOLE_FIELDS.values()) - fields[n].keys():
+            raise ConfigError(f"dipoles[{n}] missing fields: {sorted(absent)}")
+    return SystemConfig(cavity=CavityParams(**fields["cavity"]),
+                        dipoles=tuple(DipoleParams(**fields[n]) for n in wells),
+                        pulse=PulseParams(**fields["pulse"]))
 
 
 def _number(key: str, text) -> float:
@@ -157,10 +200,8 @@ def _number(key: str, text) -> float:
 
 
 def parse_config(text: str) -> SystemConfig:
-    parts: dict[str, dict[str, float]] = {"cavity": {}, "pulse": {}}
-    dipoles: dict[int, dict[str, float]] = {}
-    seen: dict[tuple, int] = {}   # (part or dipole index, field) -> line of its entry
-
+    values: dict[tuple, float] = {}
+    seen: dict[tuple, int] = {}   # slot, or ("frame",), -> line of its entry
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -168,63 +209,24 @@ def parse_config(text: str) -> SystemConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        m = _DIPOLE_KEY.match(key)
-        if key == "frame":
-            slot = ("frame",)
-        elif m:
-            idx, fld = int(m.group(1)), _DIPOLE_FIELDS[m.group(2)]
-            entry, slot = dipoles.setdefault(idx, {}), (idx, fld)
-        elif key in _SCALAR_FIELDS:
-            part, fld = _SCALAR_FIELDS[key]
-            entry, slot = parts[part], (part, fld)
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if slot in seen:
-            raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[slot]}")
-        seen[slot] = lineno
-        if key == "frame":
-            if value != Frame.ROTATING.value:
-                raise ConfigError(f"line {lineno}: frame must be 'rotating', got {value!r}")
-            continue
         try:
-            entry[fld] = _number(key, value)
+            slot = ("frame",) if key == "frame" else _slot(key)
+            if slot in seen:
+                raise ConfigError(f"key {key!r} repeats line {seen[slot]}")
+            seen[slot] = lineno
+            if key != "frame":
+                values[slot] = _number(key, value)
+            elif value != Frame.ROTATING.value:
+                raise ConfigError(f"frame must be 'rotating', got {value!r}")
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-
-    missing = [key for key, (part, fld) in _SCALAR_FIELDS.items() if fld not in parts[part]]
-    if missing:
-        raise ConfigError(f"missing keys: {sorted(missing)}")
     if ("frame",) not in seen:
         raise ConfigError("missing key 'frame'")
-    if not dipoles:
-        raise ConfigError("no dipoles[n].* entries found")
-    if sorted(dipoles) != list(range(len(dipoles))):
-        raise ConfigError(f"dipole indices must be contiguous from 0, got {sorted(dipoles)}")
-
-    wells = []
-    for idx in range(len(dipoles)):
-        entry = dipoles[idx]
-        missing_fields = set(_DIPOLE_FIELDS.values()) - entry.keys()
-        if missing_fields:
-            raise ConfigError(f"dipoles[{idx}] missing fields: {sorted(missing_fields)}")
-        wells.append(DipoleParams(**entry))
-
-    return SystemConfig(
-        cavity=CavityParams(**parts["cavity"]),
-        dipoles=tuple(wells),
-        pulse=PulseParams(**parts["pulse"]),
-    )
+    return _build(values)
 
 
 def format_config(cfg: SystemConfig) -> str:
-    scalars = [(key, getattr(getattr(cfg, p), fld)) for key, (p, fld) in _SCALAR_FIELDS.items()]
-    wells = [
-        (f"dipoles[{n}].{key}", getattr(d, fld))
-        for n, d in enumerate(cfg.dipoles)
-        for key, fld in _DIPOLE_FIELDS.items()
-    ]
-    # the cavity keys come first, then the dipoles, then the pulse
-    lines = [f"{key} = {float(value)!r}" for key, value in scalars[:2] + wells + scalars[2:]]
+    lines = [f"{key} = {float(value)!r}" for key, _, value in _entries(cfg)]
     return "\n".join(lines) + f"\nframe = {Frame.ROTATING.value}\n"
 
 
@@ -247,10 +249,10 @@ def config_digest(cfg: SystemConfig) -> str:
 
 def config_to_dict(cfg: SystemConfig) -> dict:
     """The config as nested file keys: {"cavity": {"omega_c": ...}, "dipoles": [...], ...}."""
-    out = {"cavity": {}, "pulse": {}}
-    for key, (part, fld) in _SCALAR_FIELDS.items():
-        out[part][key.split(".", 1)[1]] = getattr(getattr(cfg, part), fld)
-    out["dipoles"] = [{k: getattr(d, f) for k, f in _DIPOLE_FIELDS.items()} for d in cfg.dipoles]
+    out = {"cavity": {}, "pulse": {}, "dipoles": [{} for _ in cfg.dipoles]}
+    for key, (where, _), value in _entries(cfg):
+        part = out["dipoles"][where] if isinstance(where, int) else out[where]
+        part[key.rsplit(".", 1)[1]] = value
     out["frame"] = Frame.ROTATING.value
     return out
 
@@ -265,18 +267,10 @@ def set_config_value(cfg: SystemConfig, key: str, value) -> SystemConfig:
     if key == "frame":
         raise ConfigError("'frame' cannot be set: both solvers integrate in the rotating frame")
     value = _number(key, value)
-    m = _DIPOLE_KEY.match(key)
-    if m:
-        idx, fld = int(m.group(1)), m.group(2)
-        if idx >= len(cfg.dipoles):
-            raise ConfigError(f"{key!r}: config has only {len(cfg.dipoles)} dipole(s)")
-        wells = list(cfg.dipoles)
-        wells[idx] = replace(wells[idx], **{_DIPOLE_FIELDS[fld]: value})
-        return replace(cfg, dipoles=tuple(wells))
-    if key not in _SCALAR_FIELDS:
-        raise ConfigError(f"unknown config key {key!r}")
-    part, fld = _SCALAR_FIELDS[key]
-    return replace(cfg, **{part: replace(getattr(cfg, part), **{fld: value})})
+    slot = _slot(key)
+    if isinstance(slot[0], int) and slot[0] >= cfg.n_wells:
+        raise ConfigError(f"{key!r}: config has only {cfg.n_wells} dipole(s)")
+    return _build({**{s: v for _, s, v in _entries(cfg)}, slot: value})
 
 
 # --- data file format -------------------------------------------------------

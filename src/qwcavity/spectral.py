@@ -394,19 +394,13 @@ def time_delay(strong: MeanFieldTrajectory, weak: MeanFieldTrajectory) -> DelayS
     times, delays, kinds = [], [], []
     dropped = 0
     for t_i, k_i, v_i in zip(tw, kw, vw):
-        if abs(v_i) < floor:
-            dropped += 1
-            continue
         same = ts[ks == k_i]
-        if len(same) == 0:
-            dropped += 1
-            continue
-        j = int(np.argmin(np.abs(same - t_i)))
-        if abs(same[j] - t_i) >= half_period:
+        nearest = same[np.argmin(np.abs(same - t_i))] if len(same) else math.inf
+        if abs(v_i) < floor or abs(nearest - t_i) >= half_period:   # signal death, or no match
             dropped += 1
             continue
         times.append(t_i)
-        delays.append(same[j] - t_i)
+        delays.append(nearest - t_i)
         kinds.append(k_i)
     return DelaySeries(
         times=np.array(times), delays=np.array(delays), kinds=np.array(kinds), n_dropped=dropped

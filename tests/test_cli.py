@@ -11,8 +11,10 @@ import pytest
 
 import qwcavity
 from qwcavity import (
+    ConfigError,
     SolverError,
     SpectralPolicy,
+    ValidationError,
     baseline_config,
     effective_decay,
     fid_time_span,
@@ -207,6 +209,37 @@ class TestPoolScope:
         assert table("jobs2.csv", 2) == serial
         assert sizes == [2]
         assert (tmp_path / "jobs2.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def refuse_solves(monkeypatch) -> None:
+    """Make every solver entry point the CLI calls fail the test if it is reached."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve started before the inputs were checked")
+
+    for name in ("integrate", "integrate_batch", "evolve"):
+        monkeypatch.setattr(cli, name, unreachable)
+
+
+class TestLibraryChecks:
+    """What the CLI refuses, the library functions under it refuse too, before any solve."""
+
+    @pytest.mark.parametrize("solver", ["lindbald", "both", "Meanfield", ""])
+    def test_unknown_solver_is_validation_error(self, solver, monkeypatch):
+        refuse_solves(monkeypatch)
+        cfg = standard_config(gamma=3.0, gamma2=3.0)
+        named = rf"unknown solver {solver!r}: use 'meanfield' or 'lindblad'"
+        with pytest.raises(ValidationError, match=named):
+            cli.sweep_phase_shifts([((1.0,), cfg)], solver, SpectralPolicy())
+        with pytest.raises(ValidationError, match=named):
+            cli._solve(cfg, solver, SpectralPolicy(), 4, 2)
+
+    def test_lindblad_sweep_of_two_level_wells_is_config_error(self, monkeypatch):
+        """At nu_max 1 no Kerr term exists, so a Lindblad Delta Phi would be exactly 0."""
+        refuse_solves(monkeypatch)
+        points = [((1.0, 0.1), two_well_config(u_over_gamma=1.0, f0_over_kappa=0.1))]
+        with pytest.raises(ConfigError, match="--nu-max 1 leaves each well without a second level"):
+            cli.sweep_phase_shifts(points, "lindblad", SpectralPolicy(), n_photon_max=4, nu_max=1,
+                                   dt=0.004)
 
 
 class TestRunSpec:
@@ -599,6 +632,24 @@ class TestExitCodes:
                 "spectrum": ["spectrum", *inputs, key, value]}[where]
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         assert f"value for {key!r} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "spectrum", "fit-alpha"])
+    @pytest.mark.parametrize("override, message", [
+        ("nonsense", "override must look like key=value, got 'nonsense'"),
+        ("pulse.area=1.0", "unknown config key 'pulse.area'"),
+        ("dipoles[2].g=1.0", "'dipoles[2].g': config has only 2 dipole(s)"),
+    ], ids=["no_equals", "unknown_key", "missing_dipole"])
+    def test_bad_override_is_refused_before_any_file(self, command, override, message, tmp_path,
+                                                     fast_config_path, monkeypatch, capsys):
+        refuse_solves(monkeypatch)
+        table = tmp_path / "table.csv"
+        table.write_text("f0_over_kappa,dphi_cavity\n0.1,0.01\n")
+        extra = {"sweep": ["--axis", "pulse.F0=1.2"], "fit-alpha": ["--table", str(table)]}
+        rc = main([command, "--config", str(fast_config_path), *extra.get(command, []),
+                   "--override", override, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, flag", [

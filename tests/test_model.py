@@ -256,6 +256,29 @@ class TestConfigKeys:
         with pytest.raises(ConfigError):
             set_config_value(standard_config(), f"dipoles[{n}].{key}", 1.0)
 
+    def test_out_of_range_dipole_index_names_the_dipole_count(self):
+        with pytest.raises(ConfigError, match=r"'dipoles\[5\]\.g': config has only 2 dipole\(s\)"):
+            set_config_value(standard_config(), "dipoles[5].g", 1.0)
+
+    @pytest.mark.parametrize("key", FILE_KEYS + [
+        "cavity.quality", "pulse.area", "pulse.f0", "Pulse.F0", "pulse.F0.T", "F0",
+        "dipoles[0].u", "dipoles[0].U2", "dipoles[-1].g", "dipoles[a].g", "dipoles[0]g",
+        "dipoles.g", "dipoles[0].anharmonicity", "frames",
+    ])
+    def test_reader_and_setter_accept_and_refuse_the_same_keys(self, key):
+        """The file reader and set_config_value resolve a key with one grammar."""
+        cfg = standard_config()
+        kept = [ln for ln in format_config(cfg).splitlines() if not ln.startswith(f"{key} = ")]
+        text = "\n".join(kept + [f"{key} = 1.5"])
+        if key in FILE_KEYS:
+            assert parse_config(text) == set_config_value(cfg, key, 1.5)
+            return
+        unknown = f"unknown config key {re.escape(repr(key))}"
+        with pytest.raises(ConfigError, match=rf"line {len(kept) + 1}: {unknown}"):
+            parse_config(text)
+        with pytest.raises(ConfigError, match=unknown):
+            set_config_value(cfg, key, 1.5)
+
     def test_nested_dict_layout(self, base_config):
         nested = config_to_dict(base_config)
         assert nested["cavity"] == {"omega_c": 40.0, "kappa": 12.0}
