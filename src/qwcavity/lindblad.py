@@ -6,20 +6,26 @@ the equations are written in the frame co-rotating at the drive carrier.
 The master equation is a sparse CSR superoperator acting on the row-major
 vec(rho) (spre/spost construction, as in QuTiP). `evolve` integrates only the
 upper triangle of rho, diagonal included: D(D+1)/2 of the D^2 entries, the
-rest being their conjugates. Its right-hand side expands that half vector to
-vec(rho) and applies the upper-triangle rows of the generator. Every norm the
-RK45 step control takes (initial step, error estimate) is taken over the
-expanded vector, so the accepted steps are those of RK45 on vec(rho), with the
-same adaptive pair, tolerances, initial step, step-size rule and nfev count as
-the mean-field solver, whose RK45 helpers `_HermitianRK45` calls.
+rest being their conjugates. Its right-hand side never expands that half
+vector: the generator's upper-triangle rows are folded onto [v, conj(v)].
+Every norm the RK45 step control takes (initial step, error estimate) is
+taken over the expanded vector, so the accepted steps are those of RK45 on
+vec(rho), with the same adaptive pair, tolerances, initial step, step-size
+rule and nfev count as the mean-field solver, whose RK45 helpers
+`_HermitianRK45` calls. The recorder reads only the entries of rho its
+expectation values need, and whole states only at its checkpoints. `evolve`
+runs numpy's OpenBLAS on one thread, so its bits do not depend on the
+library's thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
+from warnings import warn
 
 import numpy as np
 
@@ -144,14 +150,12 @@ def _spost(op: sp.csr_matrix) -> sp.csr_matrix:
     return sp.kron(sp.identity(op.shape[0], dtype=complex), op.T, format="csr")
 
 
-def _liouvillian(cfg: SystemConfig, h: HilbertConfig, rows=None):
-    """Master-equation generator dvec(rho)/dt = rhs(t, vec(rho)) in the rotating frame.
+def _generator(cfg: SystemConfig, h: HilbertConfig):
+    """CSR superoperators (L0, Lx) of dvec(rho)/dt = (L0 + c(t) Lx) vec(rho) in the rotating frame.
 
-    L(t) = L0 + c(t) Lx for the drive Hamiltonian c (a + a^dag) with the real
-    c = F0 phi(t), and Lx = -i[a + a^dag, .]. L0 holds -i[H0, .], the
-    anticommutator -1/2 {L^dag L, .} and the jumps rate * kron(L, L*) vec(rho).
-    Once the Gaussian underflows, c = 0 skips the Lx matvec. `rows` keeps
-    only those rows of dvec(rho)/dt.
+    Lx = -i[a + a^dag, .] is the drive Hamiltonian c (a + a^dag) with the real
+    c = F0 phi(t). L0 holds -i[H0, .], the anticommutator -1/2 {L^dag L, .}
+    and the jumps rate * kron(L, L*) vec(rho).
     """
     import scipy.sparse as sp
 
@@ -163,10 +167,16 @@ def _liouvillian(cfg: SystemConfig, h: HilbertConfig, rows=None):
     l0 = _spre(a0) + _spost(a0.conj().T)
     for rate, op in jumps:
         l0 = l0 + rate * sp.kron(op, op.conj(), format="csr")
-    plus, pulse = a + a.conj().T, cfg.pulse
-    lx = -1j * (_spre(plus) - _spost(plus))
-    if rows is not None:
-        l0, lx = l0[rows], lx[rows]
+    plus = a + a.conj().T
+    return l0, -1j * (_spre(plus) - _spost(plus))
+
+
+@functools.lru_cache(maxsize=1)   # lindblad_rhs is called repeatedly on one system
+def _liouvillian(cfg: SystemConfig, h: HilbertConfig):
+    """rhs(t, vec(rho)) of the master equation; once the Gaussian underflows,
+    c = 0 skips the Lx matvec."""
+    l0, lx = _generator(cfg, h)
+    pulse = cfg.pulse
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         c = drive_amplitude(t, pulse)
@@ -178,10 +188,6 @@ def _liouvillian(cfg: SystemConfig, h: HilbertConfig, rows=None):
         return out
 
     return rhs
-
-
-# lindblad_rhs is called repeatedly on one system; evolve builds its own.
-_cached_liouvillian = functools.lru_cache(maxsize=1)(_liouvillian)
 
 
 def lindblad_rhs(
@@ -198,7 +204,7 @@ def lindblad_rhs(
         raise ValidationError(f"rho has shape {rho.shape}, expected {(h.dim, h.dim)}")
     if frame is not Frame.ROTATING:
         raise ValidationError(f"frame must be Frame.ROTATING, the one frame, got {frame!r}")
-    return _cached_liouvillian(cfg, h)(t, rho.reshape(-1)).reshape(h.dim, h.dim)
+    return _liouvillian(cfg, h)(t, rho.reshape(-1)).reshape(h.dim, h.dim)
 
 
 def vacuum_state(h: HilbertConfig) -> np.ndarray:
@@ -274,6 +280,48 @@ class LindbladResult(CoherenceSeries):
         })
 
 
+@functools.cache
+def _blas_threads():
+    """ctypes (get, set) of the thread count of numpy's bundled OpenBLAS, looked up at the
+    first call; where numpy has none, None and one warning per process."""
+    import ctypes
+
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))   # the copy numpy loaded: same file, same handle
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, ()
+        put.restype, put.argtypes = None, (ctypes.c_int,)
+        return get, put
+    warn("numpy's bundled OpenBLAS was not found, so evolve runs on the library's default "
+         "BLAS threads, and its last digits may depend on their count", RuntimeWarning)
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run on one numpy OpenBLAS thread and give the previous count back after.
+
+    An idle OpenBLAS thread spins, so the stepper's small products kept a
+    second core busy, and their sums could round differently at another
+    thread count. The count is process-wide: not for concurrent threads.
+    """
+    found = _blas_threads()
+    if found is None:
+        yield
+        return
+    get, put = found
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 class _UpperTriangle:
     """Row-major vec(rho) of a Hermitian D x D rho held as its upper triangle.
 
@@ -295,18 +343,53 @@ class _UpperTriangle:
         np.conjugate(full, out=full, where=self._below)
         return full
 
+    def fold(self, op: sp.csr_matrix) -> sp.csr_matrix:
+        """op's upper-triangle rows acting on [v, conj(v)] instead of vec(rho).
+
+        The column of rho[i, j] moves to the half-vector entry that holds it,
+        shifted by len(v) below the diagonal; each row keeps its nonzeros in
+        their order, so its sum rounds as on the expanded vector.
+        """
+        import scipy.sparse as sp
+
+        rows, n = op[self.upper], len(self.upper)
+        columns = self.index.reshape(-1) + n * self._below
+        return sp.csr_matrix((rows.data, columns[rows.indices], rows.indptr), shape=(n, 2 * n))
+
+
+def _half_rhs(cfg: SystemConfig, h: HilbertConfig, tri: _UpperTriangle):
+    """rhs(t, v) for the half vector v of rho, without expanding it: L0 and
+    Lx folded onto w = [v, conj(v)] (`_UpperTriangle.fold`), in one CSR
+    product [L0 | Lx] @ [w, c w]; once the Gaussian underflows, L0 @ w."""
+    import scipy.sparse as sp
+
+    l0, lx = (tri.fold(part) for part in _generator(cfg, h))
+    both = sp.hstack([l0, lx], format="csr")
+    n, pulse = len(tri.upper), cfg.pulse
+    x = np.empty(4 * n, dtype=complex)
+
+    def rhs(t: float, v: np.ndarray) -> np.ndarray:
+        c = drive_amplitude(t, pulse)
+        x[:n] = v
+        np.conjugate(v, out=x[n : 2 * n])
+        if c == 0.0:
+            return l0 @ x[: 2 * n]
+        np.multiply(x[: 2 * n], c, out=x[2 * n :])
+        return both @ x
+
+    return rhs
+
 
 class _ChunkRecorder:
-    """Expectation series and state hygiene, read off RK step interpolants.
+    """Expectation series and state hygiene of one chunk of samples at a time.
 
-    A record call covers the samples v = powers @ coeffs (see
-    `_HermitianRK45.interpolant`) of the upper-triangle half vector v of rho
-    (see `_UpperTriangle`), and each quantity needs only some columns of
-    coeffs: Tr(A rho) is a dot product with rho[c, r] over A's nonzeros
-    (r, c), conjugated below the diagonal, which powers being real allows on
-    the coefficients. Full states are built only at the N_CHECKPOINTS
-    checkpoints, from their rows of powers @ coeffs. Off the diagonal rho is
-    Hermitian by construction, so |rho - rho^dag| peaks at 2 |Im rho_ii|.
+    Each quantity reads only a few entries of the upper-triangle half vector v
+    of rho (see `_UpperTriangle`), its `columns`: Tr(A rho) is a dot product
+    with rho[c, r] over A's nonzeros (r, c), conjugated below the diagonal,
+    and the trace, top photon level and populations read the diagonal. Full
+    states are built only at the N_CHECKPOINTS samples `check_idx`. Off the
+    diagonal rho is Hermitian by construction, so |rho - rho^dag| peaks at
+    2 |Im rho_ii|.
     """
 
     def __init__(self, h: HilbertConfig, grid: np.ndarray):
@@ -314,10 +397,13 @@ class _ChunkRecorder:
         self.h, self.grid = h, grid
         self.tri = _UpperTriangle(d)
         a, wells = build_operators(h)
-        # (columns, conjugated, weights): Tr(op @ rho) = weights @ v[columns], conj where flagged
-        self._probes = [(self.tri.index[c.col, c.row], c.col > c.row, c.data)
-                        for c in (op.tocoo() for op in (a, *wells))]
-        self._diag = np.diagonal(self.tri.index)
+        probes = [(self.tri.index[c.col, c.row], c.col > c.row, c.data)
+                  for c in (op.tocoo() for op in (a, *wells))]
+        diag = np.diagonal(self.tri.index)
+        self.columns = np.unique(np.concatenate([idx for idx, _, _ in probes] + [diag]))
+        # (positions in columns, conjugated, weights): Tr(op @ rho) = weights @ v[columns][positions]
+        self._probes = [(np.searchsorted(self.columns, idx), below, vals) for idx, below, vals in probes]
+        self._diag = np.searchsorted(self.columns, diag)
         # photons and each well's level of every basis state: the number operators' diagonals
         self._number, *levels = (np.rint((op.conj().T @ op).diagonal().real) for op in (a, *wells))
         self._top = self._number == h.n_photon_max
@@ -325,7 +411,7 @@ class _ChunkRecorder:
         self._level_sum = (
             np.array(levels)[:, None, :] == np.arange(h.nu_max + 1)[None, :, None]
         ).reshape(-1, d).astype(float)
-        self._check_idx = np.unique(np.linspace(0, nt - 1, N_CHECKPOINTS).astype(int))
+        self.check_idx = np.unique(np.linspace(0, nt - 1, N_CHECKPOINTS).astype(int))
 
         self.a = np.empty(nt, dtype=complex)
         self.exp_n = np.empty(nt)
@@ -337,21 +423,22 @@ class _ChunkRecorder:
         self.max_top = 0.0
         self.min_eig = np.inf
 
-    def record(self, start: int, coeffs: np.ndarray, powers: np.ndarray) -> None:
-        """Record samples start, start + 1, ...: row j of powers @ coeffs.
+    def record(self, start: int, samples: np.ndarray, states) -> None:
+        """Record samples start, start + 1, ...: row j of samples holds the
+        `columns` of sample start + j, and states the whole half vector of
+        each checkpoint among them, in order.
 
-        powers is real (m, k), coeffs complex (k, D(D+1)/2). Raises exactly
-        what a sample-by-sample pass would raise first: a checkpoint's
-        SolverError before a later sample's TruncationError.
+        Raises exactly what a sample-by-sample pass would raise first: a
+        checkpoint's SolverError before a later sample's TruncationError.
         """
-        h, d, m = self.h, self.h.dim, powers.shape[0]
+        h, d, m = self.h, self.h.dim, len(samples)
         sl = slice(start, start + m)
-        diag_c = powers @ np.take(coeffs, self._diag, axis=1)
+        diag_c = samples[:, self._diag]
         diag = diag_c.real
-        for series, (idx, below, vals) in zip((self.a, *self.modes), self._probes):
-            gathered = np.take(coeffs, idx, axis=1)
+        for series, (pos, below, vals) in zip((self.a, *self.modes), self._probes):
+            gathered = samples[:, pos]
             np.conjugate(gathered, out=gathered, where=below)
-            series[sl] = powers @ (gathered @ vals)
+            series[sl] = gathered @ vals
         self.exp_n[sl] = diag @ self._number
         self.populations[:, :, sl] = (self._level_sum @ diag.T).reshape(h.n_wells, h.nu_max + 1, m)
 
@@ -361,11 +448,10 @@ class _ChunkRecorder:
         over = np.flatnonzero(top > TOP_LEVEL_TOL)
         first_over = int(over[0]) if len(over) else m
 
-        lo, hi = np.searchsorted(self._check_idx, [start, start + first_over])
-        for i in self._check_idx[lo:hi]:
+        lo, hi = np.searchsorted(self.check_idx, [start, start + first_over])
+        for i, v in zip(self.check_idx[lo:hi], states):
             j = int(i) - start
-            dm = DensityMatrix(matrix=self.tri.expand(powers[j] @ coeffs).reshape(d, d),
-                               time=float(self.grid[i]))
+            dm = DensityMatrix(matrix=self.tri.expand(v).reshape(d, d), time=float(self.grid[i]))
             eig = dm.deviations()["min_eigenvalue"]
             self.min_eig = min(self.min_eig, eig)
             if eig < -POSITIVITY_TOL:
@@ -386,6 +472,33 @@ class _ChunkRecorder:
         self.max_trace_dev = max(self.max_trace_dev, float(trace_dev.max()))
         self.max_herm_dev = max(self.max_herm_dev, float(herm_dev.max()))
 
+    def record_run(self, solver: _HermitianRK45, first: int, last: int) -> int:
+        """Step solver to its t_bound, the time of sample last - 1, read samples first, ...,
+        last - 1 off the interpolant of the step that covers each, and record them at once;
+        return the accepted steps. Where a step fails, the samples before it are recorded
+        first, so that what they raise comes first."""
+        grid = self.grid[first:last]
+        samples = np.empty((len(grid), len(self.columns)), dtype=complex)
+        states = []   # half vectors of the checkpoints among the samples
+        done = n_steps = 0
+        try:
+            while not solver.finished:
+                solver.step()
+                n_steps += 1
+                covered = int(np.searchsorted(grid, solver.t, side="right"))
+                if covered > done:
+                    coeffs, powers = solver.interpolant(grid[done:covered], self.columns)
+                    np.matmul(powers, coeffs, out=samples[done:covered])
+                    lo, hi = np.searchsorted(self.check_idx, [first + done, first + covered])
+                    for i in self.check_idx[lo:hi]:
+                        coeffs, powers = solver.interpolant(self.grid[i : i + 1])
+                        states.append(powers[0] @ coeffs)
+                    done = covered
+        finally:
+            if done:
+                self.record(first, samples[:done], states)
+        return n_steps
+
     def diagnostics(self) -> dict:
         return {
             "max_trace_dev": self.max_trace_dev,
@@ -399,20 +512,23 @@ class _HermitianRK45:
     """RK45 on the half vector of `_UpperTriangle`, with its step control on vec(rho).
 
     The steps are scipy 1.17.1's (OdeSolver.step, RungeKutta._step_impl,
-    rk_step), with the same numpy calls, and take their initial step, step
-    sizes and nfev from the mean-field module's RK45 helpers, so every step,
-    accepted state and nfev equals scipy's RK45 class on the same half vector.
-    The initial step and every error norm are evaluated on the expanded
-    vectors, so each step is accepted or rejected as RK45 on the full vec(rho)
-    would. The last accepted step is kept as RkDenseOutput's fields (t_old,
+    rk_step), with the same numpy calls but two trims that keep every bit (a
+    step's |y| is the previous step's |y_new|, and the error norm gathers the
+    expanded vector without conjugating it), and take their initial step,
+    step sizes and nfev from the mean-field module's RK45 helpers, so every
+    step, accepted state and nfev equals scipy's RK45 class on the same half
+    vector. The initial step and every error norm are evaluated on the
+    expanded vectors, so each step is accepted or rejected as RK45 on the
+    full vec(rho) would. The last accepted step is kept as RkDenseOutput's fields (t_old,
     h, y_old, Q = K^T P), and `interpolant` reads states inside it; K's last
     row is the next step's start derivative. Runs forward, t0 < t_bound.
     """
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, tri: _UpperTriangle,
                  *, rtol: float, atol: float):
-        self.fun, self._expand = fun, tri.expand
+        self.fun, self._full = fun, tri.index.reshape(-1)
         self.t, self.y, self.t_bound = t0, y0, t_bound
+        self._abs_y = np.abs(y0)
         self.finished = False
         self.attempts = 0
         self.rtol, self.atol = rtol, atol
@@ -427,7 +543,7 @@ class _HermitianRK45:
         return rk45_nfev(self.attempts)
 
     def error_norm(self, K, h, scale):
-        return norm(self._expand(np.dot(K.T, RK45.E) * h / scale))
+        return norm(np.take(np.dot(K.T, RK45.E) * h / scale, self._full))
 
     def step(self) -> None:
         """Take one accepted step; raises SolverError where RK45 fails."""
@@ -450,28 +566,29 @@ class _HermitianRK45:
             K[-1] = self.fun(t + h, y_new)
             self.attempts += 1
 
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            abs_new = np.abs(y_new)
+            scale = self.atol + np.maximum(self._abs_y, abs_new) * self.rtol
             error_norm = self.error_norm(K, h, scale)
             h_abs = rescale(h_abs, error_norm, rejected)
             if error_norm < 1:
                 break
             rejected = True
         self.t_old, self.y_old, self.t, self.y = t, y, t_new, y_new
-        self.h, self.h_abs = h, h_abs
+        self.h, self.h_abs, self._abs_y = h, h_abs, abs_new
         self.finished = self.t >= self.t_bound
 
     @property
     def Q(self) -> np.ndarray:
-        """RkDenseOutput's K^T P of the last accepted step, built only for steps that are read."""
+        """RkDenseOutput's K^T P of the last accepted step; `interpolant` takes it on some columns."""
         return self.K.T.dot(RK45.P)
 
-    def interpolant(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(coeffs, powers) with row j of powers @ coeffs the state at t[j]: the last step's
-        y_old + h Q [x, x^2, ...] at x = (t - t_old) / h, as rows y_old and h Q^T (contiguous
-        vecs, cheap to gather from) and a row [1, x, x^2, ...] per sample."""
-        Q = self.Q
-        coeffs = np.empty((Q.shape[1] + 1, len(self.y_old)), dtype=complex)
-        coeffs[0] = self.y_old
+    def interpolant(self, t: np.ndarray, columns=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(coeffs, powers) with row j of powers @ coeffs the `columns` of the state at t[j]:
+        the last step's y_old + h Q [x, x^2, ...] at x = (t - t_old) / h, as rows y_old and
+        h Q^T and a row [1, x, x^2, ...] per sample."""
+        Q = self.K[:, columns].T.dot(RK45.P)
+        coeffs = np.empty((Q.shape[1] + 1, Q.shape[0]), dtype=complex)
+        coeffs[0] = self.y_old[columns]
         np.multiply(Q.T, self.h, out=coeffs[1:])
         return coeffs, np.vander((t - self.t_old) / self.h, len(coeffs), increasing=True)
 
@@ -491,61 +608,52 @@ def evolve(
     The grid is integrated in chunks of CHUNK samples, each a fresh RK45
     run on the upper triangle of rho from the state the previous chunk's
     last step ends on. Every sample and checkpoint is read off the
-    interpolant of the step that covers it.
+    interpolant of the step that covers it, and each chunk's samples are
+    recorded at once. The whole call runs numpy's OpenBLAS on one thread.
 
     Raises GridError before any RHS call where integrate would (resolved_grid),
     TruncationError when the top photon level acquires more than
     TOP_LEVEL_TOL population (the Fock cutoff is then too low for this
     drive) and SolverError when a checkpoint eigenvalue falls below
-    -POSITIVITY_TOL.
+    -POSITIVITY_TOL, each for the first sample where a sample-by-sample pass
+    would, also when the integration fails later in the same chunk.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (h.dim, h.dim):
-        raise ValidationError(f"rho0 has shape {rho0.shape}, expected {(h.dim, h.dim)}")
-    DensityMatrix(matrix=rho0, time=t_span[0]).validate()
-    grid = resolved_grid(cfg, t_span, dt)
-    rtol, atol = validate_tol(rtol, atol)
-    nt = len(grid)
-    rec = _ChunkRecorder(h, grid)
-    tri = rec.tri
-    upper_rows = _liouvillian(cfg, h, rows=tri.upper)
+    with _one_blas_thread():
+        rho0 = np.asarray(rho0, dtype=complex)
+        if rho0.shape != (h.dim, h.dim):
+            raise ValidationError(f"rho0 has shape {rho0.shape}, expected {(h.dim, h.dim)}")
+        DensityMatrix(matrix=rho0, time=t_span[0]).validate()
+        grid = resolved_grid(cfg, t_span, dt)
+        rtol, atol = validate_tol(rtol, atol)
+        nt = len(grid)
+        rec = _ChunkRecorder(h, grid)
+        rhs = _half_rhs(cfg, h, rec.tri)
 
-    def rhs(t: float, v: np.ndarray) -> np.ndarray:
-        return upper_rows(t, tri.expand(v))
+        y = rho0.reshape(-1)[rec.tri.upper]
+        rec.record(0, y[None, rec.columns], [y])
+        nfev = n_steps = 0
+        chunks = range(0, nt - 1, CHUNK)
+        for start in chunks:
+            stop = min(start + CHUNK, nt - 1)
+            solver = _HermitianRK45(rhs, float(grid[start]), y, float(grid[stop]), rec.tri,
+                                    rtol=rtol, atol=atol)
+            n_steps += rec.record_run(solver, start + 1, stop + 1)
+            nfev += solver.nfev
+            y = solver.y   # the last step ends on the chunk end
 
-    y = rho0.reshape(-1)[tri.upper]
-    rec.record(0, y[None, :], np.ones((1, 1)))
-    nfev = n_steps = 0
-    chunks = range(0, nt - 1, CHUNK)
-    for start in chunks:
-        stop = min(start + CHUNK, nt - 1)
-        t_eval = grid[start + 1 : stop + 1]
-        solver = _HermitianRK45(rhs, float(grid[start]), y, float(grid[stop]), tri,
-                                rtol=rtol, atol=atol)
-        done = 0   # samples of t_eval recorded so far
-        while not solver.finished:
-            solver.step()
-            n_steps += 1
-            covered = int(np.searchsorted(t_eval, solver.t, side="right"))
-            if covered > done:
-                rec.record(start + 1 + done, *solver.interpolant(t_eval[done:covered]))
-                done = covered
-        nfev += solver.nfev
-        y = solver.y   # the last step ends on the chunk end
-
-    return LindbladResult(
-        t=grid,
-        a=rec.a,
-        exp_n=rec.exp_n,
-        modes=rec.modes,
-        populations=rec.populations,
-        config=cfg,
-        per_well=True,
-        hilbert=h,
-        checkpoints=tuple(rec.checkpoints),
-        diagnostics={**rec.diagnostics(), "nfev": nfev, "n_steps": n_steps, "n_chunks": len(chunks),
-                     "dim": h.dim},
-    )
+        return LindbladResult(
+            t=grid,
+            a=rec.a,
+            exp_n=rec.exp_n,
+            modes=rec.modes,
+            populations=rec.populations,
+            config=cfg,
+            per_well=True,
+            hilbert=h,
+            checkpoints=tuple(rec.checkpoints),
+            diagnostics={**rec.diagnostics(), "nfev": nfev, "n_steps": n_steps,
+                         "n_chunks": len(chunks), "dim": h.dim},
+        )
 
 
 def write_checkpoints(result: LindbladResult, path_base) -> None:

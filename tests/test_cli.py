@@ -286,6 +286,25 @@ class TestSweepAndReproducibility:
         assert table[2] == "pulse.F0,dphi_cavity,dphi_dipole"
         assert len(table) == 6
 
+    def test_lindblad_bytes_do_not_depend_on_blas_threads(self, tmp_path, fast_config_path):
+        # evolve runs numpy's OpenBLAS on one thread whatever OPENBLAS_NUM_THREADS says
+        from qwcavity import lindblad
+        if lindblad._blas_threads() is None:
+            pytest.skip("numpy has no bundled OpenBLAS with a thread-count setter")
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(qwcavity.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH", "")])
+        args = ["sweep", "--config", str(fast_config_path), "--solver", "lindblad", "--jobs", "1",
+                "--n-photon-max", "4", "--nu-max", "2", "--axis", "pulse.F0=1.2,2.4"]
+        files = []
+        for name, extra in (("default", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+            proc = subprocess.run([sys.executable, "-m", "qwcavity.cli", *args, "--out", str(tmp_path / name)],
+                                  capture_output=True, text=True, env={**env, **extra}, timeout=300)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            files.append(read_data_files(tmp_path / name))
+        assert files[0] == files[1]
+        assert list(files[0]) == ["sweep_lindblad.csv"]
+
     def test_shared_baselines_give_the_single_run_shift(self, fast_config_path):
         # two anharmonicities share one harmonic baseline in the sweep
         policy = SpectralPolicy()

@@ -1,7 +1,9 @@
+import ctypes
 import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from qwcavity import (
 from qwcavity import Frame, baseline_config, drive_amplitude, fid_time_span, integrate, nonlinear_phase_shift
 from qwcavity import lindblad
 from qwcavity.errors import SolverError
-from qwcavity.lindblad import _ChunkRecorder, _HermitianRK45, _liouvillian, _UpperTriangle
+from qwcavity.lindblad import _ChunkRecorder, _half_rhs, _HermitianRK45, _UpperTriangle
 from qwcavity.model import BLOCK_ROWS
 from qwcavity.spectral import SpectralPolicy
 
@@ -403,8 +405,7 @@ class TestChunkRecorder:
         h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
         cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35)
         tri = _UpperTriangle(h.dim)
-        upper_rows = _liouvillian(cfg, h, rows=tri.upper)
-        solver = _HermitianRK45(lambda t, v: upper_rows(t, tri.expand(v)), 0.0,
+        solver = _HermitianRK45(_half_rhs(cfg, h, tri), 0.0,
                                 vacuum_state(h).reshape(-1)[tri.upper], 1.5, tri,
                                 rtol=1e-9, atol=1e-12)
         n_steps = 0
@@ -425,10 +426,7 @@ class TestChunkRecorder:
         h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
         cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35)
         tri = _UpperTriangle(h.dim)
-        upper_rows = _liouvillian(cfg, h, rows=tri.upper)
-
-        def half_rhs(t, v):
-            return upper_rows(t, tri.expand(v))
+        half_rhs = _half_rhs(cfg, h, tri)
 
         def full_rhs(t, y):
             return tri.expand(half_rhs(t, y[tri.upper]))
@@ -469,13 +467,10 @@ class TestChunkRecorder:
         h = HilbertConfig(n_photon_max=4, nu_max=2, n_wells=2)
         cfg = standard_config(u_over_gamma=1.0, f0_over_kappa=0.35)
         tri = _UpperTriangle(h.dim)
-        upper_rows = _liouvillian(cfg, h, rows=tri.upper)
+        half_rhs = _half_rhs(cfg, h, tri)
         rng = np.random.default_rng(3)
         psi = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
         y0 = (np.outer(psi, psi.conj()) / np.vdot(psi, psi).real).reshape(-1)[tri.upper]
-
-        def half_rhs(t, v):
-            return upper_rows(t, tri.expand(v))
 
         own = _HermitianRK45(half_rhs, 0.5, y0, 0.6, tri, rtol=1e-9, atol=1e-12)
         ref = ScipyHalfRK45(half_rhs, 0.5, y0, 0.6, tri, rtol=1e-9, atol=1e-12)
@@ -575,9 +570,10 @@ class TestChunkRecorder:
         ref = SampleRecorder(h, grid, **kwargs)
 
         def run_chunked():
-            # each state is its own coefficient row, selected by identity powers
+            # the columns of every sample, and the whole state of each checkpoint
             for start, stop in [(0, 1)] + [(k, min(k + 16, len(grid))) for k in range(1, len(grid), 16)]:
-                chunked.record(start, half[:, start:stop].T, np.eye(stop - start))
+                states = [half[:, i] for i in chunked.check_idx if start <= i < stop]
+                chunked.record(start, half[chunked.columns, start:stop].T, states)
 
         outcomes = []
         for run in (run_chunked, lambda: ref.record_chunk(0, ys)):
@@ -593,6 +589,108 @@ class TestChunkRecorder:
         else:
             expected = "SolverError" if negative_at is not None and negative_at < overflow_at else "TruncationError"
             assert outcomes[0].startswith(expected)
+
+    @pytest.mark.parametrize("failing_from, expected", [(31, "SolverError"), (62, "TruncationError")])
+    def test_failing_checkpoint_and_overflow_in_one_chunk(self, failing_from, expected, monkeypatch):
+        # the top photon level overflows at sample 52 (t = 0.208), between the checkpoints
+        # at samples 31 and 62 of the first chunk; every eigenvalue check fails from
+        # sample `failing_from` on, so the first failure is the checkpoint's or the overflow's
+        h = HilbertConfig(n_photon_max=1, nu_max=2, n_wells=2)
+        cfg = standard_config(f0_over_kappa=0.5)
+        deviations = DensityMatrix.deviations
+
+        def failing(dm):
+            dev = deviations(dm)
+            return {**dev, "min_eigenvalue": -1.0} if dm.time > 0.004 * (failing_from - 0.5) else dev
+
+        monkeypatch.setattr(DensityMatrix, "deviations", failing)
+        errors = []
+        for run in (evolve, reference_evolve):
+            with pytest.raises((SolverError, TruncationError)) as info:
+                run(vacuum_state(h), (0.0, 2.0), cfg, h, dt=0.004)
+            errors.append(error_head(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(expected)
+        assert f"t={0.004 * (failing_from if expected == 'SolverError' else 52):.3f}" in errors[0]
+
+    @pytest.mark.parametrize("n_photon_max, fails_from, expected",
+                             [(1, 0.3, TruncationError), (4, 0.3, SolverError), (4, 1.024, SolverError)])
+    def test_failed_step_raises_after_the_samples_before_it(self, n_photon_max, fails_from, expected,
+                                                            monkeypatch):
+        # every step from t = fails_from on fails: at 0.3 in the first chunk, where the top
+        # level of n_photon_max = 1 overflows at t = 0.208, so the overflow comes first, as in
+        # a sample-by-sample pass; at 1.024 on the first step of the second chunk
+        h = HilbertConfig(n_photon_max=n_photon_max, nu_max=2, n_wells=2)
+        cfg = standard_config(f0_over_kappa=0.5 if n_photon_max == 1 else 0.2)
+        step = _HermitianRK45.step
+
+        def failing(solver):
+            if solver.t >= fails_from:
+                raise SolverError("Lindblad integration failed: step size too small")
+            step(solver)
+
+        monkeypatch.setattr(_HermitianRK45, "step", failing)
+        with pytest.raises(expected, match=r"t=0\.208" if expected is TruncationError else "step size"):
+            evolve(vacuum_state(h), (0.0, 2.0), cfg, h, dt=0.004)
+
+
+class TestBlasThreadScope:
+    """evolve runs numpy's OpenBLAS on one thread and gives the previous count back."""
+
+    @pytest.fixture
+    def blas(self):
+        found = lindblad._blas_threads()
+        if found is None:
+            pytest.skip("numpy has no bundled OpenBLAS with a thread-count setter")
+        get, put = found
+        original = get()
+        yield get, put
+        put(original)
+
+    @pytest.mark.parametrize("outcome", ["returns", "TruncationError", "ValidationError"])
+    def test_count_restored(self, outcome, blas, monkeypatch):
+        get, put = blas
+        cfg = standard_config(f0_over_kappa=0.5)
+        h = HilbertConfig(n_photon_max=1 if outcome == "TruncationError" else 4, nu_max=2, n_wells=2)
+        rho0 = np.eye(2) if outcome == "ValidationError" else vacuum_state(h)
+        inside, half_rhs = [], lindblad._half_rhs   # the thread count where evolve builds its RHS
+
+        def counted(*args):
+            inside.append(get())
+            return half_rhs(*args)
+
+        monkeypatch.setattr(lindblad, "_half_rhs", counted)
+        for before in (get(), get() + 1):   # the library default, then a count set beforehand
+            put(before)
+            if outcome == "returns":
+                evolve(rho0, (0.0, 0.2), cfg, h, dt=0.004)
+            else:
+                with pytest.raises(getattr(lindblad, outcome)):
+                    evolve(rho0, (0.0, 2.0), cfg, h, dt=0.004)
+            assert get() == before
+        assert inside == ([] if outcome == "ValidationError" else [1, 1])
+
+    def test_missing_library_warns_once_and_changes_nothing(self, monkeypatch):
+        h = HilbertConfig(n_photon_max=2, nu_max=2, n_wells=1)
+        cfg = single_well_config(f0_over_kappa=0.05)
+        pinned = evolve(vacuum_state(h), (0.0, 0.5), cfg, h, dt=0.004)
+
+        def no_library(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        lindblad._blas_threads.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning, match="OpenBLAS was not found"):
+                first = evolve(vacuum_state(h), (0.0, 0.5), cfg, h, dt=0.004)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                second = evolve(vacuum_state(h), (0.0, 0.5), cfg, h, dt=0.004)
+        finally:
+            lindblad._blas_threads.cache_clear()
+        for res in (first, second):
+            assert np.array_equal(res.a, pinned.a) and np.array_equal(res.modes, pinned.modes)
+            assert res.diagnostics == pinned.diagnostics
 
 
 class TestDensityMatrixType:
